@@ -369,10 +369,11 @@ def cmd_proper(args, scene):
     if len(free) > 1:
         raise UsageError(f"--map must use one variable, found {free}")
     var = free[0] if free else "x"
+    f = ex.compile_expr(e, (var,))
 
     def fn(x):
         try:
-            return float(ex.evaluate(e, {var: float(x)}))
+            return float(f(float(x)))
         except (ZeroDivisionError, ValueError, ex.EvalDomainError,
                 OverflowError):
             return math.nan

@@ -11,10 +11,16 @@ Grammar (whitespace insensitive, ``^`` right-associative):
 Known single-argument functions: sin cos tan exp log sqrt atan.
 ``pi`` and ``e`` are reserved constants.  Syntax and domain errors carry the
 byte offset / source of the offending fragment.
+
+Expressions share subtrees freely.  Evaluation compiles them to a `Tape`,
+which evaluates every distinct node once, on floats, truncated Taylor
+series (`Series`) or numpy arrays; `diff`, `subs` and `free_vars` also
+visit each shared node once.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,7 +29,7 @@ from .numkit import DomainViolation, Series
 
 __all__ = [
     "Expr", "Num", "Var", "Neg", "Bin", "Call", "parse", "to_source",
-    "evaluate", "eval_numpy", "diff", "subs", "free_vars", "MapDef",
+    "evaluate", "compile_expr", "Tape", "diff", "subs", "free_vars", "MapDef",
     "ExprError", "ExprSyntaxError", "UnknownFunctionError", "EvalDomainError",
     "num", "var", "add", "sub", "mul", "div", "neg", "call", "dot3",
     "cross3", "scale3", "add3", "sub3", "norm3",
@@ -270,115 +276,240 @@ def _node_source(e: Expr) -> str:
 # ----------------------------------------------------------------- evaluation
 
 def free_vars(e: Expr) -> set:
-    if isinstance(e, Num):
-        return set()
-    if isinstance(e, Var):
-        return set() if e.name in CONSTANTS else {e.name}
-    if isinstance(e, Neg):
-        return free_vars(e.operand)
-    if isinstance(e, Call):
-        return free_vars(e.arg)
-    if isinstance(e, Bin):
-        return free_vars(e.left) | free_vars(e.right)
-    raise TypeError(f"not an expression node: {e!r}")
+    return _new_free_vars(e, set())
+
+
+def _new_free_vars(e: Expr, seen: set) -> set:
+    """Free names of the nodes of `e` whose ids are not in `seen` yet; adds
+    the ids of the nodes it visits, so shared subexpressions count once."""
+    names = set()
+    stack = [e]
+    while stack:
+        n = stack.pop()
+        if id(n) in seen:
+            continue
+        seen.add(id(n))
+        if isinstance(n, Var):
+            if n.name not in CONSTANTS:
+                names.add(n.name)
+        elif isinstance(n, Neg):
+            stack.append(n.operand)
+        elif isinstance(n, Call):
+            stack.append(n.arg)
+        elif isinstance(n, Bin):
+            stack += (n.left, n.right)
+        elif not isinstance(n, Num):
+            raise TypeError(f"not an expression node: {n!r}")
+    return names
 
 
 def evaluate(e: Expr, bindings: dict):
     """Evaluate with Series or float bindings; constants pi/e are built in."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        if e.name in bindings:
-            return bindings[e.name]
-        if e.name in CONSTANTS:
-            return CONSTANTS[e.name]
-        raise EvalDomainError(f"unbound identifier '{e.name}'", _node_source(e))
-    if isinstance(e, Neg):
-        return -evaluate(e.operand, bindings)
-    if isinstance(e, Bin):
-        l = evaluate(e.left, bindings)
-        r = evaluate(e.right, bindings)
+    tape = Tape([e], bindings)
+    regs = tape.run_checked([bindings.get(n, _UNBOUND) for n in tape.names])
+    return regs[tape.outputs[0]]
+
+
+def compile_expr(e: Expr, variables, params=None):
+    """`f(*values)`: `e` compiled once, with `variables` bound positionally
+    and `params` by name (a variable shadows a parameter of its name)."""
+    variables = tuple(variables)
+    params = dict(params or {})
+    tape = Tape([e], variables + tuple(params))
+    fixed = [params.get(n, _UNBOUND) for n in tape.names[len(variables):]]
+    out = tape.outputs[0]
+    run = tape.run_checked if any(v is _UNBOUND for v in fixed) else tape.run
+
+    def f(*values):
+        return run([*values, *fixed])[out]
+
+    return f
+
+
+def _div(l, r):
+    if isinstance(r, Series):
+        if not isinstance(l, Series):
+            l = r._coerce(l)
+        return l / r
+    if not isinstance(l, Series) and r == 0.0:
+        raise DomainViolation("division by zero")
+    return l / r
+
+
+def _pow(l, r):
+    if isinstance(l, Series):
+        return l ** r
+    if isinstance(r, Series):
+        return r._coerce(l) ** r
+    if l < 0 and not float(r).is_integer():
+        raise DomainViolation("non-integer power of a negative base")
+    if l == 0 and r < 0:
+        raise DomainViolation("zero raised to a negative power")
+    return l ** r
+
+
+def _scalar_fn(fn: str):
+    def apply(x):
+        if isinstance(x, Series):
+            return getattr(x, fn)()
+        if fn == "log" and x <= 0.0:
+            raise DomainViolation("log of a nonpositive quantity")
+        if fn == "sqrt" and x < 0.0:
+            raise DomainViolation("sqrt of a negative quantity")
+        return getattr(math, fn)(x)
+    return apply
+
+
+# per-op functions of the interpreter: floats and Series, and numpy arrays
+_SCALAR_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": _div, "^": _pow, "neg": operator.neg}
+_SCALAR_OPS.update({fn: _scalar_fn(fn) for fn in FUNCTIONS})
+_GRID_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+             "/": np.divide, "^": np.power, "neg": operator.neg,
+             "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
+             "log": np.log, "sqrt": np.sqrt, "atan": np.arctan}
+
+#: the value of an identifier that nothing binds
+_UNBOUND = object()
+
+
+class Tape:
+    """Expressions compiled to a straight-line program over registers.
+
+    The registers hold the inputs (one per entry of `names`), then the
+    constants, then one result per instruction, in the order a left-to-right
+    tree walk first completes each node, so the first failing instruction is
+    the node a tree walk would fail at.  Structurally equal nodes share one
+    register: an operation is keyed by its op and argument registers, a
+    number by its type, value and sign, so -0.0 and 0.0 stay apart.  An
+    identifier is an input when `names` lists it, else the constant pi or e,
+    else an unbound input appended to `names`.
+    """
+
+    def __init__(self, exprs, names=()):
+        slots = {n: i for i, n in enumerate(dict.fromkeys(names))}
+        # temporary -> (kind, index): kind 0 an input, 1 a constant,
+        # 2 an instruction; registers are numbered kind by kind
+        temps = []
+        by_key = {}         # structural key -> temporary
+        by_id = {}          # id(node) -> temporary
+        consts, code, nodes = [], [], []
+        self.first_use = {}  # input -> instructions before its first use
+
+        def intern(key, kind, index):
+            by_key[key] = len(temps)
+            temps.append((kind, index))
+            return by_key[key]
+
+        def constant(key, value):
+            consts.append(value)
+            return intern(key, 1, len(consts) - 1)
+
+        def visit(e):
+            t = by_id.get(id(e))
+            if t is not None:
+                return t
+            if isinstance(e, Num):
+                v = e.value
+                key = ("num", type(v), v, math.copysign(1.0, v))
+                t = by_key.get(key)
+                if t is None:
+                    t = constant(key, v)
+            elif isinstance(e, Var):
+                key = ("var", e.name)
+                t = by_key.get(key)
+                if t is None and e.name not in slots and e.name in CONSTANTS:
+                    t = constant(key, CONSTANTS[e.name])
+                elif t is None:
+                    i = slots.setdefault(e.name, len(slots))
+                    self.first_use[i] = len(code)
+                    t = intern(key, 0, i)
+            else:
+                if isinstance(e, Bin):
+                    key = (e.op, visit(e.left), visit(e.right))
+                elif isinstance(e, Neg):
+                    key = ("neg", visit(e.operand), -1)
+                elif isinstance(e, Call):
+                    if e.fn not in FUNCTIONS:
+                        raise UnknownFunctionError(
+                            f"unknown function '{e.fn}'", e.span[0])
+                    key = (e.fn, visit(e.arg), -1)
+                else:
+                    raise TypeError(f"not an expression node: {e!r}")
+                t = by_key.get(key)
+                if t is None:
+                    t = intern(key, 2, len(code))
+                    code.append(key)
+                    nodes.append(e)
+            by_id[id(e)] = t
+            return t
+
+        outputs = [visit(e) for e in exprs]
+        self.names = tuple(slots)
+        offset = (0, len(slots), len(slots) + len(consts))
+        reg = [offset[kind] + i for kind, i in temps]
+        self.consts = consts
+        self.base = offset[2]
+        self.nodes = nodes
+        self.outputs = [reg[t] for t in outputs]
+        self.scalar = [(_SCALAR_OPS[op], reg[a], reg[b] if b >= 0 else -1)
+                       for op, a, b in code]
+        self.grid = [(_GRID_OPS[op], reg[a], reg[b] if b >= 0 else -1)
+                     for op, a, b in code]
+        last_use = {}
+        for k, (_, a, b) in enumerate(self.grid):
+            last_use[a] = last_use[b] = k
+        kept = set(self.outputs)
+        self.dead = [[] for _ in code]  # registers last used by instruction k
+        for r, k in last_use.items():
+            if r >= self.base and r not in kept:
+                self.dead[k].append(r)
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+    def run(self, inputs: list, stop: int | None = None) -> list:
+        """Registers after the float or Series instructions (the first
+        `stop` of them) on `inputs`, one value per name; `inputs` becomes
+        the register list."""
+        code = self.scalar if stop is None else self.scalar[:stop]
+        regs = inputs
+        regs += self.consts
+        append = regs.append
         try:
-            if e.op == "+":
-                return l + r
-            if e.op == "-":
-                return l - r
-            if e.op == "*":
-                return l * r
-            if e.op == "/":
-                if not isinstance(l, Series) and not isinstance(r, Series):
-                    if r == 0.0:
-                        raise DomainViolation("division by zero")
-                    return l / r
-                if not isinstance(l, Series):
-                    l = r._coerce(l)
-                return l / r
-            if e.op == "^":
-                if isinstance(l, Series):
-                    return l ** r
-                if isinstance(r, Series):
-                    return r._coerce(l) ** r
-                if l < 0 and not float(r).is_integer():
-                    raise DomainViolation("non-integer power of a negative base")
-                if l == 0 and r < 0:
-                    raise DomainViolation("zero raised to a negative power")
-                return l ** r
-        except DomainViolation as exc:
-            raise EvalDomainError(str(exc), _node_source(e)) from exc
-    if isinstance(e, Call):
-        x = evaluate(e.arg, bindings)
-        try:
-            if isinstance(x, Series):
-                return getattr(x, e.fn)()
-            return _scalar_call(e.fn, x)
+            for fn, a, b in code:
+                append(fn(regs[a]) if b < 0 else fn(regs[a], regs[b]))
         except (DomainViolation, ValueError) as exc:
-            raise EvalDomainError(str(exc), _node_source(e)) from exc
-    raise TypeError(f"not an expression node: {e!r}")
+            node = self.nodes[len(regs) - self.base]
+            if isinstance(exc, ValueError) and not isinstance(node, Call):
+                raise
+            raise EvalDomainError(str(exc), _node_source(node)) from exc
+        return regs
 
-
-def _scalar_call(fn: str, x: float) -> float:
-    if fn == "log" and x <= 0.0:
-        raise DomainViolation("log of a nonpositive quantity")
-    if fn == "sqrt" and x < 0.0:
-        raise DomainViolation("sqrt of a negative quantity")
-    return getattr(math, fn)(x)
-
-
-_NP_FUNCS = {f: getattr(np, f) for f in ("sin", "cos", "tan", "exp", "sqrt")}
-_NP_FUNCS["log"] = np.log
-_NP_FUNCS["atan"] = np.arctan
-
-
-def eval_numpy(e: Expr, arrays: dict):
-    """Vectorized evaluation over numpy arrays (non-finite values pass through)."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        if e.name in arrays:
-            return arrays[e.name]
-        if e.name in CONSTANTS:
-            return CONSTANTS[e.name]
-        raise EvalDomainError(f"unbound identifier '{e.name}'", _node_source(e))
-    if isinstance(e, Neg):
-        return -eval_numpy(e.operand, arrays)
-    if isinstance(e, Bin):
-        l = eval_numpy(e.left, arrays)
-        r = eval_numpy(e.right, arrays)
+    def run_grid(self, inputs: list, stop: int | None = None) -> list:
+        """`run` over numpy arrays, non-finite values passing through; an
+        intermediate array is dropped after its last use."""
+        regs = inputs
+        regs += self.consts
+        append = regs.append
         with np.errstate(all="ignore"):
-            if e.op == "+":
-                return l + r
-            if e.op == "-":
-                return l - r
-            if e.op == "*":
-                return l * r
-            if e.op == "/":
-                return np.divide(l, r)
-            return np.power(l, r)
-    if isinstance(e, Call):
-        x = eval_numpy(e.arg, arrays)
-        with np.errstate(all="ignore"):
-            return _NP_FUNCS[e.fn](x)
-    raise TypeError(f"not an expression node: {e!r}")
+            for (fn, a, b), dead in zip(self.grid[:stop], self.dead):
+                append(fn(regs[a]) if b < 0 else fn(regs[a], regs[b]))
+                for r in dead:
+                    regs[r] = None
+        return regs
+
+    def run_checked(self, inputs: list, grid: bool = False) -> list:
+        """`run` or `run_grid` where an input may be `_UNBOUND`: the
+        instructions before its first use run, then it raises."""
+        run = self.run_grid if grid else self.run
+        unbound = [(self.first_use[i], n) for i, n in enumerate(self.names)
+                   if inputs[i] is _UNBOUND and i in self.first_use]
+        if unbound:
+            pos, name = min(unbound)
+            run(inputs, pos)
+            raise EvalDomainError(f"unbound identifier '{name}'", name)
+        return run(inputs)
 
 
 # --------------------------------------------------------- symbolic operators
@@ -439,21 +570,36 @@ def call(fn: str, a) -> Expr:
     return Call((0, 0), fn, a)
 
 
-def powi(a, k: int) -> Expr:
-    return Bin((0, 0), "^", a, num(k))
+def diff(e: Expr, name: str, memo: dict | None = None) -> Expr:
+    """Symbolic derivative with respect to `name`.
+
+    Each node is differentiated once, so a shared subexpression gives one
+    shared derivative.  Pass the same `memo` to differentiate several
+    expressions in `name` with shared work.
+    """
+    memo = {} if memo is None else memo
+
+    def d(e: Expr) -> Expr:
+        hit = memo.get(id(e))
+        if hit is not None:
+            return hit[1]
+        out = _diff_node(e, name, d)
+        memo[id(e)] = (e, out)  # holding e keeps its id from being reused
+        return out
+
+    return d(e)
 
 
-def diff(e: Expr, name: str) -> Expr:
-    """Symbolic derivative with respect to `name`."""
+def _diff_node(e: Expr, name: str, d) -> Expr:
     if isinstance(e, Num):
         return num(0)
     if isinstance(e, Var):
         return num(1) if e.name == name else num(0)
     if isinstance(e, Neg):
-        return neg(diff(e.operand, name))
+        return neg(d(e.operand))
     if isinstance(e, Bin):
         l, r = e.left, e.right
-        dl, dr = diff(l, name), diff(r, name)
+        dl, dr = d(l), d(r)
         if e.op == "+":
             return add(dl, dr)
         if e.op == "-":
@@ -473,41 +619,51 @@ def diff(e: Expr, name: str) -> Expr:
         whole = Bin((0, 0), "^", l, r)
         return mul(whole, add(mul(dr, call("log", l)), mul(r, div(dl, l))))
     if isinstance(e, Call):
-        inner = diff(e.arg, name)
+        inner = d(e.arg)
         x = e.arg
         if e.fn == "sin":
-            d = call("cos", x)
+            dx = call("cos", x)
         elif e.fn == "cos":
-            d = neg(call("sin", x))
+            dx = neg(call("sin", x))
         elif e.fn == "tan":
-            d = add(num(1), mul(call("tan", x), call("tan", x)))
+            dx = add(num(1), mul(call("tan", x), call("tan", x)))
         elif e.fn == "exp":
-            d = call("exp", x)
+            dx = call("exp", x)
         elif e.fn == "log":
-            d = div(num(1), x)
+            dx = div(num(1), x)
         elif e.fn == "sqrt":
-            d = div(num(1), mul(num(2), call("sqrt", x)))
+            dx = div(num(1), mul(num(2), call("sqrt", x)))
         elif e.fn == "atan":
-            d = div(num(1), add(num(1), mul(x, x)))
+            dx = div(num(1), add(num(1), mul(x, x)))
         else:
             raise UnknownFunctionError(f"unknown function '{e.fn}'", e.span[0])
-        return mul(d, inner)
+        return mul(dx, inner)
     raise TypeError(f"not an expression node: {e!r}")
 
 
 def subs(e: Expr, name: str, replacement: Expr) -> Expr:
-    if isinstance(e, Num):
-        return e
-    if isinstance(e, Var):
-        return replacement if e.name == name else e
-    if isinstance(e, Neg):
-        return Neg(e.span, subs(e.operand, name, replacement))
-    if isinstance(e, Bin):
-        return Bin(e.span, e.op, subs(e.left, name, replacement),
-                   subs(e.right, name, replacement))
-    if isinstance(e, Call):
-        return Call(e.span, e.fn, subs(e.arg, name, replacement))
-    raise TypeError(f"not an expression node: {e!r}")
+    memo = {}
+
+    def s(e: Expr) -> Expr:
+        hit = memo.get(id(e))
+        if hit is not None:
+            return hit
+        if isinstance(e, Num):
+            out = e
+        elif isinstance(e, Var):
+            out = replacement if e.name == name else e
+        elif isinstance(e, Neg):
+            out = Neg(e.span, s(e.operand))
+        elif isinstance(e, Bin):
+            out = Bin(e.span, e.op, s(e.left), s(e.right))
+        elif isinstance(e, Call):
+            out = Call(e.span, e.fn, s(e.arg))
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+        memo[id(e)] = out
+        return out
+
+    return s(e)
 
 
 # 3-vectors of expressions -----------------------------------------------
@@ -543,7 +699,11 @@ def norm3(a) -> Expr:
 # --------------------------------------------------------------------- MapDef
 
 class MapDef:
-    """A named map R^k -> R^m with expression components and fixed parameters."""
+    """A named map R^k -> R^m with expression components and fixed parameters.
+
+    The components are compiled once, on first use, into one `Tape`; the
+    variables are bound positionally and the parameters loaded once.
+    """
 
     def __init__(self, name: str, variables, components, params=None):
         self.name = name
@@ -554,40 +714,53 @@ class MapDef:
             comps.append(parse(c) if isinstance(c, str) else c)
         self.components = tuple(comps)
         known = set(self.variables) | set(self.params) | set(CONSTANTS)
+        seen = set()
         for c in self.components:
-            unknown = free_vars(c) - known
+            unknown = _new_free_vars(c, seen) - known
             if unknown:
                 raise ExprError(
                     f"map '{name}': unbound identifiers {sorted(unknown)}")
+        self._tape = None
 
     @property
     def n_components(self) -> int:
         return len(self.components)
 
-    def _bindings(self, point):
+    @property
+    def tape(self) -> Tape:
+        if self._tape is None:
+            tape = Tape(self.components, self.variables + tuple(self.params))
+            self._param_values = [self.params[n]
+                                  for n in tape.names[len(self.variables):]]
+            self._tape = tape
+        return self._tape
+
+    def _point(self, point) -> list:
+        n = len(self.variables)
+        if type(point) in (tuple, list) and len(point) == n:
+            return [float(x) for x in point]
         pt = np.atleast_1d(np.asarray(point, dtype=float))
-        if pt.size != len(self.variables):
-            raise ValueError(
-                f"map '{self.name}' expects {len(self.variables)} coordinates")
-        b = dict(self.params)
-        for nm, v in zip(self.variables, pt):
-            b[nm] = float(v)
-        return b
+        if pt.size != n:
+            raise ValueError(f"map '{self.name}' expects {n} coordinates")
+        return [float(x) for x in pt]
 
     def __call__(self, point) -> np.ndarray:
-        b = self._bindings(point)
-        return np.array([evaluate(c, b) for c in self.components], dtype=float)
+        tape = self.tape
+        regs = tape.run(self._point(point) + self._param_values)
+        return np.array([regs[i] for i in tape.outputs], dtype=float)
 
     def eval_jet(self, point, order: int = 3):
         from .numkit import Jet
+        tape = self.tape
         pt = np.atleast_1d(np.asarray(point, dtype=float))
         nvars = len(self.variables)
-        b = {nm: Series.constant(v, nvars, order) for nm, v in self.params.items()}
-        for i, nm in enumerate(self.variables):
-            b[nm] = Series.variable(i, float(pt[i]), nvars, order)
+        inputs = [Series.variable(i, float(pt[i]), nvars, order)
+                  for i in range(nvars)]
+        inputs += [Series.constant(v, nvars, order) for v in self._param_values]
+        regs = tape.run(inputs)
         series = []
-        for c in self.components:
-            s = evaluate(c, b)
+        for i in tape.outputs:
+            s = regs[i]
             if not isinstance(s, Series):
                 s = Series.constant(float(s), nvars, order)
             series.append(s)
@@ -595,21 +768,23 @@ class MapDef:
 
     def eval_grid(self, arrays: dict) -> np.ndarray:
         """Evaluate on broadcastable numpy arrays; returns shape (m, ...)."""
+        tape = self.tape
         env = dict(self.params)
         env.update(arrays)
         shape = np.broadcast(*[np.asarray(v) for v in arrays.values()]).shape
-        out = []
-        for c in self.components:
-            val = eval_numpy(c, env)
-            out.append(np.broadcast_to(np.asarray(val, dtype=float), shape))
-        return np.stack(out)
+        inputs = [env.get(n, CONSTANTS.get(n, _UNBOUND)) for n in tape.names]
+        regs = tape.run_checked(inputs, grid=True)
+        return np.stack([np.broadcast_to(np.asarray(regs[i], dtype=float), shape)
+                         for i in tape.outputs])
 
     def diff(self, name: str) -> "MapDef":
+        memo = {}
         return MapDef(f"d({self.name})/d{name}", self.variables,
-                      [diff(c, name) for c in self.components], self.params)
+                      [diff(c, name, memo) for c in self.components], self.params)
 
     def sources(self):
         return [to_source(c) for c in self.components]
 
     def __repr__(self):
-        return f"MapDef({self.name!r}, {self.variables}, {self.sources()})"
+        return (f"MapDef({self.name!r}, {self.variables}, "
+                f"{len(self.components)} components, tape {len(self.tape)})")

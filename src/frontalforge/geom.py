@@ -161,9 +161,6 @@ class GermFrame:
         """span{nu, tangent}: orthogonal to the conormal."""
         return Plane(self.origin, self.conormal)
 
-    def line_l1(self) -> Line:
-        return Line(self.origin, self.tangent)
-
     def line_l2(self) -> Line:
         """Co-normal line Pi0 meet Pi1."""
         return Line(self.origin, self.conormal)

@@ -115,6 +115,10 @@ class NormalField:
             out[(slice(None),) + idx] = self((U[idx], V[idx]))
         return out
 
+    def _probe_consistency(self):
+        # check at the base point that a normal exists at all
+        self(self.germ.base)
+
     # -- generic extension ---------------------------------------------------
 
     def _raw_cross(self, point):
@@ -172,18 +176,6 @@ class NormalField:
 
 def normal_field(germ: SurfaceGerm, tol: float = 1e-6) -> NormalField:
     return NormalField(germ, tol)
-
-
-def _probe_consistency_stub():
-    pass
-
-
-# check at the base point that a normal exists at all
-def _nf_probe(self):
-    self(self.germ.base)
-
-
-NormalField._probe_consistency = _nf_probe
 
 
 # --------------------------------------------------------------- area density

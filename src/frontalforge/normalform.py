@@ -26,7 +26,7 @@ from .numkit import Interval, Jet, eval_jet, integrate
 __all__ = [
     "EdgeNormalForm", "SectionalCusp", "ScalarProfile", "SurfaceProfile",
     "half_arclength", "sectional_cusp", "to_normal_form", "from_normal_form",
-    "edge_invariants", "is_cuspidal_edge", "NormalFormError", "DegenerateCusp",
+    "is_cuspidal_edge", "NormalFormError", "DegenerateCusp",
 ]
 
 
@@ -54,15 +54,14 @@ class ScalarProfile:
     def from_expr(cls, source, params=None):
         e = ex.parse(source) if isinstance(source, str) else source
         params = dict(params or {})
-        de = ex.diff(e, "u")
+        f = ex.compile_expr(e, ("u",), params)
+        df = ex.compile_expr(ex.diff(e, "u"), ("u",), params)
 
         def fn(u):
-            b = dict(params); b["u"] = float(u)
-            return float(ex.evaluate(e, b))
+            return float(f(float(u)))
 
         def deriv(u):
-            b = dict(params); b["u"] = float(u)
-            return float(ex.evaluate(de, b))
+            return float(df(float(u)))
 
         return cls(fn, deriv, expr=e, params=params)
 
@@ -131,10 +130,10 @@ class SurfaceProfile:
     def from_expr(cls, source, params=None):
         e = ex.parse(source) if isinstance(source, str) else source
         params = dict(params or {})
+        f = ex.compile_expr(e, ("u", "v"), params)
 
         def fn(u, v):
-            b = dict(params); b["u"] = float(u); b["v"] = float(v)
-            return float(ex.evaluate(e, b))
+            return float(f(float(u), float(v)))
 
         return cls(fn, expr=e, params=params)
 
@@ -272,10 +271,6 @@ class EdgeNormalForm:
                    float(data["halfwidth"]), Interval(*data["interval"]))
 
 
-def edge_invariants(nf: EdgeNormalForm, u: float) -> dict:
-    return nf.invariants(u)
-
-
 def is_cuspidal_edge(nf: EdgeNormalForm, u: float | None = None,
                      tol: float = 1e-8) -> bool:
     """True when b(u, 0) never vanishes (genuine cuspidal edge, not just a
@@ -392,17 +387,13 @@ class _EdgeChart:
 
     def __init__(self, germ, tol: float = 1e-10):
         self.germ = germ
-        probes = germ.domain[0].grid(17)
-        worst = 0.0
-        for u in probes:
-            j = germ.jet((u, 0.0), 1)
-            worst = max(worst, float(np.linalg.norm(j.partial(0, 1))))
+        jets = [germ.jet((u, 0.0), 1) for u in germ.domain[0].grid(17)]
+        worst = max(float(np.linalg.norm(j.partial(0, 1))) for j in jets)
         if worst > 1e-8:
             raise NormalFormError(
                 "normal-form extraction expects the singular set along {v=0}; "
                 "bring the germ into co-rank-one coordinates first")
-        speeds = [float(np.linalg.norm(germ.jet((u, 0.0), 1).partial(1, 0)))
-                  for u in probes]
+        speeds = [float(np.linalg.norm(j.partial(1, 0))) for j in jets]
         self.unit_speed = max(abs(s - 1.0) for s in speeds) < 1e-9
         if not self.unit_speed:
             sp = [float(np.linalg.norm(germ.jet((u, 0.0), 1).partial(1, 0)))
@@ -446,7 +437,10 @@ def _section_jets(germ, u: float):
 
 
 def _station_invariants(germ, u: float):
-    fr, sigma2, sigma3 = _section_jets(germ, u)
+    return _invariants_of_section(u, *_section_jets(germ, u))
+
+
+def _invariants_of_section(u: float, fr, sigma2, sigma3):
     norm2 = float(np.linalg.norm(sigma2))
     if norm2 < 1e-10:
         raise DegenerateCusp(
@@ -475,11 +469,6 @@ class SectionalCusp:
     a0: float
     b0: float
 
-    def sigma_of_w(self, w: float) -> np.ndarray:
-        from scipy.interpolate import CubicSpline
-        sp = CubicSpline(self.w, self.sigma, axis=0)
-        return np.asarray(sp(w), dtype=float)
-
 
 def _solve_section(germ, u0: float, fr, vs, tol=1e-12):
     """Newton continuation of (f(u, v) - c(u0)) . e = 0 for u = A(v)."""
@@ -504,6 +493,10 @@ def _solve_section(germ, u0: float, fr, vs, tol=1e-12):
                 raise NormalFormError(
                     f"section continuation stalled at (u={u}, v={v})")
             u -= F / dF
+        else:
+            raise NormalFormError(
+                f"section solve at station u0={u0}, v={v} did not converge "
+                f"in 60 Newton steps: |F| = {abs(F):.3e} >= tol {tol:.1e}")
         guesses[idx] = u
         val = germ((u, v)) - base
         out_u[idx] = u
@@ -513,11 +506,10 @@ def _solve_section(germ, u0: float, fr, vs, tol=1e-12):
 
 def sectional_cusp(germ, u0: float, nv: int = 65,
                    halfwidth: float | None = None, tol: float = 1e-12) -> SectionalCusp:
-    chart = _EdgeChart(germ)
+    _EdgeChart(germ)  # checks that the germ is singular along {v = 0}
     hw = halfwidth if halfwidth is not None else 0.98 * germ.domain[1].hi
     fr, sigma2, sigma3 = _section_jets(germ, u0)
-    inv = _station_invariants(germ, u0)
-    _, theta, a0, b0 = inv
+    _, theta, a0, b0 = _invariants_of_section(u0, fr, sigma2, sigma3)
     vs = np.linspace(-hw, hw, nv)
     us, sigma = _solve_section(germ, u0, fr, vs, tol)
     # half-arc-length per sample via trapezoid of |d sigma / dv|

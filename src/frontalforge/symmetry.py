@@ -401,15 +401,16 @@ def ms_symmetry_check(a0: str, b0: str, b2: str, b3: str,
     the detector on the built germ.  Also reports whether the limiting
     normal curvature is nonzero, which happens exactly when b0(0) != 0.
     """
-    a0e, b0e, b2e, b3e = (ex.parse(s) for s in (a0, b0, b2, b3))
+    a0e, b0e, b2e, b3e = (ex.compile_expr(ex.parse(s), ("u", "v"))
+                          for s in (a0, b0, b2, b3))
     us = np.linspace(-0.4, 0.4, 9)
     vs = np.linspace(-0.3, 0.3, 7)
 
     def f1(e, u):
-        return float(ex.evaluate(e, {"u": float(u), "v": 0.0}))
+        return float(e(float(u), 0.0))
 
     def f2(e, u, v):
-        return float(ex.evaluate(e, {"u": float(u), "v": float(v)}))
+        return float(e(float(u), float(v)))
 
     verdict = {
         "a0_even": all(abs(f1(a0e, u) - f1(a0e, -u)) < tol for u in us),

@@ -1,4 +1,10 @@
 """Prints one PASS/FAIL line per end-to-end acceptance criterion."""
+import os
+import tempfile
+
+# hypothesis keeps its example and constants caches outside the repository
+os.environ.setdefault("HYPOTHESIS_STORAGE_DIRECTORY",
+                      os.path.join(tempfile.gettempdir(), "frontalforge-hypothesis"))
 
 CRITERIA = {
     "test_acceptance_01_symmetry_catalog": (1, "symmetry catalog exactness"),

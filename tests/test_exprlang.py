@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from frontalforge import exprlang as ex
+from frontalforge.numkit import DomainViolation, Series
 
 
 def test_parse_and_evaluate():
@@ -100,3 +103,232 @@ def test_mapdef_diff():
 def test_mapdef_params():
     m = ex.MapDef("m", ("u",), ("a*u",), {"a": 3.0})
     assert m((2.0,))[0] == pytest.approx(6.0)
+
+
+# ------------------------------------------------- tape against a tree walker
+
+_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True,
+                     suppress_health_check=[HealthCheck.too_slow])
+
+
+def ref_evaluate(e, b):
+    """Plain recursive walk with the per-op semantics of the interpreter."""
+    if isinstance(e, ex.Num):
+        return e.value
+    if isinstance(e, ex.Var):
+        if e.name in b:
+            return b[e.name]
+        if e.name in ex.CONSTANTS:
+            return ex.CONSTANTS[e.name]
+        raise ex.EvalDomainError(f"unbound identifier '{e.name}'", e.name)
+    if isinstance(e, ex.Neg):
+        return -ref_evaluate(e.operand, b)
+    if isinstance(e, ex.Bin):
+        l, r = ref_evaluate(e.left, b), ref_evaluate(e.right, b)
+        try:
+            if e.op == "+":
+                return l + r
+            if e.op == "-":
+                return l - r
+            if e.op == "*":
+                return l * r
+            if e.op == "/":
+                if isinstance(l, Series) or isinstance(r, Series):
+                    return (l if isinstance(l, Series) else r._coerce(l)) / r
+                if r == 0.0:
+                    raise DomainViolation("division by zero")
+                return l / r
+            if isinstance(l, Series):
+                return l ** r
+            if isinstance(r, Series):
+                return r._coerce(l) ** r
+            if l < 0 and not float(r).is_integer():
+                raise DomainViolation("non-integer power of a negative base")
+            if l == 0 and r < 0:
+                raise DomainViolation("zero raised to a negative power")
+            return l ** r
+        except DomainViolation as exc:
+            raise ex.EvalDomainError(str(exc), ex._node_source(e)) from exc
+    x = ref_evaluate(e.arg, b)
+    try:
+        if isinstance(x, Series):
+            return getattr(x, e.fn)()
+        if e.fn == "log" and x <= 0.0:
+            raise DomainViolation("log of a nonpositive quantity")
+        if e.fn == "sqrt" and x < 0.0:
+            raise DomainViolation("sqrt of a negative quantity")
+        return getattr(math, e.fn)(x)
+    except (DomainViolation, ValueError) as exc:
+        raise ex.EvalDomainError(str(exc), ex._node_source(e)) from exc
+
+
+_NP = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp,
+       "log": np.log, "sqrt": np.sqrt, "atan": np.arctan}
+
+
+def ref_grid(e, arrays):
+    if isinstance(e, ex.Num):
+        return e.value
+    if isinstance(e, ex.Var):
+        return arrays[e.name] if e.name in arrays else ex.CONSTANTS[e.name]
+    if isinstance(e, ex.Neg):
+        return -ref_grid(e.operand, arrays)
+    if isinstance(e, ex.Bin):
+        l, r = ref_grid(e.left, arrays), ref_grid(e.right, arrays)
+        if e.op == "+":
+            return l + r
+        if e.op == "-":
+            return l - r
+        if e.op == "*":
+            return l * r
+        return np.divide(l, r) if e.op == "/" else np.power(l, r)
+    return _NP[e.fn](ref_grid(e.arg, arrays))
+
+
+def _outcome(fn, *args):
+    """Result bits, or the exception's type and message."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # the same failure is part of the contract
+        return ("raised", type(exc).__name__, str(exc))
+    if isinstance(value, Series):
+        return tuple(sorted((k, float(c).hex()) for k, c in value.c.items()))
+    return float(value).hex()
+
+
+_U, _V = ex.var("u"), ex.var("v")
+_CONSTS = [0.0, -0.0, 1.0, 2.0, 3.0, 0.5, -1.5, 1e-3]
+
+
+def _node(make):
+    return lambda t: make((0, 0), *t)
+
+
+def _expressions(unary_fns, bin_ops, exponents, leaves):
+    def grow(kids):
+        return st.one_of(
+            st.tuples(st.sampled_from(bin_ops), kids, kids).map(_node(ex.Bin)),
+            # the same child twice, so the expression is a DAG
+            st.tuples(st.sampled_from(bin_ops), kids).map(
+                lambda t: ex.Bin((0, 0), t[0], t[1], t[1])),
+            st.tuples(st.just("^"), kids, exponents).map(_node(ex.Bin)),
+            kids.map(lambda a: ex.Neg((0, 0), a)),
+            st.tuples(st.sampled_from(unary_fns), kids).map(_node(ex.Call)))
+    return st.recursive(leaves, grow, max_leaves=10)
+
+
+_any_expr = _expressions(
+    ex.FUNCTIONS, "+-*/",
+    st.one_of(st.sampled_from([_U, _V]),
+              st.sampled_from([0.0, 1.0, 2.0, 3.0, -1.0, 0.5, -2.0]).map(ex.num)),
+    st.one_of(st.sampled_from([_U, _V, ex.var("pi"), ex.var("e")]),
+              st.sampled_from(_CONSTS).map(lambda c: ex.Num((0, 0), c))))
+_coord = st.floats(-2.0, 2.0)
+
+
+@_PROPERTY
+@given(_any_expr, _coord, _coord)
+def test_tape_matches_tree_walk_on_floats(e, u, v):
+    b = {"u": u, "v": v}
+    want = _outcome(ref_evaluate, e, b)
+    assert _outcome(ex.evaluate, e, b) == want
+    m = ex.MapDef("m", ("u", "v"), [e])
+    assert _outcome(lambda: m((u, v))[0]) == want
+    assert _outcome(ex.compile_expr(e, ("u", "v")), u, v) == want
+
+
+@_PROPERTY
+@given(_any_expr, _coord, _coord)
+def test_tape_matches_tree_walk_on_series(e, u, v):
+    b = {"u": Series.variable(0, u, 2, 3), "v": Series.variable(1, v, 2, 3)}
+    assert _outcome(ex.evaluate, e, b) == _outcome(ref_evaluate, e, b)
+
+
+@_PROPERTY
+@given(_any_expr, st.lists(_coord, min_size=6, max_size=6))
+def test_tape_matches_tree_walk_on_grids(e, coords):
+    U = np.array(coords[:3])[:, None]
+    V = np.array(coords[3:])[None, :]
+    with np.errstate(all="ignore"):
+        want = np.broadcast_to(np.asarray(
+            ref_grid(e, {"u": U, "v": V}), dtype=float), (3, 3))
+    got = ex.MapDef("m", ("u", "v"), [e]).eval_grid({"u": U, "v": V})[0]
+    assert got.tobytes() == want.tobytes()
+
+
+_smooth_expr = _expressions(
+    ("sin", "cos", "atan", "exp"), "+-*", st.sampled_from([2.0, 3.0]).map(ex.num),
+    st.one_of(st.sampled_from([_U, _V]),
+              st.sampled_from([0.5, 1.0, 2.0, -1.5]).map(ex.num)))
+
+
+@_PROPERTY
+@given(_smooth_expr, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+def test_jet_partials_equal_diff(e, u, v):
+    jet = ex.MapDef("m", ("u", "v"), [e]).eval_jet((u, v), 3)
+    assume(all(np.isfinite(p[0]) for p in jet.partials.values()))
+    scale = max(1.0, max(abs(p[0]) for p in jet.partials.values()))
+    for (i, k), partial in jet.partials.items():
+        d = e
+        for name in "u" * i + "v" * k:
+            d = ex.diff(d, name)
+        want = ex.evaluate(d, {"u": u, "v": v})
+        assert partial[0] == pytest.approx(want, rel=1e-9, abs=1e-9 * scale)
+
+
+def test_signed_zero_constants_stay_distinct():
+    u = ex.var("u")
+    zero, minus_zero = ex.Num((0, 0), 0.0), ex.Num((0, 0), -0.0)
+    m = ex.MapDef("z", ("u",), [zero, minus_zero])
+    assert list(np.signbit(m((1.0,)))) == [False, True]
+    m = ex.MapDef("z", ("u",), [ex.Bin((0, 0), "/", u, zero),
+                                ex.Bin((0, 0), "/", u, minus_zero)])
+    assert len(m.tape) == 2
+    assert list(m.eval_grid({"u": np.array([1.0])})[:, 0]) == [np.inf, -np.inf]
+
+
+def test_domain_errors_name_the_failing_node():
+    with pytest.raises(ex.EvalDomainError) as err:
+        ex.evaluate(ex.parse("u + 1/(v - v)"), {"u": 1.0, "v": 2.0})
+    assert str(err.value) == "division by zero in '1/(v-v)'"
+    # the first failure in evaluation order wins: log before the unbound w
+    with pytest.raises(ex.EvalDomainError) as err:
+        ex.evaluate(ex.parse("log(u) + w"), {"u": -1.0})
+    assert str(err.value) == "log of a nonpositive quantity in 'log(u)'"
+    with pytest.raises(ex.EvalDomainError) as err:
+        ex.evaluate(ex.parse("w + log(u)"), {"u": -1.0})
+    assert str(err.value) == "unbound identifier 'w' in 'w'"
+    m = ex.MapDef("m", ("u", "v"), ["u", "u*v"])
+    with pytest.raises(ex.EvalDomainError, match="unbound identifier 'v'"):
+        m.eval_grid({"u": np.zeros(2)})
+
+
+def test_mapdef_repr_is_short():
+    m = ex.MapDef("m", ("u", "v"), ("u*v + u*v", "sin(u*v)"))
+    assert repr(m) == "MapDef('m', ('u', 'v'), 2 components, tape 3)"
+
+
+def _distinct_nodes(exprs):
+    seen, stack = set(), list(exprs)
+    while stack:
+        n = stack.pop()
+        if id(n) not in seen:
+            seen.add(id(n))
+            stack += [getattr(n, a) for a in ("operand", "left", "right", "arg")
+                      if getattr(n, a, None) is not None]
+    return len(seen)
+
+
+def test_normal_form_maps_stay_small():
+    from frontalforge.curve import helix
+    from frontalforge.normalform import (EdgeNormalForm, ScalarProfile,
+                                         SurfaceProfile, from_normal_form)
+    nf = EdgeNormalForm(helix(1.0, 0.5, 1.0),
+                        ScalarProfile.from_expr("0.4 + 0.1*sin(u)"),
+                        SurfaceProfile.from_expr("1 + 0.1*u*v"),
+                        SurfaceProfile.from_expr("0.7 + 0.1*u^2"))
+    germ = from_normal_form(nf)
+    for m in (germ.map, germ.normal_map, germ._du, germ._dv):
+        assert len(m.tape) <= 1000, m
+        # diff and subs keep shared nodes shared instead of copying trees
+        assert _distinct_nodes(m.components) <= 10 * len(m.tape), m

@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from frontalforge.curve import circle, helix
-from frontalforge.normalform import (EdgeNormalForm, ScalarProfile,
-                                     SurfaceProfile, from_normal_form,
-                                     half_arclength, is_cuspidal_edge,
-                                     sectional_cusp, to_normal_form)
+from frontalforge.normalform import (EdgeNormalForm, NormalFormError,
+                                     ScalarProfile, SurfaceProfile,
+                                     from_normal_form, half_arclength,
+                                     is_cuspidal_edge, sectional_cusp,
+                                     to_normal_form)
 
 
 def make_nf(crease, theta):
@@ -101,3 +102,12 @@ def test_scalar_profile_deriv():
     q = ScalarProfile.from_samples(np.linspace(-1, 1, 101),
                                    np.sin(2 * np.linspace(-1, 1, 101)))
     assert q.deriv(0.3) == pytest.approx(2 * math.cos(0.6), abs=1e-5)
+
+
+def test_section_solve_reports_non_convergence(circle_nf):
+    # no Newton iterate meets |F| < 0, so the solve must fail loudly
+    # instead of keeping its last iterate
+    germ = from_normal_form(circle_nf)
+    with pytest.raises(NormalFormError,
+                       match=r"u0=0\.25, v=.* did not converge .*\|F\| ="):
+        sectional_cusp(germ, 0.25, nv=5, tol=0.0)
