@@ -168,10 +168,18 @@ def _base_report(args, sub: str, **inputs) -> dict:
     return rep
 
 
-def _outdir(args) -> str:
-    out = getattr(args, "out", None) or "."
+def _write_files(args, writers) -> list:
+    """Call write(path) for each (file name, write) pair with the path
+    under --out, and return the paths; without --out nothing is written."""
+    out = getattr(args, "out", None)
+    if not out:
+        return []
     os.makedirs(out, exist_ok=True)
-    return out
+    paths = []
+    for fname, write in writers:
+        paths.append(os.path.join(out, fname))
+        write(paths[-1])
+    return paths
 
 
 # --------------------------------------------------------------- subcommands
@@ -194,15 +202,16 @@ def cmd_analyze(args, scene):
         "area_density_at_base": float(area_density(germ)(germ.base)),
         "normal_at_base": [float(c) for c in normal_field(germ)(germ.base)],
     }
-    out = _outdir(args)
-    path = os.path.join(out, f"{name}_singular.csv")
-    with open(path, "w") as fh:
-        fh.write("u,v,x,y,z,type\n")
-        for s in flat:
-            fh.write("%.12g,%.12g,%.12g,%.12g,%.12g,%s\n"
-                     % (s.point[0], s.point[1], s.image[0], s.image[1],
-                        s.image[2], s.sing_type))
-    rep["files"] = [path]
+
+    def write_csv(path):
+        with open(path, "w") as fh:
+            fh.write("u,v,x,y,z,type\n")
+            for s in flat:
+                fh.write("%.12g,%.12g,%.12g,%.12g,%.12g,%s\n"
+                         % (s.point[0], s.point[1], s.image[0], s.image[1],
+                            s.image[2], s.sing_type))
+
+    rep["files"] = _write_files(args, [(f"{name}_singular.csv", write_csv)])
     _emit(rep, args)
     return 0
 
@@ -218,11 +227,12 @@ def cmd_normalform(args, scene):
         "invariants": [{k: float(v) for k, v in nf.invariants(u).items()}
                        | {"u": float(u)} for u in us],
     }
-    out = _outdir(args)
-    path = os.path.join(out, f"{name}_normalform.json")
-    with open(path, "w") as fh:
-        json.dump(nf.to_json(), fh, sort_keys=True, indent=2)
-    rep["files"] = [path]
+
+    def write_json(path):
+        with open(path, "w") as fh:
+            json.dump(nf.to_json(), fh, sort_keys=True, indent=2)
+
+    rep["files"] = _write_files(args, [(f"{name}_normalform.json", write_json)])
     _emit(rep, args)
     return 0
 
@@ -257,12 +267,10 @@ def cmd_strip(args, scene):
         "developable_within_tol": bool(maxk < args.tol),
         "profiles": [strip.profile_row(float(u)) for u in strip.stations(17)],
     }
-    out = _outdir(args)
-    obj_path = os.path.join(out, f"{name}_strip.obj")
-    csv_path = os.path.join(out, f"{name}_strip_profile.csv")
-    write_obj(strip_mesh(strip), obj_path)
-    write_profile_csv(strip, csv_path)
-    rep["files"] = [obj_path, csv_path]
+    rep["files"] = _write_files(args, [
+        (f"{name}_strip.obj", lambda path: write_obj(strip_mesh(strip), path)),
+        (f"{name}_strip_profile.csv",
+         lambda path: write_profile_csv(strip, path))])
     _emit(rep, args)
     return 0
 
@@ -272,15 +280,12 @@ def cmd_fold(args, scene):
     rep = _base_report(args, "fold", germ=name, split=args.split)
     strip = ist(nf, halfwidth=args.halfwidth)
     fold = curved_folding(strip, split=args.split)
-    out = _outdir(args)
-    files = []
-    for tag, piece in zip(("strip", "dual"), fold.pieces()):
-        path = os.path.join(out, f"{name}_fold_{tag}.obj")
-        write_obj(strip_mesh(piece), path)
-        files.append(path)
-    path = os.path.join(out, f"{name}_fold.obj")
-    write_obj(folding_mesh(fold), path)
-    files.append(path)
+    writers = [(f"{name}_fold_{tag}.obj",
+                lambda path, piece=piece: write_obj(strip_mesh(piece), path))
+               for tag, piece in zip(("strip", "dual"), fold.pieces())]
+    writers.append((f"{name}_fold.obj",
+                    lambda path: write_obj(folding_mesh(fold), path)))
+    files = _write_files(args, writers)
     crease_err = max(
         float(np.linalg.norm(fold(u, 0.0) - strip.frame(u).point))
         for u in strip.stations(17))
@@ -354,10 +359,7 @@ def cmd_match(args, scene):
         raise UsageError("match needs --f1 and --f2 expression maps")
     cm = connecting_map(f1, f2, tol=args.tol)
     rep["results"] = cm.to_json()
-    out = _outdir(args)
-    path = os.path.join(out, "connecting_map.csv")
-    cm.write_csv(path)
-    rep["files"] = [path]
+    rep["files"] = _write_files(args, [("connecting_map.csv", cm.write_csv)])
     _emit(rep, args)
     return 0
 
@@ -394,12 +396,10 @@ def cmd_export(args, scene):
     us, vs = germ.grid(args.nu, args.nv)
     from .devfold import MeshGrid, _lattice_mesh
     mesh = _lattice_mesh(lambda u, v: germ((u, v)), us, vs)
-    out = _outdir(args)
-    path = os.path.join(out, f"{name}_surface.obj")
-    write_obj(mesh, path)
+    rep["files"] = _write_files(
+        args, [(f"{name}_surface.obj", lambda path: write_obj(mesh, path))])
     rep["results"] = {"vertices": int(mesh.vertices.shape[0]),
                       "faces": len(mesh.faces)}
-    rep["files"] = [path]
     _emit(rep, args)
     return 0
 

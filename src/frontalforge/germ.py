@@ -20,7 +20,7 @@ __all__ = [
     "singular_curve", "SingularSample", "SingularComponent",
     "limiting_normal_curvature", "distinguished_frame",
     "first_fundamental_form", "catalog", "CATALOG_NAMES", "GermError",
-    "NotAFrontal", "NotSingular", "DegenerateSingularity",
+    "NotAFrontal", "NotSingular", "DegenerateSingularity", "NonConvergence",
 ]
 
 
@@ -38,6 +38,10 @@ class NotSingular(GermError):
 
 class DegenerateSingularity(GermError):
     pass
+
+
+class NonConvergence(GermError):
+    """An iterative step ended without meeting its tolerance."""
 
 
 class SurfaceGerm:
@@ -60,6 +64,23 @@ class SurfaceGerm:
 
     def __call__(self, point) -> np.ndarray:
         return np.asarray(self.map(point), dtype=float)
+
+    def points(self, X) -> np.ndarray:
+        """f on the rows of an (N, 2) array, as (N, 3).  Expression maps run
+        on the tape's grid path; a row left non-finite there is evaluated
+        again as one point, so it raises what `self(p)` raises."""
+        X = np.asarray(X, dtype=float)
+        if not self.is_expression:
+            return np.array([self(tuple(x)) for x in X]).reshape(-1, 3)
+        u, v = self.map.variables
+        F = self.map.eval_grid({u: X[:, 0], v: X[:, 1]}).T.copy()
+        for i in np.flatnonzero(~np.isfinite(F).all(axis=1)):
+            F[i] = self(tuple(X[i]))
+        return F
+
+    def lift_points(self, X):
+        """(f, nu) on the rows of an (N, 2) array, each (N, 3)."""
+        return self.points(X), NormalField(self).points(X)
 
     def jet(self, point, order: int = 3) -> Jet:
         return eval_jet(self.map, point, order)
@@ -102,18 +123,29 @@ class NormalField:
             return raw / n
         return self._limit_normal(np.asarray(point, dtype=float))
 
-    def grid(self, U, V) -> np.ndarray:
-        g = self.germ
-        if g.normal_map is not None and isinstance(g.normal_map, ex.MapDef):
-            raw = g.normal_map.eval_grid(
-                {g.normal_map.variables[0]: U, g.normal_map.variables[1]: V})
-            norms = np.sqrt(np.sum(raw * raw, axis=0))
-            return raw / norms
-        U, V = np.broadcast_arrays(np.asarray(U, float), np.asarray(V, float))
-        out = np.empty((3,) + U.shape)
-        for idx in np.ndindex(U.shape):
-            out[(slice(None),) + idx] = self((U[idx], V[idx]))
+    def points(self, X) -> np.ndarray:
+        """The unit normal on the rows of an (N, 2) array, as (N, 3).  An
+        analytic normal runs on the tape's grid path; a row where it is
+        non-finite or vanishes is evaluated again as one point, so it
+        raises what `self(p)` raises."""
+        X = np.asarray(X, dtype=float)
+        nm = self.germ.normal_map
+        if not isinstance(nm, ex.MapDef):
+            return np.array([self(tuple(x)) for x in X]).reshape(-1, 3)
+        u, v = nm.variables
+        raw = nm.eval_grid({u: X[:, 0], v: X[:, 1]}).T
+        n = np.linalg.norm(raw, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out = raw / n[:, None]
+        for i in np.flatnonzero(~(np.isfinite(out).all(axis=1) & (n >= 1e-13))):
+            out[i] = self(tuple(X[i]))
         return out
+
+    def grid(self, U, V) -> np.ndarray:
+        """The unit normal over broadcastable grids, shape (3, ...)."""
+        U, V = np.broadcast_arrays(np.asarray(U, float), np.asarray(V, float))
+        nu = self.points(np.column_stack([U.ravel(), V.ravel()]))
+        return nu.T.reshape((3,) + U.shape)
 
     def _probe_consistency(self):
         # check at the base point that a normal exists at all
@@ -390,6 +422,13 @@ def _trace_gamma(germ, lam, p, h):
             if abs(d) < 1e-14:
                 break
             q[other] -= val / d
+        else:
+            val = lam(q)
+        if not abs(val) < 1e-13:
+            raise NonConvergence(
+                f"singular curve of '{germ.name}' near p={tuple(p)}: the "
+                f"transverse Newton step at t={t:.3e} ended with "
+                f"|lambda|={abs(val):.3e}")
         pts.append(q)
     return axis, np.array([-2, -1, 0, 1, 2]) * h, pts
 

@@ -4,7 +4,8 @@ The central object is the lift L_f = (f, nu) pairing a frontal map with its
 unit normal.  When the image of f1 sits inside the image of f2 and the lift
 of f2 is injective, the connecting map psi with f1 = f2 o psi and
 nu1 = e * nu2 o psi (e a global sign) is recovered numerically by nearest
-neighbor seeding and Gauss-Newton polish on the lift distance.  The
+neighbor seeding and a damped Gauss-Newton polish of the lift distance,
+batched over all samples on the expression tape's grid path.  The
 properness probe counts preimage components of f(p) in shrinking
 neighborhoods on refined grids; it is a heuristic falsifier, not a proof.
 """
@@ -18,8 +19,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import exprlang as ex
-from .germ import NormalField, SurfaceGerm
-from .numkit import Interval, eval_jet
+from .germ import SurfaceGerm
+from .numkit import Interval, damped_gauss_newton, eval_jet
 
 __all__ = [
     "LiftSample", "ConnectingMap", "PropernessReport", "PlaneMap",
@@ -68,6 +69,8 @@ class PlaneMap:
         # exact (expression) derivatives stay directionally accurate down to
         # underflow; finite-difference ones drown in noise much earlier
         self._raw_tol = 1e-12 if isinstance(map_, ex.MapDef) else 1e-7
+        self._tangent = (map_.diff(map_.variables[0])
+                         if isinstance(map_, ex.MapDef) else None)
         self._ts = self.domain.grid(grid)
         self._nus = self._continuous_normals(self._ts)
 
@@ -75,6 +78,38 @@ class PlaneMap:
         t = float(t) if np.isscalar(t) or np.ndim(t) == 0 else float(t[0])
         return np.asarray(self.map((t,)) if _wants_tuple(self.map) else self.map(t),
                           dtype=float)
+
+    def points(self, ts) -> np.ndarray:
+        """The curve at each of the N parameters in ts (shape (N,) or
+        (N, 1)), as (N, 2).  Expression maps run on the tape's grid path; a
+        row left non-finite there is evaluated again as one point, so it
+        raises what `self(t)` raises."""
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        if not isinstance(self.map, ex.MapDef):
+            return np.array([self(t) for t in ts]).reshape(-1, 2)
+        F = self.map.eval_grid({self.map.variables[0]: ts}).T.copy()
+        for i in np.flatnonzero(~np.isfinite(F).all(axis=1)):
+            F[i] = self(ts[i])
+        return F
+
+    def lift_points(self, ts):
+        """(f, nu) at each of the N parameters in ts, each (N, 2); nu is
+        re-aligned with the normal at the nearest cached grid node."""
+        ts = np.asarray(ts, dtype=float).reshape(-1)
+        F = self.points(ts)
+        nus = self._raw_normals(ts)
+        ref = self._nus[self._nearest_node(ts)]
+        missing = np.isnan(nus[:, 0])
+        nus[missing] = ref[missing]
+        nus[np.sum(nus * ref, axis=1) < 0] *= -1.0
+        return F, nus
+
+    def _nearest_node(self, ts) -> np.ndarray:
+        """Index of the cached grid node nearest to each t (the lower one
+        on a tie)."""
+        j = np.clip(np.searchsorted(self._ts, ts), 1, len(self._ts) - 1)
+        lower = np.abs(self._ts[j - 1] - ts) <= np.abs(self._ts[j] - ts)
+        return j - lower
 
     def _deriv(self, t: float, order: int = 1) -> np.ndarray:
         j = eval_jet(_as_tuple_map(self.map), (t,), max(order, 1) + 1)
@@ -99,43 +134,45 @@ class PlaneMap:
                     return raw / np.linalg.norm(raw)
         return None
 
+    def _raw_normals(self, ts) -> np.ndarray:
+        """Rotated unit tangents at ts, (N, 2), NaN where none exists.  The
+        derivative runs on the grid path; where it is at most the raw
+        tolerance (a cusp) or non-finite, the point goes through
+        `_raw_normal`."""
+        if self._tangent is None:
+            raw = np.full((len(ts), 2), np.nan)
+            pointwise = np.arange(len(ts))
+        else:
+            d = self._tangent.eval_grid({self._tangent.variables[0]: ts})
+            raw = np.stack([-d[1], d[0]], axis=1)
+            n = np.linalg.norm(raw, axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                raw /= n[:, None]
+            pointwise = np.flatnonzero(~(n > self._raw_tol))
+        for i in pointwise:
+            nu = self._raw_normal(float(ts[i]))
+            raw[i] = np.nan if nu is None else nu
+        return raw
+
     def _continuous_normals(self, ts) -> np.ndarray:
-        nus = np.full((len(ts), 2), np.nan)
-        prev = None
-        valid = []
-        for i, t in enumerate(ts):
-            nu = self._raw_normal(float(t))
-            if nu is None:
-                continue
-            if prev is not None and nu @ prev < 0:
-                nu = -nu
-            nus[i] = nu
-            prev = nu
-            valid.append(i)
-        if not valid:
+        raw = self._raw_normals(ts)
+        valid = np.flatnonzero(~np.isnan(raw[:, 0]))
+        if not valid.size:
             raise MatchError(f"no continuous normal for '{self.name}'")
+        # flip each valid node's normal to agree with the one before it
+        sign, signs = 1.0, [1.0]
+        for dot in np.sum(raw[valid[1:]] * raw[valid[:-1]], axis=1).tolist():
+            sign = -1.0 if sign * dot < 0 else 1.0
+            signs.append(sign)
+        nus = np.full((len(ts), 2), np.nan)
+        nus[valid] = raw[valid] * np.array(signs)[:, None]
         # fill degenerate nodes from the nearest valid neighbor (the normal
         # extends continuously through cusps)
-        valid = np.array(valid)
-        for i in range(len(ts)):
-            if np.isnan(nus[i, 0]):
-                nus[i] = nus[valid[np.argmin(np.abs(valid - i))]]
+        for i in np.flatnonzero(np.isnan(nus[:, 0])):
+            nus[i] = nus[valid[np.argmin(np.abs(valid - i))]]
         # anchor the global sign at the right end: there the normal agrees
         # with the 90-degree rotation of the actual tangent
-        j = valid[-1]
-        anchor = self._raw_normal(float(ts[j]))
-        if anchor is not None and nus[j] @ anchor < 0:
-            nus = -nus
-        return nus
-
-    def normal(self, t: float) -> np.ndarray:
-        i = int(np.argmin(np.abs(self._ts - t)))
-        nu = self._raw_normal(float(t))
-        if nu is None:
-            return self._nus[i].copy()
-        if nu @ self._nus[i] < 0:
-            nu = -nu
-        return nu
+        return -nus if signs[-1] < 0 else nus
 
 
 def _wants_tuple(map_):
@@ -152,23 +189,19 @@ def legendrian_lift(obj):
     """Lift sampler x -> LiftSample(x, f(x), nu(x)).
 
     Accepts a SurfaceGerm (normal from its frontal normal field) or a
-    PlaneMap (normal of the plane curve extended through cusps).
+    PlaneMap (normal of the plane curve extended through cusps).  Each
+    sample is one row of the object's batched `lift_points`.
     """
-    if isinstance(obj, SurfaceGerm):
-        nf = NormalField(obj)
+    if not isinstance(obj, (SurfaceGerm, PlaneMap)):
+        raise MatchError(f"cannot lift object of type {type(obj).__name__}")
+    dim = len(_domain_of(obj))
 
-        def lift(point):
-            p = tuple(float(c) for c in np.atleast_1d(point))
-            return LiftSample(p, np.asarray(obj(p), float), nf(p))
+    def lift(point):
+        x = np.atleast_1d(np.asarray(point, dtype=float))[:dim]
+        F, nu = obj.lift_points(x[None])
+        return LiftSample(tuple(float(c) for c in x), F[0], nu[0])
 
-        return lift
-    if isinstance(obj, PlaneMap):
-        def lift(t):
-            t = float(np.atleast_1d(t)[0])
-            return LiftSample((t,), obj(t), obj.normal(t))
-
-        return lift
-    raise MatchError(f"cannot lift object of type {type(obj).__name__}")
+    return lift
 
 
 # ---------------------------------------------------------------- evaluation
@@ -241,7 +274,11 @@ def _gn_closest(obj, domain, target, x0, iters=30):
 def closest_image_point(obj, domain, target, tree, xs, k: int = 4):
     """Distance from target to the image of obj: polish from the k nearest
     sampled seeds (multi-sheeted images can strand a single seed on the
-    wrong sheet) and keep the best."""
+    wrong sheet) and keep the best.
+
+    One target at a time, as `detect_symmetries` asks for them: its seeds
+    stop early, and grid batches of one to four rows cost more than the
+    float path on its small maps.  `_polish` is the batched form."""
     _, idxs = tree.query(target, k=k)
     best = (math.inf, None)
     for idx in np.atleast_1d(idxs):
@@ -257,21 +294,35 @@ def image_subset(f1, V1, f2, U2, tol: float,
                  n1: int = 1024, n2: int = 16384):
     """True iff every sampled point of f1(V1) lies within tol of f2(U2).
 
-    Distance is nearest-neighbor seeded and Gauss-Newton polished.
-    Returns (included, max one-sided distance).
+    Distance is nearest-neighbor seeded and Gauss-Newton polished, all
+    samples at once.  Returns (included, max one-sided distance).
     """
     V1 = _norm_domain(V1)
     U2 = _norm_domain(U2)
-    xs2 = _sample_grid(U2, n2)
-    pts2 = np.array([_eval(f2, x) for x in xs2])
-    tree = cKDTree(pts2)
-    worst = 0.0
-    xs2 = np.asarray(xs2, float)
-    for q in _sample_grid(V1, n1):
-        fq = _eval(f1, q)
-        d, _ = closest_image_point(f2, U2, fq, tree, xs2)
-        worst = max(worst, d)
+    xs2 = np.array(_sample_grid(U2, n2))
+    tree = cKDTree(f2.points(xs2))
+    targets = f1.points(np.array(_sample_grid(V1, n1)))
+    _, dist = _polish(f2.points, targets, tree, xs2, U2, iters=30)
+    worst = float(np.max(dist, initial=0.0))
     return worst < tol, worst
+
+
+def _polish(fn, targets, tree, xs, domain, iters: int, k: int = 4):
+    """Minimize |fn(x) - target| for each row of targets, from the k
+    samples xs whose values fn(xs), held in tree, lie nearest to it (a
+    multi-sheeted image can strand a single seed on the wrong sheet).
+    Returns each target's best (x, residual)."""
+    k = min(k, tree.n)
+    _, idx = tree.query(targets, k=k)
+    idx = np.asarray(idx).reshape(-1)
+    lo = np.array([d.lo for d in domain])
+    hi = np.array([d.hi for d in domain])
+    x, res, _ = damped_gauss_newton(fn, np.repeat(targets, k, axis=0),
+                                    xs[idx], lo, hi, iters)
+    res = np.where(np.isnan(res), np.inf, res).reshape(-1, k)
+    best = np.argmin(res, axis=1)
+    rows = np.arange(len(res))
+    return x.reshape(len(res), k, -1)[rows, best], res[rows, best]
 
 
 def _norm_domain(dom):
@@ -294,7 +345,12 @@ class ConnectingMap:
     solver: object = field(repr=False, default=None)
 
     def __call__(self, x):
-        return self.solver(x)
+        """psi at one point, or at each row of an (N, d) array."""
+        X = np.asarray(x, dtype=float)
+        if X.ndim == 2:
+            return self.solver(X)
+        d = len(self.samples_in[0])
+        return self.solver(np.atleast_1d(X)[:d].reshape(1, d))[0]
 
     def to_json(self) -> dict:
         return {
@@ -321,26 +377,30 @@ class ConnectingMap:
                            + ["%.12g" % self.residual_image])
 
 
-def _lift_vec(sample: LiftSample, sign: int) -> np.ndarray:
-    return np.concatenate([sample.fx, sign * sample.nu])
+def _signed_lift(obj, e: int):
+    """x -> (f(x), e * nu(x)) on the rows of an (N, d) array."""
+    def fn(X):
+        F, nu = obj.lift_points(X)
+        return np.hstack([F, e * nu])
+
+    return fn
 
 
 def connecting_map(f1, f2, tol: float = 1e-6,
                    n1: int = 256, n2: int = 8192) -> ConnectingMap:
     """Recover psi = L2^{-1} o L1 by lift-distance minimization.
 
-    Tries both normal signs e = +1, -1; the sign with the smaller sup
-    residual wins.  Raises on inclusion failure, on a non-injective lift
-    of f2, or when neither sign meets the tolerance.
+    Each lift sample of f1 is polished from the 4 nearest lift samples of
+    f2, all of them at once.  Tries both normal signs e = +1, -1; the sign
+    with the smaller sup residual wins.  Raises on inclusion failure, on a
+    non-injective lift of f2, or when neither sign meets the tolerance.
     """
     D1 = _domain_of(f1)
     D2 = _domain_of(f2)
-    L1 = legendrian_lift(f1)
-    L2 = legendrian_lift(f2)
 
-    xs2 = _sample_grid(D2, n2)
-    lifts2 = [L2(x) for x in xs2]
-    _check_lift_injective(xs2, lifts2, D2)
+    xs2 = np.array(_sample_grid(D2, n2))
+    F2, nu2 = f2.lift_points(xs2)
+    _check_lift_injective(xs2, np.hstack([F2, nu2]), D2)
 
     incl, dist = image_subset(f1, D1, f2, D2, max(tol * 10, 1e-4),
                               n1=min(n1, 256), n2=min(n2, 8192))
@@ -349,85 +409,42 @@ def connecting_map(f1, f2, tol: float = 1e-6,
             f"image of f1 is not inside image of f2 (gap {dist:.3e})")
 
     qs = _sample_grid(D1, n1)
-    lifted_q = [L1(q) for q in qs]
+    F1, nu1 = f1.lift_points(np.array(qs))
+    targets = np.hstack([F1, nu1])
     best = None
     for e in (1, -1):
-        pts = np.array([_lift_vec(s, e) for s in lifts2])
-        tree = cKDTree(pts)
-        outs, res_im, res_nu = [], 0.0, 0.0
-        for s in lifted_q:
-            target = _lift_vec(s, 1)
-            _, idx = tree.query(target)
-            x = _polish_lift(f2, L2, D2, s, e, np.asarray(xs2[idx], float))
-            s2 = L2(x)
-            res_im = max(res_im, float(np.linalg.norm(s.fx - s2.fx)))
-            res_nu = max(res_nu, float(np.linalg.norm(s.nu - e * s2.nu)))
-            outs.append(tuple(float(c) for c in x))
+        tree = cKDTree(np.hstack([F2, e * nu2]))
+        x, _ = _polish(_signed_lift(f2, e), targets, tree, xs2, D2, iters=40)
+        G, mu = f2.lift_points(x)
+        res_im = float(np.max(np.linalg.norm(F1 - G, axis=1)))
+        res_nu = float(np.max(np.linalg.norm(nu1 - e * mu, axis=1)))
         score = max(res_im, res_nu)
         if best is None or score < best[0]:
-            best = (score, e, outs, res_im, res_nu)
-    score, e, outs, res_im, res_nu = best
+            best = (score, e, tree, x, res_im, res_nu)
+    score, e, tree, x, res_im, res_nu = best
     if score > tol:
         raise ResidualError(
             f"connecting map residual {score:.3e} exceeds tol {tol:.1e}")
+    outs = [tuple(float(c) for c in row) for row in x]
     _check_psi_injective(qs, outs, D2)
+    lift2 = _signed_lift(f2, e)
 
-    solver_tree = cKDTree(np.array([_lift_vec(t, e) for t in lifts2]))
-
-    def solver(x):
-        s = L1(x)
-        _, idx = solver_tree.query(_lift_vec(s, 1))
-        return _polish_lift(f2, L2, D2, s, e, np.asarray(xs2[idx], float))
+    def solver(X):
+        F, nu = f1.lift_points(X)
+        return _polish(lift2, np.hstack([F, nu]), tree, xs2, D2, iters=40)[0]
 
     return ConnectingMap(qs, outs, e, res_im, res_nu, solver)
 
 
-def _polish_lift(f2, L2, D2, s1: LiftSample, e: int, x0, iters=40):
-    x = np.asarray(x0, float)
-    target = np.concatenate([s1.fx, s1.nu])
-
-    def lift_at(xx):
-        s = L2(xx)
-        return np.concatenate([s.fx, e * s.nu])
-
-    lam = 1e-8
-    best = (np.linalg.norm(lift_at(x) - target), x)
-    h = 1e-6
-    for _ in range(iters):
-        r = lift_at(x) - target
-        cols = []
-        for i in range(len(x)):
-            dp = x.copy(); dm = x.copy()
-            dp[i] += h; dm[i] -= h
-            cols.append((lift_at(dp) - lift_at(dm)) / (2 * h))
-        J = np.stack(cols, axis=1)
-        try:
-            step = np.linalg.solve(J.T @ J + lam * np.eye(len(x)), -J.T @ r)
-        except np.linalg.LinAlgError:
-            break
-        xn = _clamp(x + step, D2)
-        rn = np.linalg.norm(lift_at(xn) - target)
-        if rn < best[0]:
-            best = (rn, xn)
-            x = xn
-            lam = max(lam * 0.3, 1e-12)
-        else:
-            lam *= 10.0
-            if lam > 1e6:
-                break
-    return best[1]
-
-
-def _check_lift_injective(xs, lifts, domain, lift_tol=1e-5):
-    pts = np.array([_lift_vec(s, 1) for s in lifts])
+def _check_lift_injective(xs, pts, domain, lift_tol=1e-5):
     tree = cKDTree(pts)
     scale = max(d.length for d in domain)
     pairs = tree.query_pairs(lift_tol)
     for i, j in pairs:
-        dx = np.linalg.norm(np.asarray(xs[i]) - np.asarray(xs[j]))
-        if dx > 0.05 * scale:
+        if np.linalg.norm(xs[i] - xs[j]) > 0.05 * scale:
             raise LiftInjectivityError(
-                f"lift collision: x={xs[i]} and x={xs[j]} have nearly "
+                f"lift collision: x={tuple(xs[i].tolist())} and "
+                f"x={tuple(xs[j].tolist())} have nearly "
                 "equal lifts but distant preimages")
 
 

@@ -18,7 +18,7 @@ EPS = float(np.finfo(float).eps)
 __all__ = [
     "Interval", "Series", "Jet", "eval_jet", "integrate", "invert_monotone",
     "NumkitError", "DomainViolation", "NonFiniteValue", "QuadratureError",
-    "BracketError", "multi_indices",
+    "BracketError", "multi_indices", "damped_gauss_newton",
 ]
 
 
@@ -437,3 +437,72 @@ def invert_monotone(g, target: float, bracket: Interval, tol: float = 1e-12) -> 
     if abs(g(x) - target) > max(tol, 1e3 * EPS * max(1.0, abs(target))):
         raise NumkitError("monotone inversion failed to meet the tolerance")
     return x
+
+
+def damped_gauss_newton(fn, target, x0, lo, hi, iters: int, h: float = 1e-6):
+    """Damped Gauss-Newton (Levenberg-Marquardt) minimization of
+    |fn(x) - target| for every row of x0 at once, clamped to the box
+    [lo, hi].
+
+    `fn` maps a (K, d) array of points to their (K, m) values; each call
+    evaluates all live rows, or all their central-difference shifts (step
+    h), together.  A row keeps its best iterate; its damping starts at
+    1e-8, falls by 0.3 (floor 1e-12) after an improving step and grows
+    tenfold otherwise, and the row stops once it exceeds 1e6, after
+    `iters` steps, or when its normal equations are singular.  Returns
+    (x, residual, iterations): per row the best point, |fn(x) - target|
+    there, and the steps taken.
+    """
+    x = np.array(x0, dtype=float)
+    target = np.asarray(target, dtype=float)
+    n, d = x.shape
+    r = fn(x) - target
+    best = np.linalg.norm(r, axis=1)
+    lam = np.full(n, 1e-8)
+    steps = np.zeros(n, dtype=int)
+    live = np.arange(n)
+    eye = np.eye(d)
+    for _ in range(iters):
+        if not live.size:
+            break
+        xl = x[live]
+        shifted = []
+        for sign in (1.0, -1.0):
+            for i in range(d):
+                xs = xl.copy()
+                xs[:, i] += sign * h
+                shifted.append(xs)
+        vals = fn(np.concatenate(shifted)).reshape(2, d, len(live), -1)
+        J = np.stack([(vals[0, i] - vals[1, i]) / (2 * h) for i in range(d)],
+                     axis=2)
+        Jt = J.transpose(0, 2, 1)
+        A = Jt @ J + lam[live, None, None] * eye
+        g = -Jt @ r[live][:, :, None]
+        step, ok = _solve_rows(A, g)
+        steps[live] += 1
+        xn = np.clip(xl + step, lo, hi)
+        rn_vec = fn(xn) - target[live]
+        rn = np.linalg.norm(rn_vec, axis=1)
+        better = ok & (rn < best[live])
+        up = live[better]
+        x[up], best[up], r[up] = xn[better], rn[better], rn_vec[better]
+        lam[up] = np.maximum(lam[up] * 0.3, 1e-12)
+        lam[live[~better]] *= 10.0
+        live = live[ok & (better | (lam[live] <= 1e6))]
+    return x, best, steps
+
+
+def _solve_rows(A, g):
+    """Solutions of the stacked systems A x = g, and which rows had one."""
+    try:
+        return np.linalg.solve(A, g)[:, :, 0], np.ones(len(A), dtype=bool)
+    except np.linalg.LinAlgError:
+        out = np.zeros(g.shape[:2])
+        ok = np.zeros(len(A), dtype=bool)
+        for k in range(len(A)):
+            try:
+                out[k] = np.linalg.solve(A[k], g[k])[:, 0]
+                ok[k] = True
+            except np.linalg.LinAlgError:
+                pass
+        return out, ok

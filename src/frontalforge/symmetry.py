@@ -69,15 +69,8 @@ class SymmetryFinding:
 def _image_tree(germ: SurfaceGerm, n: int = 16384):
     m = max(8, int(math.sqrt(n)))
     us, vs = germ.grid(m, m)
-    if germ.is_expression:
-        U, V = np.meshgrid(us, vs, indexing="ij")
-        names = germ.map.variables
-        pts = germ.map.eval_grid({names[0]: U, names[1]: V})
-        pts = pts.reshape(3, -1).T
-    else:
-        pts = np.array([germ((u, v)) for u in us for v in vs])
     xs = np.array([(u, v) for u in us for v in vs])
-    return cKDTree(np.ascontiguousarray(pts)), xs
+    return cKDTree(germ.points(xs)), xs
 
 
 def _shrunken_domain(germ: SurfaceGerm, p, factor: float = 0.5):
@@ -132,7 +125,9 @@ def validate_findings(germ: SurfaceGerm, findings, p=None,
 
     Edge and cuspidal cross cap: case (iii) never occurs, and nonzero
     limiting normal curvature admits only case (ii).  Swallowtail: the
-    finding set is exactly {(iii)} or empty.
+    finding set is exactly {(iii)} or empty.  Any type: the found
+    isometries and the identity are closed under composition (matrices
+    and translations matched to 1e-8).
     """
     failures = []
     cases = {f.label for f in findings}
@@ -158,7 +153,21 @@ def validate_findings(germ: SurfaceGerm, findings, p=None,
                 f"found {sorted(cases)}")
     else:
         failures.append(f"unsupported singularity type {st!r}")
-    return failures
+    return failures + _closure_failures(findings)
+
+
+def _closure_failures(findings, tol: float = 1e-8) -> list:
+    group = [("identity", Isometry.identity())]
+    group += [(f.label, f.isometry) for f in findings]
+
+    def member(T):
+        return any(np.max(np.abs(T.Q - S.Q)) <= tol
+                   and np.max(np.abs(T.b - S.b)) <= tol for _, S in group)
+
+    return [f"symmetries not closed under composition: ({a}) after ({b}) "
+            "is not among the findings"
+            for a, A in group[1:] for b, B in group[1:]
+            if not member(A.compose(B))]
 
 
 # Reflections (i) and (ii) both fix the base point, so a germ admitting
@@ -188,6 +197,15 @@ class _TransformedGerm(SurfaceGerm):
         super().__init__(lambda p: T(germ(p)), germ.domain, germ.base,
                          normal_map=nm, name=f"transformed_{germ.name}",
                          sing_type=germ.sing_type)
+        self.germ = germ
+        self.T = T
+
+    def points(self, X) -> np.ndarray:
+        return self.T(self.germ.points(X))
+
+    def lift_points(self, X):
+        F, nu = self.germ.lift_points(X)
+        return self.T(F), self.T.det * (nu @ self.T.Q.T)
 
 
 def connecting_involution(germ: SurfaceGerm, T: Isometry,
@@ -203,25 +221,20 @@ def connecting_involution(germ: SurfaceGerm, T: Isometry,
     g1 = _TransformedGerm(germ, T)
     cm = connecting_map(g1, germ, tol=tol, n1=n1, n2=n2)
     k = max(1, len(cm.samples_in) // 16)
-    inv_err = 0.0
-    for x in cm.samples_in[::k]:
-        y = cm(np.asarray(x, float))
-        z = cm(np.asarray(y, float))
-        inv_err = max(inv_err, float(np.linalg.norm(np.asarray(z) - np.asarray(x))))
-    # orientation of psi at a regular probe point
+    X = np.array(cm.samples_in[::k])
+    inv_err = float(np.max(np.linalg.norm(cm(cm(X)) - X, axis=1)))
+    # orientation of psi at a regular probe point, and travel along the
+    # singular curve {v = 0} near the base station
     h = 1e-4
     p0 = np.asarray(germ.base, float) + np.array([0.1, 0.1])
     p0 = np.array([min(max(p0[i], germ.domain[i].lo + 2 * h),
                        germ.domain[i].hi - 2 * h) for i in range(2)])
-    J = np.column_stack([
-        (np.asarray(cm(p0 + np.array([h, 0]))) - np.asarray(cm(p0 - np.array([h, 0])))) / (2 * h),
-        (np.asarray(cm(p0 + np.array([0, h]))) - np.asarray(cm(p0 - np.array([0, h])))) / (2 * h),
-    ])
-    detJ = float(np.linalg.det(J))
-    # travel along the singular curve {v = 0} near the base station
     b = np.asarray(germ.base, float)
-    du = (np.asarray(cm(b + np.array([h, 0.0])))[0]
-          - np.asarray(cm(b - np.array([h, 0.0])))[0]) / (2 * h)
+    eu, ev = np.array([h, 0.0]), np.array([0.0, h])
+    P = cm(np.array([p0 + eu, p0 - eu, p0 + ev, p0 - ev, b + eu, b - eu]))
+    J = np.column_stack([(P[0] - P[1]) / (2 * h), (P[2] - P[3]) / (2 * h)])
+    detJ = float(np.linalg.det(J))
+    du = (P[4][0] - P[5][0]) / (2 * h)
     return {
         "psi": cm,
         "sign": cm.sign,
@@ -262,13 +275,8 @@ def self_intersections(germ: SurfaceGerm, region=None, tol: float = 1e-8,
     us = dom[0].grid(n)
     vs = dom[1].grid(n)
     xs = np.array([(u, v) for u in us for v in vs])
-    if germ.is_expression:
-        U, V = np.meshgrid(us, vs, indexing="ij")
-        names = germ.map.variables
-        pts = germ.map.eval_grid({names[0]: U, names[1]: V}).reshape(3, -1).T
-    else:
-        pts = np.array([germ(tuple(x)) for x in xs])
-    tree = cKDTree(np.ascontiguousarray(pts))
+    pts = germ.points(xs)
+    tree = cKDTree(pts)
     spacing = max(dom[0].length, dom[1].length) / (n - 1)
     sep_min = 4.0 * spacing
     # image-space pairing radius: a bit beyond one image cell

@@ -35,6 +35,8 @@ def test_analyze_catalog(capsys, monkeypatch, tmp_path):
     code, rep, _ = run(capsys, "analyze", "--germ", "cuspidal_edge")
     assert code == 0
     assert rep["results"]["singular_components"] >= 1
+    # without --out nothing is written
+    assert rep["files"] == [] and not any(tmp_path.iterdir())
 
 
 def test_analyze_unknown_germ(capsys):
@@ -49,6 +51,7 @@ def test_normalform_scene(capsys, monkeypatch, tmp_path, scene_path):
                        "--germ", "circle_edge")
     assert code == 0
     assert "theta" in json.dumps(rep)
+    assert rep["files"] == [] and not any(tmp_path.iterdir())
 
 
 def test_normalform_straight_crease_fails(capsys):
@@ -106,12 +109,21 @@ def test_symmetry_mismatch_exit_code(capsys):
     assert "!= expected" in err
 
 
+def test_symmetry_ccr_with_involution(capsys):
+    code, rep, _ = run(capsys, "symmetry", "--germ", "ccr_example",
+                       "--with-involution")
+    assert code == 0
+    inv = rep["results"]["findings"][0]["involution"]
+    assert inv["sign"] == -1
+
+
 def test_match_subcommand(capsys, monkeypatch, tmp_path):
     monkeypatch.chdir(tmp_path)
     code, rep, _ = run(capsys, "match", "--f1", "t^6,t^9",
                        "--f2", "t^2,t^3")
     assert code == 0
     assert rep["results"]["residual_image"] < 1e-6
+    assert rep["files"] == [] and not any(tmp_path.iterdir())
 
 
 def test_proper_subcommand(capsys):

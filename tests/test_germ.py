@@ -109,3 +109,13 @@ def test_normal_field_orthogonal_to_partials():
             assert abs(n @ j.partial(1, 0)) < 1e-8
             assert abs(n @ j.partial(0, 1)) < 1e-8
             assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_trace_gamma_reports_non_convergence():
+    # lambda = 2 + sin(v) has a nonzero gradient but no zero, so the
+    # transverse Newton step cannot reach the singular curve
+    from frontalforge.germ import NonConvergence, _trace_gamma
+    germ = catalog("cuspidal_edge")
+    lam = lambda q: 2.0 + math.sin(q[1])
+    with pytest.raises(NonConvergence, match="cuspidal_edge.*lambda"):
+        _trace_gamma(germ, lam, np.array([0.0, 0.0]), 1e-3)

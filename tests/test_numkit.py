@@ -76,3 +76,24 @@ def test_invert_monotone():
 def test_invert_monotone_bad_bracket():
     with pytest.raises(BracketError):
         invert_monotone(lambda t: t, 5.0, Interval(0.0, 1.0))
+
+
+def test_damped_gauss_newton_rows_are_independent():
+    from frontalforge.numkit import damped_gauss_newton
+
+    def fn(X):
+        # rank-one Jacobian; scaled by 1e10 where u > 5, so that the
+        # damped normal equations of that row are singular in floating point
+        scale = np.where(X[:, 0] > 5.0, 1e10, 1.0)
+        return (scale * (X[:, 0] + X[:, 1]))[:, None]
+
+    x0 = np.array([[10.0, 0.0], [1.0, 0.5]])
+    x, res, steps = damped_gauss_newton(fn, np.zeros((2, 1)), x0,
+                                        np.array([-20.0, -20.0]),
+                                        np.array([20.0, 20.0]), 30)
+    # the singular row stops at once and keeps its start
+    assert steps[0] == 1 and np.array_equal(x[0], x0[0])
+    assert res[0] == pytest.approx(1e11)
+    # the other row converges to the line u + v = 0
+    assert abs(x[1].sum()) < 1e-12 and res[1] < 1e-12
+    assert 1 < steps[1] <= 30

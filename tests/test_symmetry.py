@@ -137,3 +137,32 @@ def test_ms_symmetry_parity_failure():
 def test_ms_symmetry_degenerate_normal_curvature():
     verdict, _ = ms_symmetry_check("cos(u)", "0", "u^3", "2 + u^2")
     assert not verdict["kappa_nu_nonzero"]
+
+
+def test_validate_findings_requires_closure(edge_findings, tail_findings):
+    ccc = catalog("cuspidal_cross_cap")
+    found = detect_symmetries(ccc)
+    partial = [f for f in found if f.label != "iv"]
+    assert cases(partial) == {"i", "ii"}
+    failures = validate_findings(ccc, partial)
+    assert any("not closed under composition" in m for m in failures)
+    assert validate_findings(ccc, found) == []
+    real = [edge_findings, tail_findings, (ccc, found)]
+    real += [(g, detect_symmetries(g)) for g in (
+        catalog("ccr_example"), catalog("sw_example"), catalog("ms_edge"))]
+    for germ, findings in real:
+        assert findings, germ.name
+        assert validate_findings(germ, findings) == [], germ.name
+
+
+def test_ccr_involution_crosses_the_sheets():
+    # along u = 0 the two sheets f(0, v) = f(0, -v) have normals only
+    # about 2|v|^3 apart; seeding from one lift sample strands the polish
+    # on the wrong sheet there
+    from frontalforge.geom import Isometry
+    rep = connecting_involution(catalog("ccr_example"),
+                                Isometry(np.diag([-1.0, 1.0, 1.0])))
+    assert rep["sign"] == -1
+    psi = rep["psi"]
+    x = np.array(psi.samples_in)
+    np.testing.assert_allclose(psi.samples_out, -x, rtol=0, atol=5e-7)
