@@ -5,7 +5,9 @@ unit normal.  When the image of f1 sits inside the image of f2 and the lift
 of f2 is injective, the connecting map psi with f1 = f2 o psi and
 nu1 = e * nu2 o psi (e a global sign) is recovered numerically by nearest
 neighbor seeding and a damped Gauss-Newton polish of the lift distance,
-batched over all samples on the expression tape's grid path.  The
+batched over all samples on the expression tape's grid path.  The same
+batched polish of the image distance, `closest_image_point`, serves the
+image-inclusion test and the symmetry detector.  The
 properness probe counts preimage components of f(p) in shrinking
 neighborhoods on refined grids; it is a heuristic falsifier, not a proof.
 """
@@ -214,13 +216,6 @@ def _domain_of(obj):
     raise MatchError(f"no domain on {type(obj).__name__}")
 
 
-def _eval(obj, x) -> np.ndarray:
-    x = np.atleast_1d(np.asarray(x, float))
-    if isinstance(obj, SurfaceGerm):
-        return obj(tuple(x))
-    return obj(x[0])
-
-
 def _sample_grid(domain, n):
     if len(domain) == 1:
         ts = domain[0].grid(n)
@@ -230,64 +225,18 @@ def _sample_grid(domain, n):
     return [(float(u), float(v)) for u in us for v in vs]
 
 
-def _jacobian(obj, x, h=1e-6):
-    x = np.asarray(x, float)
-    cols = []
-    for i in range(len(x)):
-        dp = x.copy(); dm = x.copy()
-        dp[i] += h; dm[i] -= h
-        cols.append((_eval(obj, dp) - _eval(obj, dm)) / (2 * h))
-    return np.stack(cols, axis=1)
+def closest_image_point(obj, domain, targets, tree, xs, k: int = 4):
+    """Distance from each row of the (N, m) targets to the image of obj
+    over domain, and the nearest point x found, as ((N,), (N, d)).
 
-
-def _clamp(x, domain):
-    return np.array([min(max(x[i], domain[i].lo), domain[i].hi)
-                     for i in range(len(x))])
-
-
-def _gn_closest(obj, domain, target, x0, iters=30):
-    """Gauss-Newton polish of min_x |f(x) - target|^2, clamped to domain."""
-    x = np.asarray(x0, float)
-    lam = 1e-8
-    best = (np.linalg.norm(_eval(obj, x) - target), x)
-    for _ in range(iters):
-        r = _eval(obj, x) - target
-        J = _jacobian(obj, x)
-        A = J.T @ J + lam * np.eye(len(x))
-        try:
-            step = np.linalg.solve(A, -J.T @ r)
-        except np.linalg.LinAlgError:
-            break
-        xn = _clamp(x + step, domain)
-        rn = np.linalg.norm(_eval(obj, xn) - target)
-        if rn < best[0]:
-            best = (rn, xn)
-            x = xn
-            lam = max(lam * 0.3, 1e-12)
-        else:
-            lam *= 10.0
-            if lam > 1e6:
-                break
-    return best
-
-
-def closest_image_point(obj, domain, target, tree, xs, k: int = 4):
-    """Distance from target to the image of obj: polish from the k nearest
-    sampled seeds (multi-sheeted images can strand a single seed on the
-    wrong sheet) and keep the best.
-
-    One target at a time, as `detect_symmetries` asks for them: its seeds
-    stop early, and grid batches of one to four rows cost more than the
-    float path on its small maps.  `_polish` is the batched form."""
-    _, idxs = tree.query(target, k=k)
-    best = (math.inf, None)
-    for idx in np.atleast_1d(idxs):
-        d, x = _gn_closest(obj, domain, target, np.asarray(xs[idx], float))
-        if d < best[0]:
-            best = (d, x)
-        if best[0] < 1e-14:
-            break
-    return best
+    Each row is polished from the k samples xs whose images, held in tree,
+    lie nearest to it (a multi-sheeted image can strand a single seed on
+    the wrong sheet), and the best of the k is kept.  All rows go through
+    one damped Gauss-Newton on `obj.points`, the tape's grid path for
+    expression maps."""
+    x, dist = _polish(obj.points, np.asarray(targets, dtype=float), tree, xs,
+                      domain, iters=30, k=k)
+    return dist, x
 
 
 def image_subset(f1, V1, f2, U2, tol: float,
@@ -302,7 +251,7 @@ def image_subset(f1, V1, f2, U2, tol: float,
     xs2 = np.array(_sample_grid(U2, n2))
     tree = cKDTree(f2.points(xs2))
     targets = f1.points(np.array(_sample_grid(V1, n1)))
-    _, dist = _polish(f2.points, targets, tree, xs2, U2, iters=30)
+    dist, _ = closest_image_point(f2, U2, targets, tree, xs2)
     worst = float(np.max(dist, initial=0.0))
     return worst < tol, worst
 

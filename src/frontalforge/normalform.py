@@ -218,6 +218,10 @@ class EdgeNormalForm:
     # geometry ---------------------------------------------------------------
 
     def evaluate(self, u: float, v: float) -> np.ndarray:
+        if self.a is None or self.b is None:
+            raise NormalFormError(
+                "no surface to evaluate: a and b are unset on an angle-only "
+                "isomer, which fixes only the crease and the cuspidal angle")
         fr = self.frame(u)
         th = self.theta(u)
         D = math.cos(th) * fr.n - math.sin(th) * fr.b

@@ -219,10 +219,22 @@ class Series:
             if n == 0:
                 return Series.constant(1.0, self.nvars, self.order)
             base = self if n > 0 else self._reciprocal()
-            out = base
-            for _ in range(abs(n) - 1):
-                out = out * base
-            return out
+            n = abs(n)
+            # squares and cubes keep the product chain (u*u)*u; higher
+            # powers square repeatedly, O(log n) truncated products
+            if n <= 3:
+                out = base
+                for _ in range(n - 1):
+                    out = out * base
+                return out
+            out = None
+            while True:
+                if n & 1:
+                    out = base if out is None else out * base
+                n >>= 1
+                if not n:
+                    return out
+                base = base * base
         x0 = self.const
         if x0 <= 0.0:
             raise DomainViolation("non-integer power of a nonpositive base")

@@ -99,20 +99,20 @@ def detect_symmetries(germ: SurfaceGerm, p=None, tol: float = 1e-6,
     candidates = dict(frame.candidate_isometries())
     if extra_candidates:
         candidates.update(extra_candidates)
+    # every candidate's probe images are polished in one batch; a
+    # candidate's residual is the worst over its probes
+    F = germ.points(np.array(probes))
+    dist, _ = closest_image_point(
+        germ, germ.domain, np.concatenate([T(F) for T in candidates.values()]),
+        tree, xs)
+    worst = dist.reshape(len(candidates), len(probes)).max(axis=1)
     findings = []
-    for label, T in candidates.items():
-        worst = 0.0
-        for q in probes:
-            target = T(germ(q))
-            d, _ = closest_image_point(germ, germ.domain, target, tree, xs)
-            worst = max(worst, d)
-            if worst > tol:
-                break
-        if worst < tol:
+    for (label, T), w in zip(candidates.items(), worst.tolist()):
+        if w < tol:
             case = LABEL_TO_CASE.get(label)
             if case is None:
                 case = LABEL_TO_CASE.get(classify_isometry(T, frame), label)
-            findings.append(SymmetryFinding(T, case, label, float(worst)))
+            findings.append(SymmetryFinding(T, case, label, w))
     return findings
 
 

@@ -11,8 +11,8 @@ from frontalforge.isomer import (IsomerError, NotAdmissible,
                                  congruence_count, dual, inverse,
                                  inverse_dual, isomer_set,
                                  right_equivalence_classes)
-from frontalforge.normalform import (EdgeNormalForm, ScalarProfile,
-                                     SurfaceProfile)
+from frontalforge.normalform import (EdgeNormalForm, NormalFormError,
+                                     ScalarProfile, SurfaceProfile)
 
 
 def edge(crease, theta):
@@ -84,6 +84,13 @@ def test_inverse_angle_law(circle_edge, wavy_edge):
 def test_inverse_rejects_inadmissible():
     with pytest.raises(NotAdmissible):
         inverse(edge(circle(1.0, 1.5), 0.0))
+
+
+def test_angle_only_isomer_has_no_surface(circle_edge):
+    for nf in (inverse(circle_edge), inverse_dual(circle_edge)):
+        with pytest.raises(NormalFormError, match="a and b are unset"):
+            nf.evaluate(0.1, 0.05)
+    assert circle_edge.evaluate(0.1, 0.05).shape == (3,)
 
 
 def test_inverse_dual_composition(circle_edge):

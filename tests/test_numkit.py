@@ -97,3 +97,23 @@ def test_damped_gauss_newton_rows_are_independent():
     # the other row converges to the line u + v = 0
     assert abs(x[1].sum()) < 1e-12 and res[1] < 1e-12
     assert 1 < steps[1] <= 30
+
+
+@pytest.mark.parametrize("n", [20000, -7])
+def test_integer_power_jet_partials(n):
+    from frontalforge.exprlang import MapDef
+    x = 1.0001
+    jet = eval_jet(MapDef("m", ("u",), [f"u^({n})"]), (x,), 3)
+    falling = [1.0, n, n * (n - 1), n * (n - 1) * (n - 2)]
+    for k in range(4):
+        assert jet.partial(k)[0] == pytest.approx(falling[k] * x ** (n - k),
+                                                  rel=1e-12, abs=0)
+
+
+def test_square_and_cube_jets_are_repeated_products():
+    u = Series.variable(0, 0.37, 2, 3) + Series.variable(1, -1.3, 2, 3)
+    for n in (2, 3):
+        power, product = u ** n, u
+        for _ in range(n - 1):
+            product = product * u
+        assert power.c == product.c

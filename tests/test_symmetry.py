@@ -1,13 +1,18 @@
 import numpy as np
 import pytest
 
-from frontalforge.germ import catalog
+from frontalforge.exprlang import MapDef
+from frontalforge.geom import LABEL_TO_CASE, classify_isometry
+from frontalforge.germ import catalog, distinguished_frame
+from frontalforge.match import _sample_grid
 from frontalforge.symmetry import (EXPECTED_CATALOG_LABELS,
                                    connecting_involution,
                                    detect_symmetries,
                                    expected_catalog_labels,
                                    ms_symmetry_check, self_intersections,
                                    validate_findings, verify_c2)
+from frontalforge.symmetry import _image_tree, _shrunken_domain
+from test_match import one_point_closest
 
 
 @pytest.fixture(scope="module")
@@ -166,3 +171,94 @@ def test_ccr_involution_crosses_the_sheets():
     psi = rep["psi"]
     x = np.array(psi.samples_in)
     np.testing.assert_allclose(psi.samples_out, -x, rtol=0, atol=5e-7)
+
+
+def scalar_detect(germ, tol=1e-6):
+    """The candidate x probe loop of `detect_symmetries`, one probe and one
+    seed at a time: (label, case, Q, residual) per finding."""
+    p = tuple(germ.base)
+    frame = distinguished_frame(germ, p)
+    tree, xs = _image_tree(germ)
+    probes = _sample_grid(_shrunken_domain(germ, p), 121)
+    out = []
+    for label, T in frame.candidate_isometries().items():
+        worst = 0.0
+        for q in probes:
+            target = T(germ(q))
+            _, idxs = tree.query(target, k=4)
+            best = np.inf
+            for idx in idxs:
+                best = min(best, one_point_closest(germ, germ.domain, target,
+                                                   xs[idx])[0])
+                if best < 1e-14:
+                    break
+            worst = max(worst, best)
+            if worst > tol:
+                break
+        if worst < tol:
+            case = LABEL_TO_CASE.get(label)
+            if case is None:
+                case = LABEL_TO_CASE.get(classify_isometry(T, frame), label)
+            out.append((label, case, T.Q, worst))
+    return out
+
+
+def _signed(rng, lo, hi):
+    return float(rng.choice((-1.0, 1.0)) * rng.uniform(lo, hi))
+
+
+def _poly(terms):
+    return " + ".join(f"({c!r})*" + "*".join(m) for c, m in terms)
+
+
+def seeded_germs():
+    """sw_example and ms_edge draws in the benchmark's ranges, and the two
+    germs whose true symmetry the detector misses."""
+    rng = np.random.default_rng(7)
+    small = lambda: float(rng.uniform(-0.3, 0.3))
+    germs = []
+    for _ in range(3):
+        germs.append(("sw_example", {"b": _signed(rng, 0.9, 1.5),
+                                     "c": _signed(rng, 0.5, 1.5)}))
+    for _ in range(3):
+        germs.append(("ms_edge", {
+            "a0": _poly([(small(), ["u^2"])]),
+            "b0": f"({_signed(rng, 0.5, 1.0)!r}) + " + _poly([(small(), ["u^2"])]),
+            "b2": _poly([(small(), ["u"]), (small(), ["u^3"])]),
+            "b3": f"({_signed(rng, 0.5, 1.0)!r}) + "
+                  + _poly([(small(), ["u^2"]), (small(), ["v"])]),
+        }))
+    germs.append(("sw_example", {"b": 0.6, "c": 0.6}))
+    germs.append(("ms_edge", {"a0": "-0.308*u^2", "b0": "-1.443 - 0.336*u^2",
+                              "b2": "0.302*u - 0.288*u^3",
+                              "b3": "-1.363 - 0.443*u^2 - 0.119*v"}))
+    return germs
+
+
+@pytest.mark.parametrize("name, params", [(n, None) for n in (
+    "cuspidal_edge", "swallowtail", "cuspidal_cross_cap", "ccr_example")]
+    + seeded_germs())
+def test_detect_symmetries_matches_scalar_loop(name, params):
+    germ = catalog(name, **(params or {}))
+    found = detect_symmetries(germ)
+    ref = scalar_detect(germ)
+    assert [(f.frame_label, f.label) for f in found] == \
+        [(label, case) for label, case, _, _ in ref]
+    for f, (_, _, Q, res) in zip(found, ref):
+        assert np.array_equal(f.isometry.Q, Q)
+        assert f.residual == pytest.approx(res, rel=0, abs=1e-12)
+
+
+def test_detect_symmetries_polishes_on_the_grid_path(monkeypatch):
+    calls = []
+    call = MapDef.__call__
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return call(self, *args, **kwargs)
+
+    monkeypatch.setattr(MapDef, "__call__", counted)
+    assert cases(detect_symmetries(catalog("cuspidal_edge"))) == {"i", "ii",
+                                                                   "iv"}
+    # one float-path evaluation per probe or seed would be tens of thousands
+    assert len(calls) < 200
