@@ -220,17 +220,12 @@ class Series:
                 return Series.constant(1.0, self.nvars, self.order)
             base = self if n > 0 else self._reciprocal()
             n = abs(n)
-            # squares and cubes keep the product chain (u*u)*u; higher
-            # powers square repeatedly, O(log n) truncated products
-            if n <= 3:
-                out = base
-                for _ in range(n - 1):
-                    out = out * base
-                return out
+            # repeated squaring, O(log n) truncated products; squares and
+            # cubes come out as the product chain u*u and (u*u)*u
             out = None
             while True:
                 if n & 1:
-                    out = base if out is None else out * base
+                    out = base if out is None else base * out
                 n >>= 1
                 if not n:
                     return out

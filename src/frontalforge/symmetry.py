@@ -91,6 +91,11 @@ def detect_symmetries(germ: SurfaceGerm, p=None, tol: float = 1e-6,
 
     extra_candidates ("brute" mode) adds user-supplied isometries, which
     are classified against the frame before testing.
+
+    Every candidate x probe x seed row is polished to the solver's stop,
+    which is cheap on the grid path of an expression germ; a germ with a
+    plain callable map evaluates each row as one point, so there a
+    non-symmetric candidate costs as much as a symmetric one.
     """
     p = tuple(germ.base) if p is None else tuple(float(c) for c in p)
     frame = distinguished_frame(germ, p)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from closest_reference import one_point_closest
 from frontalforge.exprlang import MapDef
 from frontalforge.geom import LABEL_TO_CASE, classify_isometry
 from frontalforge.germ import catalog, distinguished_frame
@@ -12,7 +13,6 @@ from frontalforge.symmetry import (EXPECTED_CATALOG_LABELS,
                                    ms_symmetry_check, self_intersections,
                                    validate_findings, verify_c2)
 from frontalforge.symmetry import _image_tree, _shrunken_domain
-from test_match import one_point_closest
 
 
 @pytest.fixture(scope="module")
