@@ -46,10 +46,6 @@ class UsageError(Exception):
     pass
 
 
-class ValidationFailure(Exception):
-    pass
-
-
 class Scene:
     """Named curves, germs, and tolerances loaded from a JSON file."""
 

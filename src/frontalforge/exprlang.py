@@ -723,10 +723,6 @@ class MapDef:
         self._tape = None
 
     @property
-    def n_components(self) -> int:
-        return len(self.components)
-
-    @property
     def tape(self) -> Tape:
         if self._tape is None:
             tape = Tape(self.components, self.variables + tuple(self.params))

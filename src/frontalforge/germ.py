@@ -13,7 +13,7 @@ import numpy as np
 
 from . import exprlang as ex
 from .geom import GermFrame
-from .numkit import Interval, Jet, eval_jet
+from .numkit import Interval, Jet, damped_gauss_newton, eval_jet
 
 __all__ = [
     "SurfaceGerm", "NormalField", "normal_field", "area_density",
@@ -261,21 +261,6 @@ class SingularComponent:
         return np.array([s.point for s in self.samples])
 
 
-def _newton_on_lambda(lam, q, tol=1e-12, h=1e-7, iters=40):
-    q = np.array(q, dtype=float)
-    for _ in range(iters):
-        val = lam(q)
-        if abs(val) <= tol:
-            return q, True
-        gu = (lam(q + (h, 0)) - lam(q - (h, 0))) / (2 * h)
-        gv = (lam(q + (0, h)) - lam(q - (0, h))) / (2 * h)
-        g2 = gu * gu + gv * gv
-        if g2 < 1e-30:
-            return q, False
-        q = q - val * np.array([gu, gv]) / g2
-    return q, abs(lam(q)) <= 10 * tol
-
-
 def _lambda_gradient(lam, q, h=1e-6):
     gu = (lam(q + np.array([h, 0.0])) - lam(q - np.array([h, 0.0]))) / (2 * h)
     gv = (lam(q + np.array([0.0, h])) - lam(q - np.array([0.0, h]))) / (2 * h)
@@ -324,14 +309,13 @@ def singular_curve(germ: SurfaceGerm, grid: int = 256, tol: float = 1e-12):
     if not seeds:
         return []
 
-    refined = []
-    for seed in seeds:
-        q, ok = _newton_on_lambda(lam, seed, tol=tol)
-        if ok and germ.domain[0].contains(q[0], 1e-9) and germ.domain[1].contains(q[1], 1e-9):
-            refined.append(q)
-    if not refined:
+    lo, hi = _domain_box(germ)
+    q, res, _ = damped_gauss_newton(
+        lambda X: lam.grid(X[:, 0], X[:, 1])[:, None],
+        np.zeros((len(seeds), 1)), np.array(seeds), lo, hi, 40, h=1e-7)
+    pts = q[res <= tol]
+    if not len(pts):
         return []
-    pts = np.array(refined)
     # deduplicate on the grid scale
     hu = U1[1] - U1[0] if grid > 1 else 1.0
     hv = V1[1] - V1[0] if grid > 1 else 1.0
@@ -404,33 +388,29 @@ def _trace_gamma(germ, lam, p, h):
     axis = 0 if abs(tangent[0]) >= abs(tangent[1]) else 1
     other = 1 - axis
     slope = tangent[other] / tangent[axis]
-    pts = []
-    for k in (-2, -1, 0, 1, 2):
-        t = k * h
-        q = np.array(p, dtype=float)
-        q[axis] += t
-        q[other] += slope * t
-        # 1-d Newton transverse to the axis
-        for _ in range(60):
-            val = lam(q)
-            if abs(val) < 1e-13:
-                break
-            step = 1e-7
-            qp = q.copy(); qp[other] += step
-            qm = q.copy(); qm[other] -= step
-            d = (lam(qp) - lam(qm)) / (2 * step)
-            if abs(d) < 1e-14:
-                break
-            q[other] -= val / d
-        else:
-            val = lam(q)
-        if not abs(val) < 1e-13:
-            raise NonConvergence(
-                f"singular curve of '{germ.name}' near p={tuple(p)}: the "
-                f"transverse Newton step at t={t:.3e} ended with "
-                f"|lambda|={abs(val):.3e}")
-        pts.append(q)
-    return axis, np.array([-2, -1, 0, 1, 2]) * h, pts
+    # each station is pinned to its own abscissa by a second residual
+    ts = np.arange(-2, 3) * h
+    seeds = np.tile(np.asarray(p, dtype=float), (5, 1))
+    seeds[:, axis] += ts
+    seeds[:, other] += slope * ts
+    target = np.column_stack([np.zeros(5), seeds[:, axis]])
+    lo, hi = _domain_box(germ)
+    pts, res, _ = damped_gauss_newton(
+        lambda X: np.column_stack([lam.grid(X[:, 0], X[:, 1]), X[:, axis]]),
+        target, seeds, lo, hi, 60, h=1e-7)
+    bad = np.flatnonzero(~(res < 1e-13))
+    if bad.size:
+        k = bad[0]
+        raise NonConvergence(
+            f"singular curve of '{germ.name}' near p={tuple(p)}: the "
+            f"pinned Newton solve at t={ts[k]:.3e} ended with "
+            f"|lambda|={abs(lam(pts[k])):.3e}")
+    return axis, ts, pts
+
+
+def _domain_box(germ):
+    return (np.array([d.lo for d in germ.domain]),
+            np.array([d.hi for d in germ.domain]))
 
 
 def limiting_normal_curvature(germ: SurfaceGerm, p=None, tol: float = 1e-10,

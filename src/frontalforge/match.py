@@ -520,21 +520,12 @@ def properness_probe(fn, p: float, r0: float = 0.5, levels: int = 8,
 
 
 def _count_runs(marked: np.ndarray, xs: np.ndarray):
-    comp = 0
-    width = 0.0
-    i = 0
-    n = len(marked)
-    while i < n:
-        if marked[i]:
-            j = i
-            while j + 1 < n and marked[j + 1]:
-                j += 1
-            comp += 1
-            width = max(width, float(xs[j] - xs[i]))
-            i = j + 1
-        else:
-            i += 1
-    return comp, width
+    """Number of runs of marked nodes, and the widest run's extent in xs."""
+    edges = np.diff(np.concatenate(([0], marked.astype(np.int8), [0])))
+    starts = np.flatnonzero(edges == 1)
+    ends = np.flatnonzero(edges == -1) - 1
+    width = float(np.max(xs[ends] - xs[starts], initial=0.0))
+    return len(starts), width
 
 
 def _verdict(counts, widths, r0) -> str:

@@ -67,10 +67,6 @@ class Interval:
     def grid(self, n: int) -> np.ndarray:
         return np.linspace(self.lo, self.hi, n)
 
-    def shrink(self, factor: float) -> "Interval":
-        h = 0.5 * self.length * factor
-        return Interval(self.mid - h, self.mid + h)
-
 
 def multi_indices(nvars: int, order: int):
     """All derivative multi-indices with total degree <= order."""
@@ -455,8 +451,10 @@ def damped_gauss_newton(fn, target, x0, lo, hi, iters: int, h: float = 1e-6):
     evaluates all live rows, or all their central-difference shifts (step
     h), together.  A row keeps its best iterate; its damping starts at
     1e-8, falls by 0.3 (floor 1e-12) after an improving step and grows
-    tenfold otherwise, and the row stops once it exceeds 1e6, after
-    `iters` steps, or when its normal equations are singular.  Returns
+    tenfold otherwise.  The row stops once its damping exceeds 1e6, after
+    `iters` steps, when its normal equations are singular, or when its
+    step (before clamping) no longer changes x in any coordinate: more
+    damping would only shorten that step.  Returns
     (x, residual, iterations): per row the best point, |fn(x) - target|
     there, and the steps taken.
     """
@@ -495,7 +493,8 @@ def damped_gauss_newton(fn, target, x0, lo, hi, iters: int, h: float = 1e-6):
         x[up], best[up], r[up] = xn[better], rn[better], rn_vec[better]
         lam[up] = np.maximum(lam[up] * 0.3, 1e-12)
         lam[live[~better]] *= 10.0
-        live = live[ok & (better | (lam[live] <= 1e6))]
+        moved = (xl + step != xl).any(axis=1)
+        live = live[ok & moved & (better | (lam[live] <= 1e6))]
     return x, best, steps
 
 

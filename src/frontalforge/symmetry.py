@@ -26,7 +26,7 @@ from .germ import (DegenerateSingularity, NotSingular, SurfaceGerm, catalog,
 from . import exprlang as ex
 from .match import (ConnectingMap, _sample_grid, closest_image_point,
                     connecting_map)
-from .numkit import Interval
+from .numkit import Interval, damped_gauss_newton
 
 __all__ = [
     "SymmetryFinding", "SelfIntersectionLocus", "detect_symmetries",
@@ -295,19 +295,29 @@ def self_intersections(germ: SurfaceGerm, region=None, tol: float = 1e-8,
     # one Gauss-Newton refinement per coarse cell pair, seeded with the
     # closest image pair in that cell
     cell = 8.0 * spacing
-    reps = {}
-    for i, j in raw:
-        gap = float(np.linalg.norm(pts[i] - pts[j]))
-        ka = (round(xs[i][0] / cell), round(xs[i][1] / cell))
-        kb = (round(xs[j][0] / cell), round(xs[j][1] / cell))
-        key = (min(ka, kb), max(ka, kb))
-        if key not in reps or gap < reps[key][0]:
-            reps[key] = (gap, i, j)
+    ka = np.round(xs[raw[:, 0]] / cell)
+    kb = np.round(xs[raw[:, 1]] / cell)
+    swap = ((ka[:, 0] > kb[:, 0])
+            | ((ka[:, 0] == kb[:, 0]) & (ka[:, 1] > kb[:, 1])))
+    keys = np.where(swap[:, None], np.hstack([kb, ka]), np.hstack([ka, kb]))
+    gap = np.linalg.norm(pts[raw[:, 0]] - pts[raw[:, 1]], axis=1)
+    _, first, group = np.unique(keys, axis=0, return_index=True,
+                                return_inverse=True)
+    order = np.lexsort((gap, group))
+    best = order[np.diff(group[order], prepend=-1) != 0]
+    seeds = raw[best[np.argsort(first)]]
+    lo = np.array([dom[0].lo, dom[1].lo] * 2)
+    hi = np.array([dom[0].hi, dom[1].hi] * 2)
+
+    def gap_fn(X):
+        F = germ.points(np.concatenate([X[:, :2], X[:, 2:]]))
+        return F[:len(X)] - F[len(X):]
+
+    x, res, _ = damped_gauss_newton(gap_fn, np.zeros((len(seeds), 3)),
+                                    xs[seeds].reshape(-1, 4), lo, hi, 25)
     seen = {}
-    for _, i, j in reps.values():
-        res, q, qp = _refine_pair(germ, dom, xs[i].astype(float),
-                                  xs[j].astype(float))
-        if res > tol or np.linalg.norm(q - qp) < sep_min:
+    for q, qp, err in zip(x[:, :2], x[:, 2:], res):
+        if err > tol or np.linalg.norm(q - qp) < sep_min:
             continue
         if q[0] > qp[0] or (q[0] == qp[0] and q[1] > qp[1]):
             q, qp = qp, q
@@ -324,43 +334,6 @@ def self_intersections(germ: SurfaceGerm, region=None, tol: float = 1e-8,
         pairs = [pairs[i] for i in order]
         images = images[order]
     return SelfIntersectionLocus(pairs, images)
-
-
-def _refine_pair(germ, dom, q, qp, iters: int = 25):
-    lam = 1e-8
-    h = 1e-6
-
-    def res_vec(x):
-        return germ((x[0], x[1])) - germ((x[2], x[3]))
-
-    x = np.concatenate([q, qp])
-    lohi = [dom[0], dom[1], dom[0], dom[1]]
-    best = (np.linalg.norm(res_vec(x)), x)
-    for _ in range(iters):
-        r = res_vec(x)
-        cols = []
-        for i in range(4):
-            dp = x.copy(); dm = x.copy()
-            dp[i] += h; dm[i] -= h
-            cols.append((res_vec(dp) - res_vec(dm)) / (2 * h))
-        J = np.stack(cols, axis=1)
-        try:
-            step = np.linalg.solve(J.T @ J + lam * np.eye(4), -J.T @ r)
-        except np.linalg.LinAlgError:
-            break
-        xn = np.array([min(max(x[i] + step[i], lohi[i].lo), lohi[i].hi)
-                       for i in range(4)])
-        rn = np.linalg.norm(res_vec(xn))
-        if rn < best[0]:
-            best = (rn, xn)
-            x = xn
-            lam = max(lam * 0.3, 1e-14)
-        else:
-            lam *= 10.0
-            if lam > 1e8:
-                break
-    r, x = best
-    return float(r), x[:2], x[2:]
 
 
 def verify_c2(germ: SurfaceGerm, finding: SymmetryFinding,

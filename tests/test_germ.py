@@ -117,5 +117,6 @@ def test_trace_gamma_reports_non_convergence():
     from frontalforge.germ import NonConvergence, _trace_gamma
     germ = catalog("cuspidal_edge")
     lam = lambda q: 2.0 + math.sin(q[1])
+    lam.grid = lambda U, V: 2.0 + np.sin(V)
     with pytest.raises(NonConvergence, match="cuspidal_edge.*lambda"):
         _trace_gamma(germ, lam, np.array([0.0, 0.0]), 1e-3)

@@ -99,6 +99,22 @@ def test_damped_gauss_newton_rows_are_independent():
     assert 1 < steps[1] <= 30
 
 
+def test_damped_gauss_newton_stops_once_the_step_is_lost():
+    # a linear residual with exact binary solutions: each row lands on its
+    # solution, after which the step no longer changes x and the row stops
+    # instead of raising its damping past the 1e6 bound
+    from frontalforge.numkit import damped_gauss_newton
+    A = np.array([[2.0, 1.0], [1.0, 3.0]])
+    solutions = np.array([[0.5, -0.25], [1.0, 2.0], [-0.75, 0.125]])
+    x0 = np.array([[3.0, 3.0], [0.0, 0.0], [-0.75, 0.0]])
+    x, res, steps = damped_gauss_newton(lambda X: X @ A.T, solutions @ A.T,
+                                        x0, np.full(2, -10.0),
+                                        np.full(2, 10.0), 40)
+    assert np.array_equal(x, solutions)
+    assert np.array_equal(res, np.zeros(3))
+    assert np.all(steps <= 4)
+
+
 @pytest.mark.parametrize("n", [20000, -7])
 def test_integer_power_jet_partials(n):
     from frontalforge.exprlang import MapDef

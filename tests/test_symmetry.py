@@ -100,6 +100,17 @@ def test_self_intersections_swallowtail():
     assert worst < 1e-8
 
 
+@pytest.mark.parametrize("name", ["cuspidal_cross_cap", "ccr_example"])
+def test_self_intersections_on_the_closed_form_locus(name):
+    # (v^2, uv^3, u) and (u, v^2, u^2 + uv^3) take equal values exactly at
+    # q = (0, v) and q' = (0, -v)
+    locus = self_intersections(catalog(name))
+    assert len(locus.pairs) >= 10
+    for (u, v), (u2, v2) in locus.pairs:
+        assert abs(u) < 1e-12 and abs(u2) < 1e-12
+        assert v2 == pytest.approx(-v, abs=1e-10)
+
+
 def test_self_intersections_empty_for_edge():
     germ = catalog("cuspidal_edge")
     locus = self_intersections(germ)
