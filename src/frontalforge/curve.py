@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprlang as ex
-from .geom import Isometry, Line, Plane, make_reflection, make_rotation180
+from .geom import Line, Plane, make_reflection, make_rotation180
 from .numkit import Interval, Jet, eval_jet, integrate, invert_monotone
 
 __all__ = [

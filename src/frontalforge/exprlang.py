@@ -32,7 +32,7 @@ __all__ = [
     "evaluate", "compile_expr", "Tape", "diff", "subs", "free_vars", "MapDef",
     "ExprError", "ExprSyntaxError", "UnknownFunctionError", "EvalDomainError",
     "num", "var", "add", "sub", "mul", "div", "neg", "call", "dot3",
-    "cross3", "scale3", "add3", "sub3", "norm3",
+    "cross3", "norm3",
 ]
 
 FUNCTIONS = ("sin", "cos", "tan", "exp", "log", "sqrt", "atan")
@@ -678,18 +678,6 @@ def cross3(a, b):
         sub(mul(a[2], b[0]), mul(a[0], b[2])),
         sub(mul(a[0], b[1]), mul(a[1], b[0])),
     )
-
-
-def scale3(s, a):
-    return (mul(s, a[0]), mul(s, a[1]), mul(s, a[2]))
-
-
-def add3(a, b):
-    return (add(a[0], b[0]), add(a[1], b[1]), add(a[2], b[2]))
-
-
-def sub3(a, b):
-    return (sub(a[0], b[0]), sub(a[1], b[1]), sub(a[2], b[2]))
 
 
 def norm3(a) -> Expr:

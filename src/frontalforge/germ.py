@@ -3,7 +3,7 @@
 A germ is a map (u, v) -> R^3 around a base point.  Frontal germs carry a
 unit normal along the map; for wave-front catalog entries an analytic
 (unnormalized) normal expression is attached, everything else goes through
-a directional-limit extension of f_u x f_v.
+a directional-limit extension of f_u x f_v, oriented at the base point.
 """
 from __future__ import annotations
 
@@ -53,6 +53,9 @@ class SurfaceGerm:
                        Interval(*domain[1]) if not isinstance(domain[1], Interval)
                        else domain[1])
         self.base = (float(base[0]), float(base[1]))
+        if not (normal_map is None or isinstance(normal_map, ex.MapDef)):
+            raise GermError(f"the normal map of '{name}' must be an "
+                            "expression map or None")
         self.normal_map = normal_map  # unnormalized normal, may be None
         self.name = name
         self.sing_type = sing_type
@@ -104,7 +107,15 @@ class SurfaceGerm:
 # --------------------------------------------------------------- normal field
 
 class NormalField:
-    """Continuous unit normal of a frontal germ."""
+    """Continuous unit normal of a frontal germ.
+
+    The analytic normal, when the germ has one, is normalized as it is.
+    Otherwise the normal is f_u x f_v normalized, extended across the
+    singular set by directional limits, and oriented by its value at the
+    base point: a normal whose dot product with that reference is negative
+    is flipped.  This assumes the normal stays within 90 degrees of its
+    base value on the domain.
+    """
 
     def __init__(self, germ: SurfaceGerm, tol: float = 1e-6):
         self.germ = germ
@@ -121,23 +132,33 @@ class NormalField:
                 raise NotAFrontal(
                     f"analytic normal of '{g.name}' vanishes at {tuple(point)}")
             return raw / n
-        return self._limit_normal(np.asarray(point, dtype=float))
+        nu = self._limit_normal(np.asarray(point, dtype=float))
+        return -nu if nu @ self._ref < 0 else nu
 
     def points(self, X) -> np.ndarray:
-        """The unit normal on the rows of an (N, 2) array, as (N, 3).  An
-        analytic normal runs on the tape's grid path; a row where it is
-        non-finite or vanishes is evaluated again as one point, so it
-        raises what `self(p)` raises."""
+        """The unit normal on the rows of an (N, 2) array, as (N, 3), on
+        the tape's grid path: the analytic normal, or f_u x f_v from
+        `partials_grid`.  A row where that is non-finite or too short (the
+        thresholds of `__call__` and `_limit_normal`) is evaluated again as
+        one point, so it raises what `self(p)` raises."""
         X = np.asarray(X, dtype=float)
-        nm = self.germ.normal_map
-        if not isinstance(nm, ex.MapDef):
-            return np.array([self(tuple(x)) for x in X]).reshape(-1, 3)
-        u, v = nm.variables
-        raw = nm.eval_grid({u: X[:, 0], v: X[:, 1]}).T
-        n = np.linalg.norm(raw, axis=1)
+        g, U, V = self.germ, X[:, 0], X[:, 1]
+        if g.normal_map is not None:
+            u, v = g.normal_map.variables
+            raw = g.normal_map.eval_grid({u: U, v: V}).T
+            n = np.linalg.norm(raw, axis=1)
+            short = n < 1e-13
+        else:
+            fu, fv = g.partials_grid(U, V)
+            raw = np.cross(fu, fv, axis=0).T
+            raw[raw @ self._ref < 0] *= -1.0
+            n = np.linalg.norm(raw, axis=1)
+            scale = np.maximum(np.maximum(np.linalg.norm(fu, axis=0),
+                                          np.linalg.norm(fv, axis=0)), 1e-300)
+            short = ~(n > 1e-7 * scale ** 2)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = raw / n[:, None]
-        for i in np.flatnonzero(~(np.isfinite(out).all(axis=1) & (n >= 1e-13))):
+        for i in np.flatnonzero(~np.isfinite(out).all(axis=1) | short):
             out[i] = self(tuple(X[i]))
         return out
 
@@ -148,8 +169,8 @@ class NormalField:
         return nu.T.reshape((3,) + U.shape)
 
     def _probe_consistency(self):
-        # check at the base point that a normal exists at all
-        self(self.germ.base)
+        # a normal must exist at the base point; it orients all others
+        self._ref = self._limit_normal(np.asarray(self.germ.base, dtype=float))
 
     # -- generic extension ---------------------------------------------------
 
@@ -213,30 +234,20 @@ def normal_field(germ: SurfaceGerm, tol: float = 1e-6) -> NormalField:
 # --------------------------------------------------------------- area density
 
 def area_density(germ: SurfaceGerm, nf: NormalField | None = None):
-    """lambda(u, v) = det(f_u, f_v, nu) as a callable; `.grid(U, V)` when
-    the germ is expression-backed."""
+    """lambda(u, v) = det(f_u, f_v, nu) = (f_u x f_v) . nu of an
+    expression germ, as a callable on one point; `.grid(U, V)` evaluates
+    it over broadcastable grids on the tape's grid path."""
     nf = nf or normal_field(germ)
 
-    def lam(point):
-        j = germ.jet(point, 1)
-        nu = nf(point)
-        return float(np.dot(np.cross(j.partial(1, 0), j.partial(0, 1)), nu))
+    def grid(U, V):
+        fu, fv = germ.partials_grid(U, V)
+        return np.sum(np.cross(fu, fv, axis=0) * nf.grid(U, V), axis=0)
 
-    if germ.is_expression and isinstance(germ.normal_map, ex.MapDef):
-        def lam_grid(U, V):
-            fu, fv = germ.partials_grid(U, V)
-            nu = nf.grid(U, V)
-            cr = np.cross(fu, fv, axis=0)
-            return np.sum(cr * nu, axis=0)
-        lam.grid = lam_grid
-    else:
-        def lam_grid(U, V):
-            U, V = np.broadcast_arrays(np.asarray(U, float), np.asarray(V, float))
-            out = np.empty(U.shape)
-            for idx in np.ndindex(U.shape):
-                out[idx] = lam((U[idx], V[idx]))
-            return out
-        lam.grid = lam_grid
+    def lam(point):
+        U, V = np.asarray(point, dtype=float).reshape(2, 1)
+        return float(grid(U, V)[0])
+
+    lam.grid = grid
     return lam
 
 
@@ -261,10 +272,13 @@ class SingularComponent:
         return np.array([s.point for s in self.samples])
 
 
-def _lambda_gradient(lam, q, h=1e-6):
-    gu = (lam(q + np.array([h, 0.0])) - lam(q - np.array([h, 0.0]))) / (2 * h)
-    gv = (lam(q + np.array([0.0, h])) - lam(q - np.array([0.0, h]))) / (2 * h)
-    return np.array([gu, gv])
+def _lambda_gradient(lam, Q, h=1e-6):
+    """Central-difference gradients of lambda at the rows of an (N, 2)
+    array, as (N, 2), from one `lam.grid` call over all 4N shifts."""
+    Q = np.asarray(Q, dtype=float)
+    S = np.concatenate([Q + [h, 0.0], Q - [h, 0.0], Q + [0.0, h], Q - [0.0, h]])
+    L = lam.grid(S[:, 0], S[:, 1]).reshape(4, len(Q))
+    return np.column_stack([(L[0] - L[1]) / (2 * h), (L[2] - L[3]) / (2 * h)])
 
 
 def _null_direction(germ, q):
@@ -286,7 +300,6 @@ def singular_curve(germ: SurfaceGerm, grid: int = 256, tol: float = 1e-12):
     L = lam.grid(U, V)
 
     seeds = []
-    cells = set()
     sign = np.signbit(L)
     zero = np.abs(L) < tol
     # sign changes between horizontally / vertically adjacent grid nodes
@@ -302,10 +315,8 @@ def singular_curve(germ: SurfaceGerm, grid: int = 256, tol: float = 1e-12):
             t = la / (la - lb) if la != lb else 0.5
             seed = (1 - t) * np.array([U[a], V[a]]) + t * np.array([U[b], V[b]])
             seeds.append(seed)
-            cells.add(a)
     for i, jx in np.argwhere(zero):
         seeds.append(np.array([U[i, jx], V[i, jx]]))
-        cells.add((i, jx))
     if not seeds:
         return []
 
@@ -336,8 +347,9 @@ def singular_curve(germ: SurfaceGerm, grid: int = 256, tol: float = 1e-12):
         span = comp.max(axis=0) - comp.min(axis=0)
         axis = int(np.argmax(span))
         comp = comp[np.argsort(comp[:, axis])]
-        for q in comp:
-            g = _lambda_gradient(lam, q)
+        grads = _lambda_gradient(lam, comp)
+        images = germ.points(comp)
+        for q, g, image in zip(comp, grads, images):
             nondeg = np.linalg.norm(g) > 1e-6
             null, _ = _null_direction(germ, q)
             if nondeg:
@@ -347,7 +359,7 @@ def singular_curve(germ: SurfaceGerm, grid: int = 256, tol: float = 1e-12):
                 stype = "I" if cross > 1e-6 else "II"
             else:
                 stype = "degenerate"
-            samples.append(SingularSample(q, germ(q), g, null, nondeg, stype))
+            samples.append(SingularSample(q, image, g, null, nondeg, stype))
         out.append(SingularComponent(samples))
     return out
 
@@ -379,7 +391,7 @@ def _split_components(pts, radius):
 def _trace_gamma(germ, lam, p, h):
     """Five points of the singular curve around p, as a graph over the
     better-aligned coordinate axis.  Returns (axis, params, domain points)."""
-    g = _lambda_gradient(lam, p)
+    g = _lambda_gradient(lam, p[None])[0]
     if np.linalg.norm(g) < 1e-8:
         raise DegenerateSingularity(
             f"area density of '{germ.name}' is degenerate at {tuple(p)}")
@@ -425,7 +437,7 @@ def limiting_normal_curvature(germ: SurfaceGerm, p=None, tol: float = 1e-10,
     if s[1] > 1e-6 * max(s[0], 1.0):
         raise NotSingular(f"'{germ.name}' is immersive at {tuple(p)}")
     _, ts, pts = _trace_gamma(germ, lam, p, h)
-    vals = np.array([germ(q) for q in pts])
+    vals = germ.points(pts)
     d1 = (-vals[4] + 8 * vals[3] - 8 * vals[1] + vals[0]) / (12 * h)
     d2 = (-vals[4] + 16 * vals[3] - 30 * vals[2] + 16 * vals[1] - vals[0]) / (12 * h * h)
     speed2 = float(d1 @ d1)

@@ -15,7 +15,6 @@ import numpy as np
 from . import exprlang as ex
 from .curve import SpaceCurve, frenet
 from .normalform import EdgeNormalForm, ScalarProfile
-from .numkit import Interval
 
 __all__ = [
     "SymmetryPredicates", "IsomerSet", "admissible", "dual", "inverse",

@@ -22,7 +22,7 @@ from scipy.spatial import cKDTree
 
 from . import exprlang as ex
 from .germ import SurfaceGerm
-from .numkit import Interval, damped_gauss_newton, eval_jet
+from .numkit import Interval, damped_gauss_newton
 
 __all__ = [
     "LiftSample", "ConnectingMap", "PropernessReport", "PlaneMap",
@@ -55,8 +55,13 @@ class LiftSample:
     nu: np.ndarray
 
 
+# exact derivatives stay directionally accurate down to underflow
+_RAW_TOL = 1e-12
+
+
 class PlaneMap:
-    """One-variable map into the plane, with a continuous unit normal.
+    """One-variable expression map into the plane, with a continuous unit
+    normal.
 
     The normal is the 90-degree rotation of the tangent, extended through
     cusps: the raw rotated derivative is divided by its vanishing order and
@@ -65,30 +70,26 @@ class PlaneMap:
 
     def __init__(self, map_, domain: Interval, name: str = "plane_map",
                  grid: int = 513):
+        if not isinstance(map_, ex.MapDef):
+            raise MatchError(f"plane map '{name}' needs an expression map, "
+                             f"not {type(map_).__name__}")
         self.map = map_
         self.domain = domain if isinstance(domain, Interval) else Interval(*domain)
         self.name = name
-        # exact (expression) derivatives stay directionally accurate down to
-        # underflow; finite-difference ones drown in noise much earlier
-        self._raw_tol = 1e-12 if isinstance(map_, ex.MapDef) else 1e-7
-        self._tangent = (map_.diff(map_.variables[0])
-                         if isinstance(map_, ex.MapDef) else None)
+        self._tangent = map_.diff(map_.variables[0])
         self._ts = self.domain.grid(grid)
         self._nus = self._continuous_normals(self._ts)
 
     def __call__(self, t) -> np.ndarray:
         t = float(t) if np.isscalar(t) or np.ndim(t) == 0 else float(t[0])
-        return np.asarray(self.map((t,)) if _wants_tuple(self.map) else self.map(t),
-                          dtype=float)
+        return np.asarray(self.map((t,)), dtype=float)
 
     def points(self, ts) -> np.ndarray:
         """The curve at each of the N parameters in ts (shape (N,) or
-        (N, 1)), as (N, 2).  Expression maps run on the tape's grid path; a
-        row left non-finite there is evaluated again as one point, so it
-        raises what `self(t)` raises."""
+        (N, 1)), as (N, 2), on the tape's grid path; a row left non-finite
+        there is evaluated again as one point, so it raises what `self(t)`
+        raises."""
         ts = np.asarray(ts, dtype=float).reshape(-1)
-        if not isinstance(self.map, ex.MapDef):
-            return np.array([self(t) for t in ts]).reshape(-1, 2)
         F = self.map.eval_grid({self.map.variables[0]: ts}).T.copy()
         for i in np.flatnonzero(~np.isfinite(F).all(axis=1)):
             F[i] = self(ts[i])
@@ -113,27 +114,22 @@ class PlaneMap:
         lower = np.abs(self._ts[j - 1] - ts) <= np.abs(self._ts[j] - ts)
         return j - lower
 
-    def _deriv(self, t: float, order: int = 1) -> np.ndarray:
-        j = eval_jet(_as_tuple_map(self.map), (t,), max(order, 1) + 1)
-        return np.asarray(j.partial(order), dtype=float)
-
     def _raw_normal(self, t: float):
-        d = self._deriv(t, 1)
+        d = np.asarray(self.map.eval_jet((t,), 2).partial(1), dtype=float)
         raw = np.array([-d[1], d[0]])
         n = np.linalg.norm(raw)
-        if n > self._raw_tol:
+        if n > _RAW_TOL:
             return raw / n
-        if isinstance(self.map, ex.MapDef):
-            # at a cusp the tangent limit is the first nonvanishing
-            # Taylor coefficient of the curve
-            var = self.map.variables[0]
-            dm = self.map
-            for _ in range(9):
-                dm = dm.diff(var)
-                d = np.asarray(dm((t,)), float)
-                if np.linalg.norm(d) > 1e-9:
-                    raw = np.array([-d[1], d[0]])
-                    return raw / np.linalg.norm(raw)
+        # at a cusp the tangent limit is the first nonvanishing Taylor
+        # coefficient of the curve
+        var = self.map.variables[0]
+        dm = self.map
+        for _ in range(9):
+            dm = dm.diff(var)
+            d = np.asarray(dm((t,)), float)
+            if np.linalg.norm(d) > 1e-9:
+                raw = np.array([-d[1], d[0]])
+                return raw / np.linalg.norm(raw)
         return None
 
     def _raw_normals(self, ts) -> np.ndarray:
@@ -141,17 +137,12 @@ class PlaneMap:
         derivative runs on the grid path; where it is at most the raw
         tolerance (a cusp) or non-finite, the point goes through
         `_raw_normal`."""
-        if self._tangent is None:
-            raw = np.full((len(ts), 2), np.nan)
-            pointwise = np.arange(len(ts))
-        else:
-            d = self._tangent.eval_grid({self._tangent.variables[0]: ts})
-            raw = np.stack([-d[1], d[0]], axis=1)
-            n = np.linalg.norm(raw, axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                raw /= n[:, None]
-            pointwise = np.flatnonzero(~(n > self._raw_tol))
-        for i in pointwise:
+        d = self._tangent.eval_grid({self._tangent.variables[0]: ts})
+        raw = np.stack([-d[1], d[0]], axis=1)
+        n = np.linalg.norm(raw, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            raw /= n[:, None]
+        for i in np.flatnonzero(~(n > _RAW_TOL)):
             nu = self._raw_normal(float(ts[i]))
             raw[i] = np.nan if nu is None else nu
         return raw
@@ -175,16 +166,6 @@ class PlaneMap:
         # anchor the global sign at the right end: there the normal agrees
         # with the 90-degree rotation of the actual tangent
         return -nus if signs[-1] < 0 else nus
-
-
-def _wants_tuple(map_):
-    return isinstance(map_, ex.MapDef)
-
-
-def _as_tuple_map(map_):
-    if isinstance(map_, ex.MapDef):
-        return map_
-    return lambda p: map_(p[0])
 
 
 def legendrian_lift(obj):

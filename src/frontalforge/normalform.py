@@ -21,11 +21,11 @@ import numpy as np
 from . import exprlang as ex
 from .curve import (SpaceCurve, VanishingCurvature, frenet, frenet_from_jet,
                     spline_curve)
-from .numkit import Interval, Jet, eval_jet, integrate
+from .numkit import Interval, Jet
 
 __all__ = [
     "EdgeNormalForm", "SectionalCusp", "ScalarProfile", "SurfaceProfile",
-    "half_arclength", "sectional_cusp", "to_normal_form", "from_normal_form",
+    "sectional_cusp", "to_normal_form", "from_normal_form",
     "is_cuspidal_edge", "NormalFormError", "DegenerateCusp",
 ]
 
@@ -287,8 +287,10 @@ def is_cuspidal_edge(nf: EdgeNormalForm, u: float | None = None,
 # -------------------------------------------------------------- construction
 
 def from_normal_form(nf: EdgeNormalForm):
-    """Realize the normal form as a surface germ (expression-backed when all
-    ingredients are expressions, else a numeric map)."""
+    """Realize the normal form as a surface germ.  When all ingredients are
+    expressions the germ is expression-backed, with exact jets and an
+    analytic normal; a sampled normal form gives a germ that can only be
+    evaluated at points, with no jets and no normal."""
     from .germ import SurfaceGerm
 
     hw = nf.halfwidth
@@ -351,7 +353,7 @@ def _nf_expression_maps(nf: EdgeNormalForm):
 
 
 class _NFMap:
-    """Numeric realization of a normal form (opaque jets via differences)."""
+    """Numeric realization of a normal form: point values only, no jets."""
 
     def __init__(self, nf: EdgeNormalForm):
         self.nf = nf
@@ -363,28 +365,6 @@ class _NFMap:
 
 
 # ---------------------------------------------------------------- extraction
-
-def half_arclength(sigma, t: float, tol: float = 1e-9) -> float:
-    """w(t) = sign(t) sqrt(arc length of the section from the cusp to t).
-
-    `sigma` is a plane-curve map with a generalized cusp at 0
-    (sigma'(0) = 0, sigma''(0) != 0).
-    """
-    j0 = eval_jet(sigma, (0.0,), 2)
-    if np.linalg.norm(j0.partial(1)) > 1e-6:
-        raise DegenerateCusp("section is regular at 0, not a cusp")
-    if np.linalg.norm(j0.partial(2)) < 1e-8:
-        raise DegenerateCusp("section has a degenerate (flat) cusp at 0")
-
-    def speed(x):
-        return float(np.linalg.norm(eval_jet(sigma, (x,), 1).partial(1)))
-
-    if t == 0.0:
-        return 0.0
-    lo, hi = (0.0, t) if t > 0 else (t, 0.0)
-    length = integrate(speed, Interval(lo, hi), tol)
-    return math.copysign(math.sqrt(abs(length)), t)
-
 
 class _EdgeChart:
     """Chart data for a germ whose singular set is the axis {v = 0}."""

@@ -1,8 +1,8 @@
 """Numerical kernels: truncated Taylor jets, adaptive quadrature, monotone inversion.
 
 Jets are truncated multivariate Taylor expansions (order <= 3, at most two
-variables in practice).  Expression-backed maps get exact jets via forward
-propagation; opaque callables fall back to central finite differences.
+variables in practice), taken exactly by forward propagation on the
+expression tape; a map without its own jet has none.
 """
 from __future__ import annotations
 
@@ -311,80 +311,15 @@ class Jet:
 
 
 def eval_jet(map_, point, order: int = 3) -> Jet:
-    """Jet of a map at a point.
-
-    Expression-backed maps (anything exposing ``eval_jet``) propagate exact
-    truncated Taylor arithmetic; plain callables use central finite
-    differences with one Richardson level on first derivatives.
-    """
+    """Exact jet of a map at a point, from the map's own ``eval_jet``
+    (truncated Taylor arithmetic on the expression tape).  A map without
+    one has no jet: `NumkitError` names its type."""
     if order < 0 or order > 3:
         raise ValueError("jet order must be in 0..3")
-    if hasattr(map_, "eval_jet"):
-        return map_.eval_jet(point, order)
-    return _fd_jet(map_, np.atleast_1d(np.asarray(point, dtype=float)), order)
-
-
-def _fd_jet(f, point, order: int) -> Jet:
-    nvars = point.size
-    f0 = np.atleast_1d(np.asarray(f(point if nvars > 1 else point[0]), dtype=float))
-    if not np.all(np.isfinite(f0)):
-        raise NonFiniteValue("map returned a non-finite value")
-
-    def ev(offset):
-        q = point + offset
-        return np.atleast_1d(np.asarray(f(q if nvars > 1 else q[0]), dtype=float))
-
-    scale = max(1.0, float(np.max(np.abs(point))))
-    h1 = EPS ** (1.0 / 3.0) * scale
-    h2 = EPS ** 0.25 * scale
-    h3 = EPS ** (1.0 / 6.0) * scale
-
-    def unit(i, h):
-        e = np.zeros(nvars)
-        e[i] = h
-        return e
-
-    partials = {(0,) * nvars: f0}
-    if order >= 1:
-        for i in range(nvars):
-            # central difference with one Richardson extrapolation level
-            d_h = (ev(unit(i, h1)) - ev(unit(i, -h1))) / (2 * h1)
-            d_2h = (ev(unit(i, 2 * h1)) - ev(unit(i, -2 * h1))) / (4 * h1)
-            alpha = tuple(1 if j == i else 0 for j in range(nvars))
-            partials[alpha] = (4.0 * d_h - d_2h) / 3.0
-    if order >= 2:
-        for i in range(nvars):
-            alpha = tuple(2 if j == i else 0 for j in range(nvars))
-            partials[alpha] = (ev(unit(i, h2)) - 2 * f0 + ev(unit(i, -h2))) / h2 ** 2
-        for i in range(nvars):
-            for j in range(i + 1, nvars):
-                pp = ev(unit(i, h2) + unit(j, h2))
-                pm = ev(unit(i, h2) - unit(j, h2))
-                mp = ev(-unit(i, h2) + unit(j, h2))
-                mm = ev(-unit(i, h2) - unit(j, h2))
-                alpha = tuple((1 if k in (i, j) else 0) for k in range(nvars))
-                partials[alpha] = (pp - pm - mp + mm) / (4 * h2 ** 2)
-    if order >= 3:
-        for alpha in multi_indices(nvars, 3):
-            if sum(alpha) != 3:
-                continue
-            partials[alpha] = _fd_third(ev, f0, alpha, nvars, h3, unit)
-    return Jet(nvars, order, partials)
-
-
-def _fd_third(ev, f0, alpha, nvars, h, unit):
-    if 3 in alpha:
-        i = alpha.index(3)
-        return (ev(unit(i, 2 * h)) - 2 * ev(unit(i, h))
-                + 2 * ev(unit(i, -h)) - ev(unit(i, -2 * h))) / (2 * h ** 3)
-    # mixed third derivative d^2/di^2 d/dj for alpha like (2,1)
-    i = alpha.index(2)
-    j = alpha.index(1)
-
-    def second_i(offj):
-        return (ev(unit(i, h) + offj) - 2 * ev(offj) + ev(unit(i, -h) + offj)) / h ** 2
-
-    return (second_i(unit(j, h)) - second_i(unit(j, -h))) / (2 * h)
+    if not hasattr(map_, "eval_jet"):
+        raise NumkitError(
+            f"no exact jet for a map of type {type(map_).__name__}")
+    return map_.eval_jet(point, order)
 
 
 def integrate(f, interval: Interval, tol: float = 1e-10, max_depth: int = 48) -> float:

@@ -32,12 +32,7 @@ __all__ = [
     "SymmetryFinding", "SelfIntersectionLocus", "detect_symmetries",
     "validate_findings", "connecting_involution", "self_intersections",
     "verify_c2", "ms_symmetry_check", "expected_catalog_labels",
-    "SymmetryError",
 ]
-
-
-class SymmetryError(Exception):
-    pass
 
 
 @dataclass
@@ -93,9 +88,8 @@ def detect_symmetries(germ: SurfaceGerm, p=None, tol: float = 1e-6,
     are classified against the frame before testing.
 
     Every candidate x probe x seed row is polished to the solver's stop,
-    which is cheap on the grid path of an expression germ; a germ with a
-    plain callable map evaluates each row as one point, so there a
-    non-symmetric candidate costs as much as a symmetric one.
+    on the grid path of the germ's expression map: the frame needs its
+    exact jets.
     """
     p = tuple(germ.base) if p is None else tuple(float(c) for c in p)
     frame = distinguished_frame(germ, p)
@@ -192,15 +186,13 @@ def expected_catalog_labels(name: str) -> set:
 # ----------------------------------------------------- connecting involution
 
 class _TransformedGerm(SurfaceGerm):
-    """T o f as a germ; the raw normal transforms by det(Q) * Q."""
+    """T o f as a germ that evaluates points and lifts; its lift is the
+    germ's, with the normal transformed by det(Q) * Q.  It has no jets and
+    no normal map of its own."""
 
     def __init__(self, germ: SurfaceGerm, T: Isometry):
-        nm = None
-        if germ.normal_map is not None:
-            d = T.det
-            nm = lambda p: d * (T.Q @ np.asarray(germ.normal_map(p), float))
         super().__init__(lambda p: T(germ(p)), germ.domain, germ.base,
-                         normal_map=nm, name=f"transformed_{germ.name}",
+                         name=f"transformed_{germ.name}",
                          sing_type=germ.sing_type)
         self.germ = germ
         self.T = T
@@ -327,9 +319,13 @@ def self_intersections(germ: SurfaceGerm, region=None, tol: float = 1e-8,
     pairs = [(a, b) for a, b, _ in seen.values()]
     images = np.array([im for _, _, im in seen.values()]).reshape(-1, 3)
     if len(images) > 1:
-        # order into a polyline along the dominant image direction
+        # order into a polyline along the dominant image direction, with
+        # the axis's sign fixed (largest-magnitude component positive) so
+        # that a rounding-level change cannot reverse the order
         ctr = images - images.mean(axis=0)
         axis = np.linalg.svd(ctr, full_matrices=False)[2][0]
+        if axis[np.argmax(np.abs(axis))] < 0:
+            axis = -axis
         order = np.argsort(ctr @ axis)
         pairs = [pairs[i] for i in order]
         images = images[order]

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from frontalforge.germ import (NotAFrontal, NotSingular, area_density,
-                               catalog, distinguished_frame,
+from frontalforge.germ import (NormalField, NotAFrontal, NotSingular,
+                               SurfaceGerm, area_density, catalog,
+                               distinguished_frame,
                                first_fundamental_form,
                                limiting_normal_curvature, normal_field,
                                singular_curve)
@@ -120,3 +121,54 @@ def test_trace_gamma_reports_non_convergence():
     lam.grid = lambda U, V: 2.0 + np.sin(V)
     with pytest.raises(NonConvergence, match="cuspidal_edge.*lambda"):
         _trace_gamma(germ, lam, np.array([0.0, 0.0]), 1e-3)
+
+
+def bare_cuspidal_edge():
+    # the catalog's cuspidal edge (v^2, v^3, u) without its analytic normal
+    g = catalog("cuspidal_edge")
+    return SurfaceGerm(g.map, g.domain, name="bare_edge")
+
+
+def test_generic_normal_has_one_global_sign():
+    # f_u x f_v = v (-3v, 2, 0) flips with v; the oriented normal does not
+    bare = normal_field(bare_cuspidal_edge())
+    exact = normal_field(catalog("cuspidal_edge"))
+    X = np.array([(u, v) for u in (-0.5, 0.3)
+                  for v in (-0.5, -1e-3, 0.0, 1e-3, 0.5)])
+    for got in (np.array([bare(tuple(x)) for x in X]), bare.points(X)):
+        dots = np.sum(got * exact.points(X), axis=1)
+        np.testing.assert_allclose(np.abs(dots), 1.0, rtol=0, atol=1e-9)
+        assert len(set(np.sign(dots))) == 1
+
+
+def test_generic_normal_points_match_per_point(monkeypatch):
+    nf = normal_field(bare_cuspidal_edge())
+    U, V = np.meshgrid(np.linspace(-1, 1, 9), np.linspace(-1, 1, 9),
+                       indexing="ij")
+    X = np.column_stack([U.ravel(), V.ravel()])
+    want = np.array([nf(tuple(x)) for x in X])
+    # the rows on the singular set v = 0 go through the per-point limit
+    fallback = []
+    per_point = NormalField.__call__
+
+    def counted(self, p):
+        fallback.append(p)
+        return per_point(self, p)
+
+    monkeypatch.setattr(NormalField, "__call__", counted)
+    got = nf.points(X)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert sorted(fallback) == sorted(tuple(x) for x in X if x[1] == 0.0)
+
+
+@pytest.mark.parametrize("make", [lambda: catalog("cuspidal_edge"),
+                                  bare_cuspidal_edge])
+def test_area_density_closed_form(make):
+    # lambda = (f_u x f_v) . nu = v sqrt(9 v^2 + 4) for either normal
+    lam = area_density(make())
+    U, V = np.meshgrid(np.linspace(-1, 1, 7), np.linspace(-1, 1, 9),
+                       indexing="ij")
+    want = V * np.sqrt(9 * V ** 2 + 4)
+    np.testing.assert_allclose(lam.grid(U, V), want, rtol=0, atol=1e-12)
+    got = [lam((u, v)) for u, v in zip(U.ravel(), V.ravel())]
+    np.testing.assert_allclose(got, want.ravel(), rtol=0, atol=1e-12)

@@ -36,6 +36,11 @@ def test_lift_normal_at_cusp(cusp):
     assert float(left @ right) > 0.99
 
 
+def test_plane_map_needs_an_expression_map():
+    with pytest.raises(MatchError, match="expression map"):
+        PlaneMap(lambda t: np.array([t * t, t ** 3]), Interval(-1.0, 1.0))
+
+
 def test_lift_degenerate_cusp():
     lift = legendrian_lift(plane("flat", ("t^6", "t^9")))
     assert np.allclose(lift(0.0).nu, (0.0, 1.0), atol=1e-12)
@@ -195,8 +200,14 @@ def test_lift_points_match_per_point_lift(make):
     assert np.array_equal(F, [s.fx for s in samples])
     assert np.array_equal(nu, [s.nu for s in samples])
     # the tape's grid path (numpy's power) and the float path (libm's
-    # pow) may round differently in the last place
-    nf = NormalField(germ)
+    # pow) may round differently in the last place.  A transformed germ has
+    # no normal of its own: its per-point normal is the base germ's,
+    # transformed by det(Q) Q
+    if hasattr(germ, "T"):
+        base_nf = NormalField(germ.germ)
+        nf = lambda x: germ.T.det * (germ.T.Q @ base_nf(x))
+    else:
+        nf = NormalField(germ)
     np.testing.assert_allclose(F, [germ(tuple(x)) for x in X], rtol=0,
                                atol=1e-15)
     np.testing.assert_allclose(nu, [nf(tuple(x)) for x in X], rtol=0,

@@ -6,9 +6,8 @@ import pytest
 from frontalforge.curve import circle, helix
 from frontalforge.normalform import (EdgeNormalForm, NormalFormError,
                                      ScalarProfile, SurfaceProfile,
-                                     from_normal_form, half_arclength,
-                                     is_cuspidal_edge, sectional_cusp,
-                                     to_normal_form)
+                                     from_normal_form, is_cuspidal_edge,
+                                     sectional_cusp, to_normal_form)
 
 
 def make_nf(crease, theta):
@@ -43,16 +42,6 @@ def test_is_cuspidal_edge(circle_nf):
                             SurfaceProfile.constant(1.0),
                             SurfaceProfile.constant(0.0))
     assert not is_cuspidal_edge(zero_b)
-
-
-def test_half_arclength_oracle():
-    # sigma = (t^2, t^3): w(1) = sqrt((13^1.5 - 8) / 27)
-    sigma = lambda t: np.array([t * t, t ** 3])
-    w1 = half_arclength(sigma, 1.0)
-    assert w1 == pytest.approx(math.sqrt((13.0 ** 1.5 - 8.0) / 27.0),
-                               abs=1e-9)
-    assert half_arclength(sigma, -1.0) == pytest.approx(-w1, abs=1e-9)
-    assert half_arclength(sigma, 0.0) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_sectional_cusp_reads_off_theta(circle_nf):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from frontalforge.numkit import (BracketError, Interval, Series, eval_jet,
-                                 integrate, invert_monotone)
+from frontalforge.numkit import (BracketError, Interval, NumkitError, Series,
+                                 eval_jet, integrate, invert_monotone)
 
 
 def test_interval_basics():
@@ -46,12 +46,9 @@ def test_series_division():
     assert s.deriv((1,)) == pytest.approx(-0.25)
 
 
-def test_eval_jet_finite_difference():
-    f = lambda p: np.array([math.sin(p[0]) * p[1], p[0] ** 3])
-    j = eval_jet(f, (0.3, 0.7), 2)
-    assert j.partial(1, 0)[0] == pytest.approx(0.7 * math.cos(0.3), abs=1e-8)
-    assert j.partial(0, 1)[0] == pytest.approx(math.sin(0.3), abs=1e-8)
-    assert j.partial(2, 0)[1] == pytest.approx(6 * 0.3, abs=1e-5)
+def test_eval_jet_rejects_a_map_without_exact_jets():
+    with pytest.raises(NumkitError, match="function"):
+        eval_jet(lambda p: np.array([math.sin(p[0]) * p[1]]), (0.3, 0.7), 2)
 
 
 def test_integrate_cusp_speed_oracle():

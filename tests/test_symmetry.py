@@ -111,6 +111,18 @@ def test_self_intersections_on_the_closed_form_locus(name):
         assert v2 == pytest.approx(-v, abs=1e-10)
 
 
+@pytest.mark.parametrize("name", ["swallowtail", "cuspidal_cross_cap",
+                                  "ccr_example"])
+def test_self_intersection_images_run_along_the_oriented_axis(name):
+    # the polyline axis has its largest-magnitude component positive, so a
+    # rounding-level change cannot reverse the locus order
+    images = self_intersections(catalog(name)).images
+    ctr = images - images.mean(axis=0)
+    axis = np.linalg.svd(ctr, full_matrices=False)[2][0]
+    axis *= np.sign(axis[np.argmax(np.abs(axis))])
+    assert np.all(np.diff(ctr @ axis) >= 0)
+
+
 def test_self_intersections_empty_for_edge():
     germ = catalog("cuspidal_edge")
     locus = self_intersections(germ)
