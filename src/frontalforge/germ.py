@@ -3,11 +3,13 @@
 A germ is a map (u, v) -> R^3 around a base point.  Frontal germs carry a
 unit normal along the map; for wave-front catalog entries an analytic
 (unnormalized) normal expression is attached, everything else goes through
-a directional-limit extension of f_u x f_v, oriented at the base point.
+the exact directional limits of f_u x f_v, oriented at the base point.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,7 +85,12 @@ class SurfaceGerm:
 
     def lift_points(self, X):
         """(f, nu) on the rows of an (N, 2) array, each (N, 3)."""
-        return self.points(X), NormalField(self).points(X)
+        return self.points(X), self.normal_field.points(X)
+
+    @cached_property
+    def normal_field(self) -> "NormalField":
+        """The germ's unit normal field, built on first use."""
+        return NormalField(self)
 
     def jet(self, point, order: int = 3) -> Jet:
         return eval_jet(self.map, point, order)
@@ -111,17 +118,17 @@ class NormalField:
 
     The analytic normal, when the germ has one, is normalized as it is.
     Otherwise the normal is f_u x f_v normalized, extended across the
-    singular set by directional limits, and oriented by its value at the
-    base point: a normal whose dot product with that reference is negative
-    is flipped.  This assumes the normal stays within 90 degrees of its
-    base value on the domain.
+    singular set by its exact directional limits, and oriented by its
+    value at the base point: a normal whose dot product with that
+    reference is negative is flipped.  This assumes the normal stays
+    within 90 degrees of its base value on the domain.
     """
 
-    def __init__(self, germ: SurfaceGerm, tol: float = 1e-6):
+    def __init__(self, germ: SurfaceGerm):
         self.germ = germ
-        self.tol = tol
         if germ.normal_map is None:
-            self._probe_consistency()
+            # a normal must exist at the base point; it orients all others
+            self._ref = self._limit_normal(np.asarray(germ.base, dtype=float))
 
     def __call__(self, point) -> np.ndarray:
         g = self.germ
@@ -168,76 +175,68 @@ class NormalField:
         nu = self.points(np.column_stack([U.ravel(), V.ravel()]))
         return nu.T.reshape((3,) + U.shape)
 
-    def _probe_consistency(self):
-        # a normal must exist at the base point; it orients all others
-        self._ref = self._limit_normal(np.asarray(self.germ.base, dtype=float))
-
     # -- generic extension ---------------------------------------------------
 
-    def _raw_cross(self, point):
-        j = self.germ.jet(point, 1)
-        return np.cross(j.partial(1, 0), j.partial(0, 1))
+    _DIRECTIONS = np.array([(1.0, 0.0), (0.0, 1.0),
+                            (0.7071067811865476, 0.7071067811865476),
+                            (0.7071067811865476, -0.7071067811865476)])
 
     def _limit_normal(self, point) -> np.ndarray:
-        cr = self._raw_cross(point)
-        j = self.germ.jet(point, 1)
-        scale = max(np.linalg.norm(j.partial(1, 0)), np.linalg.norm(j.partial(0, 1)), 1e-300)
-        if np.linalg.norm(cr) > 1e-7 * scale ** 2:
-            return cr / np.linalg.norm(cr)
-        dirs = [np.array(d) for d in
-                ((1.0, 0.0), (0.0, 1.0), (0.7071067811865476, 0.7071067811865476),
-                 (0.7071067811865476, -0.7071067811865476))]
-        estimates = []
-        for d in dirs:
-            est = self._limit_along(point, d)
-            if est is not None:
-                estimates.append(est)
-        if not estimates:
+        """The unit limit of f_u x f_v at `point`, from one order-3 jet.
+        Along each probe direction d it is the first Taylor coefficient of
+        f_u x f_v along point + t d (orders 0 to 2) longer than 1e-7 times
+        the squared scale of f_u and f_v; the directions that have one must
+        agree up to sign."""
+        j = self.germ.jet(point, 3)
+        floor = 1e-7 * max(np.linalg.norm(j.partial(1, 0)),
+                           np.linalg.norm(j.partial(0, 1)), 1e-300) ** 2
+        C = _cross_coefficients(j, self._DIRECTIONS)
+        n = np.linalg.norm(C, axis=2)
+        above = n > floor
+        dirs = np.flatnonzero(above.any(axis=0))
+        if not dirs.size:
             raise NotAFrontal(
                 f"normal of '{self.germ.name}' undefined near {tuple(point)}")
+        order = above[:, dirs].argmax(axis=0)
+        estimates = C[order, dirs] / n[order, dirs][:, None]
         ref = estimates[0]
-        for est in estimates[1:]:
-            if est @ ref < 0:
-                est = -est
-            if np.linalg.norm(est - ref) > self.tol:
-                raise NotAFrontal(
-                    f"'{self.germ.name}' has no single-valued normal at "
-                    f"{tuple(point)} (directional limits disagree by "
-                    f"{np.linalg.norm(est - ref):.2e})")
+        flip = np.where(estimates @ ref < 0, -1.0, 1.0)[:, None]
+        gap = np.linalg.norm(flip * estimates - ref, axis=1).max()
+        if gap > 1e-6:
+            raise NotAFrontal(
+                f"'{self.germ.name}' has no single-valued normal at "
+                f"{tuple(point)} (directional limits disagree by {gap:.2e})")
         return ref
 
-    def _limit_along(self, point, d):
-        # Richardson extrapolation of the normalized cross product along p + t d
-        t0 = 1e-2
-        seq = []
-        for j in range(6):
-            t = t0 * 0.5 ** j
-            q = point + t * d
-            cr = self._raw_cross(q)
-            n = np.linalg.norm(cr)
-            if n < 1e-13:
-                return None
-            v = cr / n
-            if seq and v @ seq[-1] < 0:
-                v = -v
-            seq.append(v)
-        a, b = seq[-2], seq[-1]
-        est = 2.0 * b - a
-        n = np.linalg.norm(est)
-        return est / n if n > 0 else None
+
+def _cross_coefficients(j: Jet, D) -> np.ndarray:
+    """Taylor coefficients of orders 0 to 2 of f_u x f_v along p + t d for
+    each row d of D, shape (3, len(D), 3), from an order-3 jet of f at p."""
+    def along(k, a, b):
+        # k-th Taylor coefficient of the partial (a, b) of f along p + t d
+        W = [math.comb(k, i) * D[:, 0] ** i * D[:, 1] ** (k - i)
+             for i in range(k + 1)]
+        P = [j.partial(a + i, b + k - i) for i in range(k + 1)]
+        return np.transpose(W) @ P / math.factorial(k)
+
+    fu = [along(k, 1, 0) for k in range(3)]
+    fv = [along(k, 0, 1) for k in range(3)]
+    pairs = [(i, k - i) for k in range(3) for i in range(k + 1)]
+    X = np.cross([fu[i] for i, _ in pairs], [fv[i] for _, i in pairs])
+    return np.array([X[0], X[1] + X[2], X[3] + X[4] + X[5]])
 
 
-def normal_field(germ: SurfaceGerm, tol: float = 1e-6) -> NormalField:
-    return NormalField(germ, tol)
+def normal_field(germ: SurfaceGerm) -> NormalField:
+    return germ.normal_field
 
 
 # --------------------------------------------------------------- area density
 
-def area_density(germ: SurfaceGerm, nf: NormalField | None = None):
+def area_density(germ: SurfaceGerm):
     """lambda(u, v) = det(f_u, f_v, nu) = (f_u x f_v) . nu of an
     expression germ, as a callable on one point; `.grid(U, V)` evaluates
     it over broadcastable grids on the tape's grid path."""
-    nf = nf or normal_field(germ)
+    nf = germ.normal_field
 
     def grid(U, V):
         fu, fv = germ.partials_grid(U, V)
@@ -431,8 +430,7 @@ def limiting_normal_curvature(germ: SurfaceGerm, p=None, tol: float = 1e-10,
     direction at p (second derivative of f along the singular curve, dotted
     with the unit normal, over the squared speed)."""
     p = np.asarray(p if p is not None else germ.base, dtype=float)
-    nf = normal_field(germ)
-    lam = area_density(germ, nf)
+    lam = area_density(germ)
     null, s = _null_direction(germ, p)
     if s[1] > 1e-6 * max(s[0], 1.0):
         raise NotSingular(f"'{germ.name}' is immersive at {tuple(p)}")
@@ -444,7 +442,7 @@ def limiting_normal_curvature(germ: SurfaceGerm, p=None, tol: float = 1e-10,
     if speed2 < 1e-16:
         raise DegenerateSingularity(
             "singular image is not regular at the base point (type II?)")
-    nu = nf(p)
+    nu = germ.normal_field(p)
     return float(d2 @ nu) / speed2
 
 
@@ -477,7 +475,7 @@ def distinguished_frame(germ: SurfaceGerm, p=None, tol: float = 1e-8) -> GermFra
         img_t = -img_t
         tdir = -tdir
     e = img_t / np.linalg.norm(img_t)
-    nu = normal_field(germ)(p)
+    nu = germ.normal_field(p)
     w = np.cross(e, nu)
     f_nn = j.directional2(null)
     s_w = float(f_nn @ w)

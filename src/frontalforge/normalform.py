@@ -366,47 +366,29 @@ class _NFMap:
 
 # ---------------------------------------------------------------- extraction
 
-class _EdgeChart:
-    """Chart data for a germ whose singular set is the axis {v = 0}."""
-
-    def __init__(self, germ, tol: float = 1e-10):
-        self.germ = germ
-        jets = [germ.jet((u, 0.0), 1) for u in germ.domain[0].grid(17)]
-        worst = max(float(np.linalg.norm(j.partial(0, 1))) for j in jets)
-        if worst > 1e-8:
-            raise NormalFormError(
-                "normal-form extraction expects the singular set along {v=0}; "
-                "bring the germ into co-rank-one coordinates first")
-        speeds = [float(np.linalg.norm(j.partial(1, 0))) for j in jets]
-        self.unit_speed = max(abs(s - 1.0) for s in speeds) < 1e-9
-        if not self.unit_speed:
-            sp = [float(np.linalg.norm(germ.jet((u, 0.0), 1).partial(1, 0)))
-                  for u in germ.domain[0].grid(257)]
-            if min(sp) < 1e-10:
-                raise VanishingCurvature(
-                    "singular image is not regular along the edge")
-
-    def station_params(self, n: int) -> np.ndarray:
-        # stations equally spaced in the germ's own u; for non-unit-speed
-        # edges theta/kappa_s remain parametrization invariants
-        return self.germ.domain[0].grid(n)
+def _check_edge_chart(germ):
+    """Raise unless the germ is singular along {v = 0} with a regular
+    edge image, from one `partials_grid` call on 257 edge stations."""
+    us = germ.domain[0].grid(257)
+    fu, fv = germ.partials_grid(us, np.zeros_like(us))
+    if not np.linalg.norm(fv, axis=0).max() <= 1e-8:
+        raise NormalFormError(
+            "normal-form extraction expects the singular set along {v=0}; "
+            "bring the germ into co-rank-one coordinates first")
+    if not np.linalg.norm(fu, axis=0).min() >= 1e-10:
+        raise VanishingCurvature(
+            "singular image is not regular along the edge")
 
 
-def _edge_frenet(germ, u: float):
+def _station(germ, u: float):
+    """(frame, sigma''(0), sigma'''(0), theta, a0, b0) of the planar
+    section at station u, from one order-3 jet of the germ on the edge."""
     j = germ.jet((u, 0.0), 3)
-    restricted = Jet(1, 3, {(k,): j.partial(k, 0) for k in range(4)})
-    return frenet_from_jet(u, restricted), j
-
-
-def _section_jets(germ, u: float):
-    """(frame, sigma''(0), sigma'''(0)) of the planar section at station u."""
-    fr, j = _edge_frenet(germ, u)
+    fr = frenet_from_jet(u, Jet(1, 3, {(k,): j.partial(k, 0)
+                                       for k in range(4)}))
     e, n, b = fr.e, fr.n, fr.b
-    fu = j.partial(1, 0)
-    fv = j.partial(0, 1)
-    Fu = float(fu @ e)
-    Fv = float(fv @ e)
-    A1 = -Fv / Fu
+    Fu = float(j.partial(1, 0) @ e)
+    A1 = -float(j.partial(0, 1) @ e) / Fu
     fuu, fuv, fvv = j.partial(2, 0), j.partial(1, 1), j.partial(0, 2)
     fuuv, fuvv, fvvv = j.partial(2, 1), j.partial(1, 2), j.partial(0, 3)
     fuuu = j.partial(3, 0)
@@ -417,24 +399,14 @@ def _section_jets(germ, u: float):
             + 3 * (fuu * A1 + fuv) * A2)
     sigma2 = np.array([float(vec2 @ n), float(vec2 @ b)])
     sigma3 = np.array([float(vec3 @ n), float(vec3 @ b)])
-    return fr, sigma2, sigma3
-
-
-def _station_invariants(germ, u: float):
-    return _invariants_of_section(u, *_section_jets(germ, u))
-
-
-def _invariants_of_section(u: float, fr, sigma2, sigma3):
     norm2 = float(np.linalg.norm(sigma2))
     if norm2 < 1e-10:
         raise DegenerateCusp(
             f"transverse section at u={u} has a degenerate cusp")
     theta = math.atan2(-sigma2[1], sigma2[0])
-    a0 = 0.5 * norm2
     d = sigma2 / norm2
-    dperp = np.array([-d[1], d[0]])
-    b0 = float(sigma3 @ dperp) / 6.0
-    return fr, theta, a0, b0
+    b0 = float(sigma3 @ np.array([-d[1], d[0]])) / 6.0
+    return fr, sigma2, sigma3, theta, 0.5 * norm2, b0
 
 
 @dataclass
@@ -454,48 +426,53 @@ class SectionalCusp:
     b0: float
 
 
-def _solve_section(germ, u0: float, fr, vs, tol=1e-12):
-    """Newton continuation of (f(u, v) - c(u0)) . e = 0 for u = A(v)."""
-    e = fr.e
-    base = fr.point
-    out_u = np.empty(len(vs))
-    out_sigma = np.empty((len(vs), 2))
-    order = np.argsort(np.abs(vs), kind="stable")
-    guesses = {}
-    for idx in order:
-        v = vs[idx]
-        ukey = min((k for k in guesses if abs(vs[k]) <= abs(v)),
-                   key=lambda k: abs(vs[k] - v), default=None)
-        u = guesses[ukey] if ukey is not None else u0
-        for _ in range(60):
-            j = germ.jet((u, v), 1)
-            F = float((j.value - base) @ e)
-            if abs(F) < tol:
-                break
-            dF = float(j.partial(1, 0) @ e)
-            if abs(dF) < 1e-14:
-                raise NormalFormError(
-                    f"section continuation stalled at (u={u}, v={v})")
-            u -= F / dF
-        else:
+def _solve_sections(germ, frames, vs, tol):
+    """u = A(u0, v) with (f(u, v) - c(u0)) . e = 0 for every station frame
+    (at u0) and every v, by one Newton iteration over all the samples at
+    once; each starts at u0, and its step divides the residual from
+    `germ.points` by the exact f_u . e from `germ.partials_grid`.  Returns
+    A and the section sigma in (n, b) coordinates, shapes (S, nv) and
+    (S, nv, 2)."""
+    nv = len(vs)
+    U0 = np.repeat([fr.u for fr in frames], nv)
+    V = np.tile(np.asarray(vs, dtype=float), len(frames))
+    CENB = np.repeat([(fr.point, fr.e, fr.n, fr.b) for fr in frames], nv,
+                     axis=0)
+    C, E = CENB[:, 0], CENB[:, 1]
+    U, P = U0.copy(), np.empty_like(C)
+    live = np.arange(len(U))
+    for _ in range(60):
+        Pl = germ.points(np.column_stack([U[live], V[live]]))
+        F = np.einsum("ij,ij->i", Pl - C[live], E[live])
+        done = np.abs(F) < tol
+        P[live[done]] = Pl[done]
+        live, F = live[~done], F[~done]
+        if not live.size:
+            break
+        fu, _ = germ.partials_grid(U[live], V[live])
+        dF = np.einsum("ji,ij->i", fu, E[live])
+        stalled = live[~(np.abs(dF) >= 1e-14)]
+        if stalled.size:
+            k = stalled[0]
             raise NormalFormError(
-                f"section solve at station u0={u0}, v={v} did not converge "
-                f"in 60 Newton steps: |F| = {abs(F):.3e} >= tol {tol:.1e}")
-        guesses[idx] = u
-        val = germ((u, v)) - base
-        out_u[idx] = u
-        out_sigma[idx] = (float(val @ fr.n), float(val @ fr.b))
-    return out_u, out_sigma
+                f"section continuation stalled at (u={U[k]}, v={V[k]})")
+        U[live] -= F / dF
+    else:
+        k = live[0]
+        raise NormalFormError(
+            f"section solve at station u0={U0[k]}, v={V[k]} did not converge "
+            f"in 60 Newton steps: |F| = {abs(F[0]):.3e} >= tol {tol:.1e}")
+    sigma = np.einsum("ikj,ij->ik", CENB[:, 2:], P - C)
+    return U.reshape(-1, nv), sigma.reshape(-1, nv, 2)
 
 
 def sectional_cusp(germ, u0: float, nv: int = 65,
                    halfwidth: float | None = None, tol: float = 1e-12) -> SectionalCusp:
-    _EdgeChart(germ)  # checks that the germ is singular along {v = 0}
+    _check_edge_chart(germ)
     hw = halfwidth if halfwidth is not None else 0.98 * germ.domain[1].hi
-    fr, sigma2, sigma3 = _section_jets(germ, u0)
-    _, theta, a0, b0 = _invariants_of_section(u0, fr, sigma2, sigma3)
+    fr, sigma2, sigma3, theta, a0, b0 = _station(germ, u0)
     vs = np.linspace(-hw, hw, nv)
-    us, sigma = _solve_section(germ, u0, fr, vs, tol)
+    (us,), (sigma,) = _solve_sections(germ, [fr], vs, tol)
     # half-arc-length per sample via trapezoid of |d sigma / dv|
     from scipy.interpolate import CubicSpline
     sp = CubicSpline(vs, sigma, axis=0)
@@ -516,36 +493,36 @@ def to_normal_form(germ, n_stations: int = 129, nv: int = 65,
                    tol: float = 1e-12) -> EdgeNormalForm:
     """Extract (crease, theta, a, b) from a germ singular along {v = 0}.
 
+    Stations are equally spaced in the germ's own u.  Each takes one
+    order-3 jet on the edge, which gives the crease frame, theta and the
+    v = 0 values a0, b0.  One batched Newton solve then finds every
+    (station, v) sample of the normal-plane sections at once, and a and b
+    are read off the sections as arrays.
+
     theta, kappa_s, kappa_nu are parametrization invariants; a and b are
     reported in the germ's own transverse parameter (exact round trips with
     `from_normal_form`).
     """
-    chart = _EdgeChart(germ)
-    us = chart.station_params(n_stations)
+    _check_edge_chart(germ)
+    us = germ.domain[0].grid(n_stations)
     hw = halfwidth if halfwidth is not None else germ.domain[1].hi
-
-    thetas = np.empty(n_stations)
-    a_grid = np.empty((n_stations, nv))
-    b_grid = np.empty((n_stations, nv))
     vs = np.linspace(-hw, hw, nv)
+
+    frames, _, _, thetas, a0, b0 = zip(*(_station(germ, u0) for u0 in us))
+    _, sigma = _solve_sections(germ, frames, vs, tol)
+    ct, st = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
+    x = sigma[..., 0] * ct - sigma[..., 1] * st
+    y = sigma[..., 0] * st + sigma[..., 1] * ct
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a_grid = x / (vs * vs)
+        b_grid = y / vs ** 3
     i0 = nv // 2  # vs grid is symmetric, middle sample is v = 0
-    for i, u0 in enumerate(us):
-        fr, theta, a0, b0 = _station_invariants(germ, u0)
-        thetas[i] = theta
-        d = np.array([math.cos(theta), -math.sin(theta)])
-        dperp = np.array([math.sin(theta), math.cos(theta)])
-        _, sigma = _solve_section(germ, u0, fr, vs, tol)
-        x = sigma @ d
-        y = sigma @ dperp
-        with np.errstate(divide="ignore", invalid="ignore"):
-            a_grid[i] = np.where(vs != 0.0, x / np.maximum(vs * vs, 1e-300), a0)
-            b_grid[i] = np.where(vs != 0.0, y / np.where(vs != 0.0, vs ** 3, 1.0), b0)
-        a_grid[i, i0] = a0
-        b_grid[i, i0] = b0
+    a_grid[:, i0] = a0
+    b_grid[:, i0] = b0
     thetas = np.unwrap(thetas)
 
-    crease_map = _EdgeCurveMap(germ)
-    crease = SpaceCurve(crease_map, germ.domain[0], germ.name + "_crease")
+    crease = SpaceCurve(_EdgeCurveMap(germ), germ.domain[0],
+                        germ.name + "_crease")
     nf = EdgeNormalForm(
         crease,
         ScalarProfile.from_samples(us, thetas),

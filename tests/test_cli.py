@@ -1,5 +1,7 @@
 import json
+import math
 
+import numpy as np
 import pytest
 
 from frontalforge.cli import main
@@ -60,6 +62,32 @@ def test_normalform_straight_crease_fails(capsys):
     code, _, err = run(capsys, "normalform", "--germ", "cuspidal_edge")
     assert code == 2
     assert "error" in err
+
+
+def test_normalform_extracts_from_a_germ(capsys, monkeypatch, tmp_path):
+    # ms_edge defaults to (u, v^2, u^2 + v^3): its crease (u, 0, u^2) is a
+    # planar parabola and the cusp opens across its plane
+    monkeypatch.chdir(tmp_path)
+    code, rep, _ = run(capsys, "normalform", "--germ", "ms_edge")
+    assert code == 0
+    inv = rep["results"]["invariants"]
+    u = np.array([i["u"] for i in inv])
+    np.testing.assert_allclose([i["theta"] for i in inv], math.pi / 2,
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose([i["kappa_s"] for i in inv], 0.0, rtol=0,
+                               atol=1e-12)
+    np.testing.assert_allclose([i["kappa_nu"] for i in inv],
+                               2 / (1 + 4 * u ** 2) ** 1.5, rtol=0,
+                               atol=1e-10)
+    assert rep["files"] == [] and not any(tmp_path.iterdir())
+
+
+def test_analyze_map_reports_the_exact_singular_normal(capsys):
+    # (v^2, v^3, u) has no analytic normal; the limit of f_u x f_v at the
+    # base point on the singular set is exactly (0, 1, 0)
+    code, rep, _ = run(capsys, "analyze", "--map", "v^2,v^3,u")
+    assert code == 0
+    assert rep["results"]["normal_at_base"] == [0.0, 1.0, 0.0]
 
 
 def test_isomers(capsys, scene_path):

@@ -172,3 +172,61 @@ def test_area_density_closed_form(make):
     np.testing.assert_allclose(lam.grid(U, V), want, rtol=0, atol=1e-12)
     got = [lam((u, v)) for u, v in zip(U.ravel(), V.ravel())]
     np.testing.assert_allclose(got, want.ravel(), rtol=0, atol=1e-12)
+
+
+SINGULAR_CURVES = {
+    "cuspidal_edge": lambda s: (s, 0.0),
+    "swallowtail": lambda s: (-6.0 * s * s, s),
+    "cuspidal_cross_cap": lambda s: (s, 0.0),
+    "ccr_example": lambda s: (s, 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SINGULAR_CURVES))
+def test_generic_normal_is_exact_on_the_singular_curve(name):
+    # a bare copy has no analytic normal, so its normal is the limit of
+    # f_u x f_v; it is oriented at the base point, the analytic one is not
+    g = catalog(name)
+    exact, bare = normal_field(g), normal_field(
+        SurfaceGerm(g.map, g.domain, name="bare_" + name))
+    sign = np.sign(exact(g.base) @ bare(g.base))
+    lam = area_density(g)
+    for s in np.linspace(-0.4, 0.4, 9):
+        p = SINGULAR_CURVES[name](s)
+        assert abs(lam(p)) < 1e-12
+        np.testing.assert_allclose(sign * bare(p), exact(p), rtol=0,
+                                   atol=1e-14)
+
+
+def test_singular_normal_takes_one_order_3_jet(monkeypatch):
+    nf = normal_field(bare_cuspidal_edge())
+    orders = []
+    jet = SurfaceGerm.jet
+
+    def counted(self, point, order=3):
+        orders.append(order)
+        return jet(self, point, order)
+
+    monkeypatch.setattr(SurfaceGerm, "jet", counted)
+    np.testing.assert_array_equal(nf((0.3, 0.0)), [0.0, 1.0, 0.0])
+    assert orders == [3]
+
+
+def test_germ_builds_one_normal_field(monkeypatch):
+    built = []
+    init = NormalField.__init__
+
+    def counted(self, germ):
+        built.append(germ)
+        init(self, germ)
+
+    monkeypatch.setattr(NormalField, "__init__", counted)
+    g = bare_cuspidal_edge()
+    X = np.array([(0.2, 0.0), (0.1, 0.5)])
+    g.lift_points(X)
+    g.lift_points(X)
+    area_density(g)((0.0, 0.5))
+    limiting_normal_curvature(g)
+    distinguished_frame(g)
+    assert normal_field(g) is g.normal_field
+    assert built == [g]

@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from frontalforge.curve import circle, helix
+from section_reference import reference_sections
+
+from frontalforge.curve import VanishingCurvature, circle, helix
+from frontalforge.exprlang import MapDef
+from frontalforge.germ import SurfaceGerm, catalog
 from frontalforge.normalform import (EdgeNormalForm, NormalFormError,
                                      ScalarProfile, SurfaceProfile,
                                      from_normal_form, is_cuspidal_edge,
@@ -100,3 +104,86 @@ def test_section_solve_reports_non_convergence(circle_nf):
     with pytest.raises(NormalFormError,
                        match=r"u0=0\.25, v=.* did not converge .*\|F\| ="):
         sectional_cusp(germ, 0.25, nv=5, tol=0.0)
+
+
+def _signed(rng, lo, hi):
+    return float(rng.choice((-1.0, 1.0)) * rng.uniform(lo, hi))
+
+
+def _poly(terms):
+    return " + ".join(f"({c!r})*" + "*".join(m) for c, m in terms)
+
+
+def ms_edge_draws(n):
+    """ms_edge coefficients in the benchmark's ranges, drawn with a seed."""
+    rng = np.random.default_rng(7)
+    small = lambda: float(rng.uniform(-0.3, 0.3))
+    return [{
+        "a0": _poly([(small(), ["u^2"])]),
+        "b0": f"({_signed(rng, 0.5, 1.0)!r}) + " + _poly([(small(), ["u^2"])]),
+        "b2": _poly([(small(), ["u"]), (small(), ["u^3"])]),
+        "b3": f"({_signed(rng, 0.5, 1.0)!r}) + "
+              + _poly([(small(), ["u^2"]), (small(), ["v"])]),
+    } for _ in range(n)]
+
+
+EXTRACTION_GERMS = [
+    lambda: from_normal_form(make_nf(circle(1.0, 2.0), 0.3)),
+    lambda: from_normal_form(make_nf(
+        helix(1.0, 1.0, 2.0), ScalarProfile.from_expr("0.3 + 0.1*sin(u)"))),
+] + [lambda p=p: catalog("ms_edge", **p) for p in ms_edge_draws(3)]
+
+
+@pytest.mark.parametrize("make", EXTRACTION_GERMS)
+def test_to_normal_form_matches_per_sample_solve(make):
+    germ = make()
+    nf = to_normal_form(germ, n_stations=5, nv=17)
+    us, vs, a = nf.a.grid
+    thetas, _, sigma = reference_sections(germ, us, vs)
+    np.testing.assert_allclose(nf.theta_samples, np.unwrap(thetas), rtol=0,
+                               atol=1e-12)
+    # the section in the cusp's own axes is (a v^2, b v^3)
+    c, s = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
+    x = sigma[..., 0] * c - sigma[..., 1] * s
+    y = sigma[..., 0] * s + sigma[..., 1] * c
+    np.testing.assert_allclose(a * vs ** 2, x, rtol=0, atol=1e-10)
+    np.testing.assert_allclose(nf.b.grid[2] * vs ** 3, y, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("make", EXTRACTION_GERMS)
+def test_sectional_cusp_matches_per_sample_solve(make):
+    germ = make()
+    for u0 in (-0.5, 0.25):
+        sc = sectional_cusp(germ, u0, nv=17)
+        _, A, sigma = reference_sections(germ, [u0], sc.v)
+        np.testing.assert_allclose(sc.domain_u, A[0], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(sc.sigma, sigma[0], rtol=0, atol=1e-10)
+
+
+def test_to_normal_form_takes_one_jet_per_station(monkeypatch, helix_nf):
+    germ = from_normal_form(helix_nf)
+    orders = []
+    jet = SurfaceGerm.jet
+
+    def counted(self, point, order=3):
+        orders.append(order)
+        return jet(self, point, order)
+
+    monkeypatch.setattr(SurfaceGerm, "jet", counted)
+    for n in (3, 7):
+        orders.clear()
+        to_normal_form(germ, n_stations=n, nv=3)
+        assert orders == [3] * n
+
+
+def test_extraction_needs_the_singular_set_on_the_v_axis():
+    with pytest.raises(NormalFormError, match="co-rank-one"):
+        to_normal_form(catalog("swallowtail"))
+
+
+def test_extraction_needs_a_regular_edge_image():
+    # the edge image (u^3, 0, 0) stops at u = 0
+    germ = SurfaceGerm(MapDef("stalled", ("u", "v"), ["u^3", "v^2", "v^3"]),
+                       ((-1.0, 1.0), (-1.0, 1.0)))
+    with pytest.raises(VanishingCurvature, match="not regular"):
+        to_normal_form(germ)

@@ -196,6 +196,27 @@ def test_ccr_involution_crosses_the_sheets():
     np.testing.assert_allclose(psi.samples_out, -x, rtol=0, atol=5e-7)
 
 
+def test_bare_edge_involution_builds_one_normal_field(monkeypatch):
+    # (v^2, v^3, u) without its analytic normal: every lift sample on
+    # v = 0 takes the generic normal's exact limit there
+    from frontalforge.geom import Isometry
+    from frontalforge.germ import NormalField, SurfaceGerm
+    built = []
+    init = NormalField.__init__
+
+    def counted(self, germ):
+        built.append(germ)
+        init(self, germ)
+
+    monkeypatch.setattr(NormalField, "__init__", counted)
+    g = catalog("cuspidal_edge")
+    bare = SurfaceGerm(g.map, g.domain, name="bare_edge")
+    rep = connecting_involution(bare, Isometry(np.diag([1.0, -1.0, 1.0])))
+    assert built == [bare]
+    assert rep["sign"] == 1
+    assert rep["involution_residual"] < 1e-12
+
+
 def scalar_detect(germ, tol=1e-6):
     """The candidate x probe loop of `detect_symmetries`, one probe and one
     seed at a time: (label, case, Q, residual) per finding."""
