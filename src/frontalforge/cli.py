@@ -218,10 +218,11 @@ def cmd_normalform(args, scene):
     nf = germ if isinstance(germ, EdgeNormalForm) else \
         to_normal_form(germ, tol=min(args.tol, 1e-10))
     us = nf.stations(17)
+    inv = nf.invariants(us) | {"u": us}
     rep["results"] = {
         "normal_form": nf.to_json(),
-        "invariants": [{k: float(v) for k, v in nf.invariants(u).items()}
-                       | {"u": float(u)} for u in us],
+        "invariants": [dict(zip(inv, map(float, row)))
+                       for row in zip(*inv.values())],
     }
 
     def write_json(path):
@@ -256,12 +257,14 @@ def cmd_strip(args, scene):
     strip = ist(nf, halfwidth=args.halfwidth)
     us = strip.stations(33)
     vs = np.linspace(-strip.halfwidth, strip.halfwidth, 9)
-    maxk = max(abs(gaussian_curvature(strip, u, v)) for u in us for v in vs)
+    maxk = float(np.max(np.abs(gaussian_curvature(strip, us[:, None], vs))))
+    prof = strip.profile(strip.stations(17))
     rep["results"] = {
         "halfwidth": strip.halfwidth,
         "max_abs_gaussian_curvature": maxk,
-        "developable_within_tol": bool(maxk < args.tol),
-        "profiles": [strip.profile_row(float(u)) for u in strip.stations(17)],
+        "developable_within_tol": maxk < args.tol,
+        "profiles": [dict(zip(prof, map(float, row)))
+                     for row in zip(*prof.values())],
     }
     rep["files"] = _write_files(args, [
         (f"{name}_strip.obj", lambda path: write_obj(strip_mesh(strip), path)),
@@ -282,9 +285,9 @@ def cmd_fold(args, scene):
     writers.append((f"{name}_fold.obj",
                     lambda path: write_obj(folding_mesh(fold), path)))
     files = _write_files(args, writers)
-    crease_err = max(
-        float(np.linalg.norm(fold(u, 0.0) - strip.frame(u).point))
-        for u in strip.stations(17))
+    us = strip.stations(17)
+    crease_err = float(np.max(np.linalg.norm(
+        fold(us, 0.0) - strip.crease(us), axis=-1)))
     rep["results"] = {"split": fold.split, "crease_residual": crease_err}
     rep["files"] = files
     _emit(rep, args)

@@ -7,13 +7,13 @@ import numpy as np
 
 from . import exprlang as ex
 from .geom import Line, Plane, make_reflection, make_rotation180
-from .numkit import Interval, Jet, eval_jet, integrate, invert_monotone
+from .numkit import Interval, integrate, invert_monotone
 
 __all__ = [
-    "SpaceCurve", "FrenetSample", "frenet", "arclength_param",
-    "shift_param", "center_param", "curve_length", "curve_plane",
-    "curve_symmetry", "circle", "helix", "segment", "spline_curve",
-    "SplineMap", "CurveError",
+    "SpaceCurve", "FrenetSample", "frenet", "frenet_from_derivatives",
+    "arclength_param", "shift_param", "center_param", "curve_length",
+    "curve_plane", "curve_symmetry", "circle", "helix", "segment",
+    "spline_curve", "SplineMap", "CurveError",
     "VanishingSpeed", "VanishingCurvature",
 ]
 
@@ -31,24 +31,43 @@ class VanishingCurvature(CurveError):
 
 
 class SpaceCurve:
-    """A parametrized curve in R^3 on a closed interval."""
+    """A parametrized curve in R^3 on a closed interval.
+
+    `derivatives` is the one source of its values and derivatives.  An
+    expression map is differentiated symbolically once, on first use, and
+    runs on the tape's grid path; any other map supplies its own
+    `derivatives(us, order)` over a 1-D array of stations.
+    """
 
     def __init__(self, map_, domain: Interval, name: str = "curve"):
         self.map = map_
         self.domain = domain
         self.name = name
+        self._dmaps = [map_]
 
-    def __call__(self, u: float) -> np.ndarray:
-        return np.asarray(self.map(u), dtype=float)
+    def derivatives(self, u, order: int = 3) -> np.ndarray:
+        """c, c', ..., c^(order) at a station or an array of stations,
+        shape (order + 1, *shape(u), 3)."""
+        u = np.asarray(u, dtype=float)
+        us = u.ravel()
+        if self.is_expression:
+            var = self.map.variables[0]
+            while len(self._dmaps) <= order:
+                self._dmaps.append(self._dmaps[-1].diff(var))
+            maps = self._dmaps[:order + 1]
+            out = np.stack([m.eval_grid({var: us}).T for m in maps])
+            for i in np.flatnonzero(~np.isfinite(out).all(axis=(0, 2))):
+                for m in maps:
+                    m((us[i],))  # raises the station's EvalDomainError
+        else:
+            out = self.map.derivatives(us, order)
+        return out.reshape((order + 1,) + u.shape + (3,))
 
-    def point(self, u: float) -> np.ndarray:
-        return self(u)
+    def __call__(self, u) -> np.ndarray:
+        return self.derivatives(u, 0)[0]
 
-    def jet(self, u: float, order: int = 3) -> Jet:
-        return eval_jet(self.map, (u,), order)
-
-    def speed(self, u: float) -> float:
-        return float(np.linalg.norm(self.jet(u, 1).partial(1)))
+    def speed(self, u):
+        return np.linalg.norm(self.derivatives(u, 1)[1], axis=-1)
 
     def grid(self, n: int) -> np.ndarray:
         return self.domain.grid(n)
@@ -60,6 +79,9 @@ class SpaceCurve:
 
 @dataclass(frozen=True)
 class FrenetSample:
+    """Frenet data at u.  For an array of stations every field carries the
+    station axis, and the vectors a trailing axis of length 3."""
+
     u: float
     point: np.ndarray
     e: np.ndarray
@@ -69,31 +91,38 @@ class FrenetSample:
     tau: float
 
 
-def frenet_from_jet(u: float, jet: Jet) -> FrenetSample:
-    c1 = jet.partial(1)
-    c2 = jet.partial(2)
-    c3 = jet.partial(3)
-    g = float(np.linalg.norm(c1))
-    if g < 1e-12:
-        raise VanishingSpeed(f"curve speed vanishes at u={u}")
+def frenet_from_derivatives(u, d) -> FrenetSample:
+    """Frenet data from c, c', c'', c''' at u, stacked as
+    `SpaceCurve.derivatives` stacks them.  Raises at the first station
+    where the speed or the curvature vanishes."""
+    c0, c1, c2, c3 = d
+    g = np.linalg.norm(c1, axis=-1)
     cr = np.cross(c1, c2)
-    ncr = float(np.linalg.norm(cr))
+    ncr = np.linalg.norm(cr, axis=-1)
+    slow = np.ravel(g < 1e-12)
+    bad = np.flatnonzero(slow | np.ravel(ncr < 1e-12 * g ** 2))
+    if bad.size:
+        at = np.ravel(u)[bad[0]]
+        if slow[bad[0]]:
+            raise VanishingSpeed(f"curve speed vanishes at u={at}")
+        raise VanishingCurvature(f"curvature vanishes at u={at}")
     kappa = ncr / g ** 3
-    if ncr < 1e-12 * g ** 2:
-        raise VanishingCurvature(f"curvature vanishes at u={u}")
-    b = cr / ncr
-    e = c1 / g
+    b = cr / ncr[..., None]
+    e = c1 / g[..., None]
     n = np.cross(b, e)
-    tau = float(np.dot(cr, c3)) / ncr ** 2
-    return FrenetSample(u, jet.value.copy(), e, n, b, kappa, tau)
+    tau = np.sum(cr * c3, axis=-1) / ncr ** 2
+    return FrenetSample(u, c0, e, n, b, kappa, tau)
 
 
-def frenet(curve: SpaceCurve, u: float) -> FrenetSample:
-    return frenet_from_jet(u, curve.jet(u, 3))
+def frenet(curve: SpaceCurve, u) -> FrenetSample:
+    """Frenet data at a station or an array of stations, from one
+    `derivatives` call."""
+    return frenet_from_derivatives(u, curve.derivatives(u, 3))
 
 
 class ReparamCurve:
-    """Arc-length reparametrization of a base curve, with exact chain-rule jets."""
+    """Arc-length reparametrization of a base curve, with exact chain-rule
+    derivatives."""
 
     def __init__(self, base: SpaceCurve, tol: float = 1e-12, n_nodes: int = 513):
         self.base = base
@@ -101,7 +130,7 @@ class ReparamCurve:
         lengths = np.zeros(n_nodes)
         for i in range(n_nodes - 1):
             lengths[i + 1] = lengths[i] + integrate(
-                lambda t: base.speed(t), Interval(nodes[i], nodes[i + 1]), tol)
+                base.speed, Interval(nodes[i], nodes[i + 1]), tol)
         self.nodes = nodes
         self.cum = lengths
         self.length = float(lengths[-1])
@@ -117,43 +146,33 @@ class ReparamCurve:
         s0 = self.cum[i]
 
         def local(t):
-            return s0 + integrate(lambda x: self.base.speed(x),
-                                  Interval(self.nodes[i], t), self.tol)
+            return s0 + integrate(self.base.speed, Interval(self.nodes[i], t),
+                                  self.tol)
 
         return invert_monotone(local, s, Interval(self.nodes[i], self.nodes[i + 1]),
                                tol=max(self.tol, 1e-12))
 
-    def __call__(self, s) -> np.ndarray:
-        s = float(np.atleast_1d(s)[0])
-        return self.base(self.param_at(s))
-
-    def eval_jet(self, point, order: int = 3) -> Jet:
-        s = float(np.atleast_1d(point)[0])
-        t0 = self.param_at(s)
-        j = self.base.jet(t0, 3)
-        c1, c2, c3 = j.partial(1), j.partial(2), j.partial(3)
-        g = float(np.linalg.norm(c1))
-        if g < 1e-12:
-            raise VanishingSpeed(f"curve speed vanishes at t={t0}")
-        gp = float(c1 @ c2) / g
-        gpp = (float(c2 @ c2) + float(c1 @ c3) - gp * gp) / g
-        tp = 1.0 / g
-        tpp = -gp / g ** 3
-        tppp = (3.0 * gp * gp - gpp * g) / g ** 5
-        partials = {(0,): j.value.copy()}
-        if order >= 1:
-            partials[(1,)] = c1 * tp
-        if order >= 2:
-            partials[(2,)] = c2 * tp ** 2 + c1 * tpp
-        if order >= 3:
-            partials[(3,)] = c3 * tp ** 3 + 3.0 * c2 * tp * tpp + c1 * tppp
-        return Jet(1, order, partials)
+    def derivatives(self, ss, order: int) -> np.ndarray:
+        t0 = np.array([self.param_at(s) for s in ss])
+        c0, c1, c2, c3 = self.base.derivatives(t0, 3)
+        g = np.linalg.norm(c1, axis=-1)
+        if np.any(g < 1e-12):
+            raise VanishingSpeed(
+                f"curve speed vanishes at t={t0[np.argmax(g < 1e-12)]}")
+        gp = np.sum(c1 * c2, axis=-1) / g
+        gpp = (np.sum(c2 * c2, axis=-1) + np.sum(c1 * c3, axis=-1)
+               - gp * gp) / g
+        tp = (1.0 / g)[:, None]
+        tpp = (-gp / g ** 3)[:, None]
+        tppp = ((3.0 * gp * gp - gpp * g) / g ** 5)[:, None]
+        return np.stack([c0, c1 * tp, c2 * tp ** 2 + c1 * tpp,
+                         c3 * tp ** 3 + 3.0 * c2 * tp * tpp + c1 * tppp]
+                        [:order + 1])
 
 
 def arclength_param(curve: SpaceCurve, tol: float = 1e-12) -> SpaceCurve:
     """Unit-speed reparametrization on [0, L]; result carries `.length`."""
-    probes = curve.grid(33)
-    speeds = np.array([curve.speed(t) for t in probes])
+    speeds = curve.speed(curve.grid(33))
     if np.min(speeds) < 1e-12:
         raise VanishingSpeed("curve is not regular on its domain")
     v0 = float(speeds[0])
@@ -174,20 +193,18 @@ def arclength_param(curve: SpaceCurve, tol: float = 1e-12) -> SpaceCurve:
     return out
 
 
-class _ShiftedMap:
-    """u -> base(u + delta) for an opaque curve map."""
+class _Reparam:
+    """u -> base(s * u + delta) with s = +-1, for a curve whose map is not
+    an expression: the k-th derivative is s^k times the base's."""
 
-    def __init__(self, base_map, delta: float):
-        self.base = base_map
+    def __init__(self, base: SpaceCurve, sign: float, delta: float):
+        self.base = base
+        self.sign = float(sign)
         self.delta = float(delta)
 
-    def __call__(self, u):
-        u = float(np.atleast_1d(u)[0])
-        return self.base(u + self.delta)
-
-    def eval_jet(self, point, order: int = 3) -> Jet:
-        u = float(np.atleast_1d(point)[0])
-        return eval_jet(self.base, (u + self.delta,), order)
+    def derivatives(self, us, order: int) -> np.ndarray:
+        d = self.base.derivatives(self.sign * us + self.delta, order)
+        return d * (self.sign ** np.arange(order + 1))[:, None, None]
 
 
 def shift_param(curve: SpaceCurve, delta: float) -> SpaceCurve:
@@ -200,8 +217,7 @@ def shift_param(curve: SpaceCurve, delta: float) -> SpaceCurve:
         comps = [ex.subs(c, vn, repl) for c in m.components]
         return SpaceCurve(ex.MapDef(m.name + "_shift", (vn,), comps,
                                     m.params), dom, curve.name + "_shift")
-    return SpaceCurve(_ShiftedMap(curve.map, delta), dom,
-                      curve.name + "_shift")
+    return SpaceCurve(_Reparam(curve, 1.0, delta), dom, curve.name + "_shift")
 
 
 def center_param(curve: SpaceCurve) -> SpaceCurve:
@@ -210,17 +226,16 @@ def center_param(curve: SpaceCurve) -> SpaceCurve:
 
 
 def curve_length(curve: SpaceCurve, tol: float = 1e-12) -> float:
-    return integrate(lambda t: curve.speed(t), curve.domain, tol)
+    return integrate(curve.speed, curve.domain, tol)
 
 
 def curve_plane(curve: SpaceCurve, tol: float = 1e-8, samples: int = 128):
     """Osculating plane if the curve is planar (max |tau| < tol), else None."""
-    us = curve.grid(samples + 2)[1:-1]
-    frames = [frenet(curve, u) for u in us]
-    if max(abs(f.tau) for f in frames) >= tol:
+    fr = frenet(curve, curve.grid(samples + 2)[1:-1])
+    if np.max(np.abs(fr.tau)) >= tol:
         return None
-    mid = frames[len(frames) // 2]
-    return Plane(mid.point, mid.b)
+    mid = samples // 2
+    return Plane(fr.point[mid], fr.b[mid])
 
 
 def curve_symmetry(curve: SpaceCurve, tol: float = 1e-8, samples: int = 512):
@@ -231,11 +246,8 @@ def curve_symmetry(curve: SpaceCurve, tol: float = 1e-8, samples: int = 512):
     (kappa, tau) profile match verified pointwise on the sampled arc.
     """
     lo, hi = curve.domain.lo, curve.domain.hi
-    us = np.linspace(lo, hi, samples)
-    frames = [frenet(curve, u) for u in us]
-    kap = np.array([f.kappa for f in frames])
-    tau = np.array([f.tau for f in frames])
-    pts = np.array([f.point for f in frames])
+    fr = frenet(curve, np.linspace(lo, hi, samples))
+    kap, tau, pts = fr.kappa, fr.tau, fr.point
     scale_k = max(1.0, float(np.max(np.abs(kap))))
     scale_t = max(1.0, float(np.max(np.abs(tau))))
     scale_p = max(1.0, float(np.max(np.abs(pts))))
@@ -257,27 +269,16 @@ def curve_symmetry(curve: SpaceCurve, tol: float = 1e-8, samples: int = 512):
 
 
 class SplineMap:
-    """Cubic-spline curve map built from samples, with spline-exact jets."""
+    """Cubic-spline curve map built from samples, with spline-exact
+    derivatives."""
 
     def __init__(self, us, points):
         from scipy.interpolate import CubicSpline
-        us = np.asarray(us, dtype=float)
-        points = np.asarray(points, dtype=float)
-        self.us = us
-        self.points = points
-        self._sp = CubicSpline(us, points, axis=0)
-        self._dsp = [self._sp.derivative(k) for k in (1, 2, 3)]
+        self._sp = CubicSpline(np.asarray(us, dtype=float),
+                               np.asarray(points, dtype=float), axis=0)
 
-    def __call__(self, u) -> np.ndarray:
-        u = float(np.atleast_1d(u)[0])
-        return np.asarray(self._sp(u), dtype=float)
-
-    def eval_jet(self, point, order: int = 3) -> Jet:
-        u = float(np.atleast_1d(point)[0])
-        partials = {(0,): np.asarray(self._sp(u), dtype=float)}
-        for k in range(1, order + 1):
-            partials[(k,)] = np.asarray(self._dsp[k - 1](u), dtype=float)
-        return Jet(1, order, partials)
+    def derivatives(self, us, order: int) -> np.ndarray:
+        return np.stack([self._sp(us, k) for k in range(order + 1)])
 
 
 def spline_curve(us, points, name: str = "spline_curve") -> SpaceCurve:

@@ -10,7 +10,6 @@ taking alpha := theta.  A curved folding glues a strip to its dual
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,18 +35,18 @@ class AngleRangeError(DevfoldError):
     pass
 
 
-def second_angle(alpha: float, alpha_prime: float,
-                 kappa: float, tau: float) -> float:
+def second_angle(alpha, alpha_prime, kappa, tau):
     """Second angular function beta in (0, pi) with
-    cot(beta) = (alpha' + tau) / (kappa * sin(alpha))."""
-    if kappa <= 0:
-        raise DevfoldError(f"second_angle needs kappa > 0, got {kappa}")
-    s = math.sin(alpha)
-    if s == 0.0:
+    cot(beta) = (alpha' + tau) / (kappa * sin(alpha)), elementwise."""
+    if np.any(kappa <= 0):
+        raise DevfoldError(
+            f"second_angle needs kappa > 0, got {np.min(kappa)}")
+    s = np.sin(alpha)
+    if np.any(s == 0.0):
         raise AngleRangeError("second_angle undefined at sin(alpha) = 0")
     cot = (alpha_prime + tau) / (kappa * s)
     # atan2(1, cot) is the inverse cotangent mapped onto (0, pi)
-    return math.atan2(1.0, cot)
+    return np.arctan2(1.0, cot)
 
 
 @dataclass
@@ -71,51 +70,59 @@ class DevStrip:
     def stations(self, n: int = 129) -> np.ndarray:
         return self.interval.grid(n)
 
-    def frame(self, u: float):
+    def frame(self, u):
         return frenet(self.crease, u)
 
-    def beta(self, u: float) -> float:
-        fr = self.frame(u)
-        return second_angle(self.alpha(u), self.alpha.deriv(u),
-                            fr.kappa, fr.tau)
+    def beta(self, u):
+        return self.profile(u)["beta"]
 
-    def ruling(self, u: float) -> np.ndarray:
-        return ruling(self, u)
-
-    def __call__(self, u: float, v: float) -> np.ndarray:
+    def __call__(self, u, v) -> np.ndarray:
         return evaluate_strip(self, u, v)
 
-    def profile_row(self, u: float) -> dict:
-        fr = self.frame(u)
-        return {"u": u, "alpha": self.alpha(u), "beta": self.beta(u),
+    def profile(self, us) -> dict:
+        """u, alpha, beta, kappa and tau at the stations us."""
+        fr = self.frame(us)
+        alpha = self.alpha(us)
+        return {"u": us, "alpha": alpha,
+                "beta": second_angle(alpha, self.alpha.deriv(us),
+                                     fr.kappa, fr.tau),
                 "kappa": fr.kappa, "tau": fr.tau}
 
 
-def ruling(strip: DevStrip, u: float) -> np.ndarray:
-    """Unit ruling direction xi(u); has positive principal-normal
-    component under the strip invariants."""
-    fr = strip.frame(u)
+def _ruling(strip: DevStrip, fr, u) -> np.ndarray:
+    """The ruling at the stations u, given their Frenet data fr."""
     a = strip.alpha(u)
     b = second_angle(a, strip.alpha.deriv(u), fr.kappa, fr.tau)
-    return (math.cos(b) * fr.e
-            + math.sin(b) * (math.cos(a) * fr.n + math.sin(a) * fr.b))
+    a, b = np.asarray(a)[..., None], np.asarray(b)[..., None]
+    return np.cos(b) * fr.e + np.sin(b) * (np.cos(a) * fr.n
+                                           + np.sin(a) * fr.b)
 
 
-def evaluate_strip(strip: DevStrip, u: float, v: float) -> np.ndarray:
-    if abs(v) > strip.halfwidth + 1e-12:
-        raise DevfoldError(
-            f"|v| = {abs(v)} exceeds the strip halfwidth {strip.halfwidth}")
+def ruling(strip: DevStrip, u) -> np.ndarray:
+    """Unit ruling direction xi(u), shape (*shape(u), 3); it has a positive
+    principal-normal component under the strip invariants."""
+    return _ruling(strip, strip.frame(u), u)
+
+
+def evaluate_strip(strip: DevStrip, u, v) -> np.ndarray:
+    """F(u, v) over broadcastable u and v, shape (*shape, 3); the crease
+    frame is taken on the stations u only."""
+    v = np.asarray(v, dtype=float)
+    if np.any(np.abs(v) > strip.halfwidth + 1e-12):
+        raise DevfoldError(f"|v| = {np.max(np.abs(v))} exceeds the strip "
+                           f"halfwidth {strip.halfwidth}")
     fr = strip.frame(u)
-    return fr.point + v * ruling(strip, u)
+    return fr.point + v[..., None] * _ruling(strip, fr, u)
 
 
 def _check_alpha_range(nf: EdgeNormalForm, n: int = 129, tol: float = 1e-10):
-    for u in nf.stations(n):
-        th = nf.theta(u)
-        if abs(th) <= tol or abs(th) >= math.pi / 2 - tol:
-            raise AngleRangeError(
-                f"cuspidal angle {th} at u={u} leaves (0, pi/2) in "
-                "absolute value; the strip construction is undefined")
+    us = nf.stations(n)
+    th = nf.theta(us)
+    bad = np.flatnonzero((np.abs(th) <= tol) | (np.abs(th) >= np.pi / 2 - tol))
+    if bad.size:
+        raise AngleRangeError(
+            f"cuspidal angle {th[bad[0]]} at u={us[bad[0]]} leaves (0, pi/2) "
+            "in absolute value; the strip construction is undefined")
 
 
 def ist(nf: EdgeNormalForm, halfwidth: float | None = None,
@@ -137,7 +144,7 @@ def ist(nf: EdgeNormalForm, halfwidth: float | None = None,
 
 def _truncate_to_focal(nf: EdgeNormalForm, hw: float, n: int) -> float:
     import warnings
-    rmin = min(1.0 / nf.kappa(u) for u in nf.stations(n))
+    rmin = float(np.min(1.0 / nf.frame(nf.stations(n)).kappa))
     if hw > 0.5 * rmin:
         warnings.warn(
             f"halfwidth {hw} is close to the focal distance {rmin}; "
@@ -146,23 +153,34 @@ def _truncate_to_focal(nf: EdgeNormalForm, hw: float, n: int) -> float:
     return hw
 
 
-def gaussian_curvature(strip, u: float, v: float,
-                       h: float | None = None) -> float:
+def gaussian_curvature(strip, u, v, h: float | None = None):
     """Gaussian curvature from a numeric second fundamental form.
 
-    Accepts a DevStrip or any callable (u, v) -> 3-point (used for the
-    negative controls: cylinders are flat, spheres are not).
+    On a DevStrip, u and v may be broadcastable arrays, and one Frenet call
+    gives the 3 stations of every 9-point stencil.  Any other callable
+    (u, v) -> 3-point is evaluated point by point at float u and v (used
+    for the negative controls: cylinders are flat, spheres are not).
     """
+    u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
+    if h is None:
+        h = 1e-4 * np.maximum(1.0, np.maximum(np.abs(u), np.abs(v)))
+    h = np.broadcast_to(h, u.shape)[..., None]
+    steps = np.array([-1.0, 0.0, 1.0])
+    uu, vv = u[..., None] + steps * h, v[..., None] + steps * h
     if isinstance(strip, DevStrip):
         # unchecked evaluation: the stencil may step slightly past the width
-        f = lambda uu, vv: strip.frame(uu).point + vv * ruling(strip, uu)
+        fr = strip.frame(uu)
+        P = (fr.point[..., None, :]
+             + vv[..., None, :, None] * _ruling(strip, fr, uu)[..., None, :])
     else:
-        f = strip
-    if h is None:
-        h = 1e-4 * max(1.0, abs(u), abs(v))
+        P = np.array([[np.asarray(strip(a, b), float) for b in vv]
+                      for a in uu])
 
     def p(du, dv):
-        return np.asarray(f(u + du * h, v + dv * h), float)
+        return P[..., du + 1, dv + 1, :]
+
+    def dot(a, b):
+        return np.sum(a * b, axis=-1)
 
     f00 = p(0, 0)
     fu = (p(1, 0) - p(-1, 0)) / (2 * h)
@@ -171,18 +189,14 @@ def gaussian_curvature(strip, u: float, v: float,
     fvv = (p(0, 1) - 2 * f00 + p(0, -1)) / (h * h)
     fuv = (p(1, 1) - p(1, -1) - p(-1, 1) + p(-1, -1)) / (4 * h * h)
     nu = np.cross(fu, fv)
-    nn = np.linalg.norm(nu)
-    E = fu @ fu
-    F = fu @ fv
-    G = fv @ fv
+    nn = np.linalg.norm(nu, axis=-1)
+    E, F, G = dot(fu, fu), dot(fu, fv), dot(fv, fv)
     den = E * G - F * F
-    if nn < 1e-10 or den < 1e-14:
+    if np.any((nn < 1e-10) | (den < 1e-14)):
         raise DevfoldError("degenerate first fundamental form; the point is "
                            "at or past the focal set of the strip")
-    nu = nu / nn
-    L = fuu @ nu
-    M = fuv @ nu
-    N = fvv @ nu
+    nu = nu / nn[..., None]
+    L, M, N = dot(fuu, nu), dot(fuv, nu), dot(fvv, nu)
     return (L * N - M * M) / den
 
 
@@ -219,10 +233,16 @@ class CurvedFolding:
         if self.split not in ("u", "v"):
             raise DevfoldError(f"split must be 'u' or 'v', got {self.split!r}")
 
-    def __call__(self, u: float, v: float) -> np.ndarray:
-        coord = u if self.split == "u" else v
-        piece = self.strip if coord >= 0 else self.dual_strip
-        return evaluate_strip(piece, u, v)
+    def __call__(self, u, v) -> np.ndarray:
+        """Psi(u, v) over broadcastable u and v, shape (*shape, 3); each
+        piece is evaluated on the points it owns only."""
+        u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
+        own = (u if self.split == "u" else v) >= 0
+        out = np.empty(u.shape + (3,))
+        for piece, rows in ((self.strip, own), (self.dual_strip, ~own)):
+            if np.any(rows):
+                out[rows] = evaluate_strip(piece, u[rows], v[rows])
+        return out
 
     def pieces(self):
         return (self.strip, self.dual_strip)
@@ -246,37 +266,34 @@ class MeshGrid:
     vertices: np.ndarray     # shape (len(us) * len(vs), 3)
     faces: list              # quads as 4-tuples of 0-based vertex indices
 
-    @property
-    def shape(self):
-        return (len(self.us), len(self.vs))
 
-
-def _lattice_mesh(fn, us, vs) -> MeshGrid:
-    us = np.asarray(us, float)
-    vs = np.asarray(vs, float)
+def _grid_mesh(us, vs, verts) -> MeshGrid:
+    """The quad mesh of vertices given station-then-width."""
     nv = len(vs)
-    verts = np.empty((len(us) * nv, 3))
-    for i, u in enumerate(us):
-        for j, v in enumerate(vs):
-            verts[i * nv + j] = fn(u, v)
     faces = []
     for i in range(len(us) - 1):
         for j in range(nv - 1):
             a = i * nv + j
             faces.append((a, a + nv, a + nv + 1, a + 1))
-    return MeshGrid(us, vs, verts, faces)
+    return MeshGrid(us, vs, np.asarray(verts, float).reshape(-1, 3), faces)
+
+
+def _lattice_mesh(fn, us, vs) -> MeshGrid:
+    """Mesh of a per-point callable fn(u, v) -> 3-point."""
+    us, vs = np.asarray(us, float), np.asarray(vs, float)
+    return _grid_mesh(us, vs, [fn(u, v) for u in us for v in vs])
 
 
 def strip_mesh(strip: DevStrip, nu: int = 33, nv: int = 9) -> MeshGrid:
     us = strip.stations(nu)
     vs = np.linspace(-strip.halfwidth, strip.halfwidth, nv)
-    return _lattice_mesh(lambda u, v: evaluate_strip(strip, u, v), us, vs)
+    return _grid_mesh(us, vs, evaluate_strip(strip, us[:, None], vs))
 
 
 def folding_mesh(fold: CurvedFolding, nu: int = 33, nv: int = 9) -> MeshGrid:
     us = fold.strip.stations(nu)
     vs = np.linspace(-fold.strip.halfwidth, fold.strip.halfwidth, nv)
-    return _lattice_mesh(fold, us, vs)
+    return _grid_mesh(us, vs, fold(us[:, None], vs))
 
 
 def write_obj(mesh: MeshGrid, path) -> None:
@@ -293,6 +310,6 @@ def write_profile_csv(strip: DevStrip, path, n: int = 129) -> None:
         w = csv.DictWriter(fh, fieldnames=["u", "alpha", "beta",
                                            "kappa", "tau"])
         w.writeheader()
-        for u in strip.stations(n):
-            row = strip.profile_row(u)
-            w.writerow({k: "%.12g" % row[k] for k in w.fieldnames})
+        prof = strip.profile(strip.stations(n))
+        for i in range(n):
+            w.writerow({k: "%.12g" % prof[k][i] for k in w.fieldnames})

@@ -7,13 +7,12 @@ with the sign rule theta(-u) theta_*(u) > 0.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import exprlang as ex
-from .curve import SpaceCurve, frenet
+from .curve import SpaceCurve, _Reparam, frenet
 from .normalform import EdgeNormalForm, ScalarProfile
 
 __all__ = [
@@ -54,15 +53,8 @@ class SymmetryPredicates:
 
 def _station_data(nf: EdgeNormalForm, n: int = 129):
     us = nf.stations(n)
-    kap = np.empty(n)
-    tau = np.empty(n)
-    th = np.empty(n)
-    for i, u in enumerate(us):
-        fr = nf.frame(u)
-        kap[i] = fr.kappa
-        tau[i] = fr.tau
-        th[i] = nf.theta(u)
-    return us, kap, tau, th
+    fr = nf.frame(us)
+    return us, fr.kappa, fr.tau, nf.theta(us)
 
 
 def admissible(nf: EdgeNormalForm, n: int = 129) -> tuple:
@@ -87,24 +79,6 @@ def dual(nf: EdgeNormalForm, n: int = 129, tol: float = 1e-12) -> EdgeNormalForm
                           nf.halfwidth, nf.interval)
 
 
-class _ReversedMap:
-    """u -> base(-u) for an opaque curve map."""
-
-    def __init__(self, base_map):
-        self.base = base_map
-
-    def __call__(self, u):
-        u = float(np.atleast_1d(u)[0])
-        return self.base(-u)
-
-    def eval_jet(self, point, order: int = 3):
-        from .numkit import Jet, eval_jet
-        u = float(np.atleast_1d(point)[0])
-        j = eval_jet(self.base, (-u,), order)
-        partials = {(k,): j.partial(k) * (-1.0) ** k for k in range(order + 1)}
-        return Jet(1, order, partials)
-
-
 def _reverse_crease(crease: SpaceCurve) -> SpaceCurve:
     dom = crease.domain
     if abs(dom.lo + dom.hi) > 1e-12:
@@ -115,7 +89,7 @@ def _reverse_crease(crease: SpaceCurve) -> SpaceCurve:
         comps = [ex.subs(c, vn, ex.neg(ex.var(vn))) for c in m.components]
         return SpaceCurve(ex.MapDef(m.name + "_rev", (vn,), comps, m.params),
                           dom, crease.name + "_rev")
-    return SpaceCurve(_ReversedMap(crease.map), dom, crease.name + "_rev")
+    return SpaceCurve(_Reparam(crease, -1.0, 0.0), dom, crease.name + "_rev")
 
 
 def inverse(nf: EdgeNormalForm, n: int = 129) -> EdgeNormalForm:
@@ -128,14 +102,13 @@ def inverse(nf: EdgeNormalForm, n: int = 129) -> EdgeNormalForm:
     base_theta = nf.theta
     base_crease = nf.crease
 
-    def kappa(u):
-        return frenet(base_crease, u).kappa
-
     def theta_star(u):
-        g = kappa(u) / kappa(-u) * math.cos(base_theta(u))
-        g = min(1.0, max(-1.0, g))
-        sign = math.copysign(1.0, base_theta(-u)) if base_theta(-u) != 0 else 1.0
-        return sign * math.acos(g)
+        u = np.asarray(u, dtype=float)
+        k, k_rev = frenet(base_crease, np.stack([u, -u])).kappa
+        g = np.clip(k / k_rev * np.cos(base_theta(u)), -1.0, 1.0)
+        th_rev = base_theta(-u)
+        sign = np.where(th_rev != 0, np.copysign(1.0, th_rev), 1.0)
+        return sign * np.arccos(g)
 
     prof = ScalarProfile(theta_star)
     # a, b are not determined by the angle laws alone; left unset
@@ -170,8 +143,8 @@ class IsomerSet:
         for name, m in self.members():
             us = m.stations(n)
             profs[name] = {
-                "u": [float(x) for x in us],
-                "theta": [float(m.theta(x)) for x in us],
+                "u": us.tolist(),
+                "theta": m.theta(us).tolist(),
             }
         return {"admissible": self.admissible, "strict": self.strict,
                 "profiles": profs, "notes": list(self.notes)}

@@ -401,8 +401,8 @@ def match_normal_forms(nf1, nf2, tol: float = 1e-6, n: int = 33):
     """
     us1 = nf1.interval.grid(n)
     us2 = nf2.interval.grid(n)
-    c1 = np.array([nf1.crease(u) for u in us1])
-    c2f = np.array([nf2.crease(u) for u in us2])
+    c1 = nf1.crease(us1)
+    c2f = nf2.crease(us2)
     c2r = c2f[::-1]
     gap_f = float(np.max(np.linalg.norm(c1 - c2f, axis=1)))
     gap_r = float(np.max(np.linalg.norm(c1 - c2r, axis=1)))
@@ -411,21 +411,15 @@ def match_normal_forms(nf1, nf2, tol: float = 1e-6, n: int = 33):
             f"crease images differ (forward gap {gap_f:.3e}, "
             f"reversed gap {gap_r:.3e})")
     u_flip = gap_r < gap_f
+    s = (nf2.interval.lo + nf2.interval.hi) - us1 if u_flip else us1
 
-    def station2(u):
-        return (nf2.interval.lo + nf2.interval.hi) - u if u_flip else u
-
-    vs = np.linspace(-min(nf1.halfwidth, nf2.halfwidth),
-                     min(nf1.halfwidth, nf2.halfwidth), 9)
+    hw = min(nf1.halfwidth, nf2.halfwidth)
+    vs = np.linspace(-hw, hw, 9)
+    f1 = nf1.evaluate(us1[:, None], vs)
     best = None
     for e in (1, -1):
-        worst = 0.0
-        for u in us1:
-            s = station2(u)
-            for v in vs:
-                d = np.linalg.norm(nf1.evaluate(u, v)
-                                   - nf2.evaluate(s, e * v))
-                worst = max(worst, float(d))
+        worst = float(np.max(np.linalg.norm(
+            f1 - nf2.evaluate(s[:, None], e * vs), axis=-1)))
         if best is None or worst < best[0]:
             best = (worst, e)
     worst, e = best

@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exprlang as ex
-from .curve import (SpaceCurve, VanishingCurvature, frenet, frenet_from_jet,
-                    spline_curve)
-from .numkit import Interval, Jet
+from .curve import (SpaceCurve, VanishingCurvature, frenet,
+                    frenet_from_derivatives, spline_curve)
+from .numkit import Interval
 
 __all__ = [
     "EdgeNormalForm", "SectionalCusp", "ScalarProfile", "SurfaceProfile",
@@ -40,8 +40,29 @@ class DegenerateCusp(NormalFormError):
 
 # ------------------------------------------------------------- profile types
 
+def _scalar(x):
+    """A float for a 0-d result, else the array."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def _grid_fn(e, variables, params):
+    """`e` over broadcastable arrays on the tape's grid path; a non-finite
+    value is evaluated again as one point, to raise the float path's error."""
+    m = ex.MapDef("profile", variables, [e], params)
+
+    def fn(*xs):
+        xs = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in xs))
+        out = m.eval_grid(dict(zip(variables, xs)))[0]
+        for i in np.flatnonzero(~np.isfinite(out.ravel())):
+            m([x.ravel()[i] for x in xs])
+        return out
+
+    return fn
+
+
 class ScalarProfile:
-    """Scalar function of the station parameter, with a derivative."""
+    """Scalar function of the station parameter, with a derivative; the
+    expression and sample backings take a station or an array of them."""
 
     def __init__(self, fn, deriv=None, expr=None, params=None, samples=None):
         self._fn = fn
@@ -54,23 +75,16 @@ class ScalarProfile:
     def from_expr(cls, source, params=None):
         e = ex.parse(source) if isinstance(source, str) else source
         params = dict(params or {})
-        f = ex.compile_expr(e, ("u",), params)
-        df = ex.compile_expr(ex.diff(e, "u"), ("u",), params)
-
-        def fn(u):
-            return float(f(float(u)))
-
-        def deriv(u):
-            return float(df(float(u)))
-
-        return cls(fn, deriv, expr=e, params=params)
+        return cls(_grid_fn(e, ("u",), params),
+                   _grid_fn(ex.diff(e, "u"), ("u",), params),
+                   expr=e, params=params)
 
     @classmethod
     def from_samples(cls, us, values):
         from scipy.interpolate import CubicSpline
         sp = CubicSpline(np.asarray(us, float), np.asarray(values, float))
         dsp = sp.derivative()
-        return cls(lambda u: float(sp(u)), lambda u: float(dsp(u)),
+        return cls(sp, dsp,
                    samples=(np.asarray(us, float), np.asarray(values, float)))
 
     @classmethod
@@ -78,16 +92,16 @@ class ScalarProfile:
         v = float(value)
         return cls.from_expr(ex.num(v))
 
-    def __call__(self, u: float) -> float:
-        return self._fn(u)
+    def __call__(self, u):
+        return _scalar(self._fn(u))
 
-    def deriv(self, u: float) -> float:
+    def deriv(self, u):
         if self._deriv is not None:
-            return self._deriv(u)
-        h = 1e-6 * max(1.0, abs(u))
+            return _scalar(self._deriv(u))
+        h = 1e-6 * np.maximum(1.0, np.abs(u))
         d1 = (self._fn(u + h) - self._fn(u - h)) / (2 * h)
         d2 = (self._fn(u + 2 * h) - self._fn(u - 2 * h)) / (4 * h)
-        return (4 * d1 - d2) / 3.0
+        return _scalar((4 * d1 - d2) / 3.0)
 
     def negated(self) -> "ScalarProfile":
         if self.expr is not None:
@@ -118,7 +132,8 @@ class ScalarProfile:
 
 
 class SurfaceProfile:
-    """Function of (station, transverse) used for the coefficients a and b."""
+    """Function of (station, transverse) used for the coefficients a and b;
+    the expression and grid backings take broadcastable arrays."""
 
     def __init__(self, fn, expr=None, params=None, grid=None):
         self._fn = fn
@@ -130,12 +145,7 @@ class SurfaceProfile:
     def from_expr(cls, source, params=None):
         e = ex.parse(source) if isinstance(source, str) else source
         params = dict(params or {})
-        f = ex.compile_expr(e, ("u", "v"), params)
-
-        def fn(u, v):
-            return float(f(float(u), float(v)))
-
-        return cls(fn, expr=e, params=params)
+        return cls(_grid_fn(e, ("u", "v"), params), expr=e, params=params)
 
     @classmethod
     def from_grid(cls, us, vs, values):
@@ -145,17 +155,17 @@ class SurfaceProfile:
         values = np.asarray(values, float)
         sp = RectBivariateSpline(us, vs, values,
                                  kx=min(3, len(us) - 1), ky=min(3, len(vs) - 1))
-        return cls(lambda u, v: float(sp(u, v)[0, 0]), grid=(us, vs, values))
+        return cls(sp.ev, grid=(us, vs, values))
 
     @classmethod
     def constant(cls, value):
         return cls.from_expr(ex.num(float(value)))
 
-    def __call__(self, u: float, v: float) -> float:
-        return self._fn(u, v)
+    def __call__(self, u, v):
+        return _scalar(self._fn(u, v))
 
-    def along_edge(self, u: float) -> float:
-        return self._fn(u, 0.0)
+    def along_edge(self, u):
+        return self(u, 0.0)
 
     @property
     def is_expression(self) -> bool:
@@ -203,41 +213,38 @@ class EdgeNormalForm:
 
     # Frenet data of the crease -------------------------------------------
 
-    def frame(self, u: float):
+    def frame(self, u):
         return frenet(self.crease, u)
-
-    def kappa(self, u: float) -> float:
-        return self.frame(u).kappa
-
-    def tau(self, u: float) -> float:
-        return self.frame(u).tau
 
     def stations(self, n: int = 129) -> np.ndarray:
         return self.interval.grid(n)
 
     # geometry ---------------------------------------------------------------
 
-    def evaluate(self, u: float, v: float) -> np.ndarray:
+    def evaluate(self, u, v) -> np.ndarray:
+        """f(u, v) over broadcastable u and v, shape (*shape, 3); the crease
+        frame is taken on the stations u only."""
         if self.a is None or self.b is None:
             raise NormalFormError(
                 "no surface to evaluate: a and b are unset on an angle-only "
                 "isomer, which fixes only the crease and the cuspidal angle")
         fr = self.frame(u)
-        th = self.theta(u)
-        D = math.cos(th) * fr.n - math.sin(th) * fr.b
-        Dp = math.sin(th) * fr.n + math.cos(th) * fr.b
-        return (fr.point + v * v * self.a(u, v) * D
-                + v ** 3 * self.b(u, v) * Dp)
+        th = np.asarray(self.theta(u))[..., None]
+        D = np.cos(th) * fr.n - np.sin(th) * fr.b
+        Dp = np.sin(th) * fr.n + np.cos(th) * fr.b
+        w = np.asarray(v, dtype=float)[..., None]
+        a, b = (np.asarray(p(u, v))[..., None] for p in (self.a, self.b))
+        return fr.point + w * w * a * D + w ** 3 * b * Dp
 
-    def invariants(self, u: float) -> dict:
+    def invariants(self, u) -> dict:
         fr = self.frame(u)
         th = self.theta(u)
         return {
             "theta": th,
             "kappa": fr.kappa,
             "tau": fr.tau,
-            "kappa_s": fr.kappa * math.cos(th),
-            "kappa_nu": fr.kappa * math.sin(th),
+            "kappa_s": fr.kappa * np.cos(th),
+            "kappa_nu": fr.kappa * np.sin(th),
         }
 
     def to_json(self) -> dict:
@@ -249,8 +256,8 @@ class EdgeNormalForm:
                          "domain": [cr.domain.lo, cr.domain.hi]}
         else:
             us = cr.grid(257)
-            crease_js = {"kind": "samples", "u": list(map(float, us)),
-                         "points": [list(map(float, cr(u))) for u in us]}
+            crease_js = {"kind": "samples", "u": us.tolist(),
+                         "points": cr(us).tolist()}
         return {
             "crease": crease_js,
             "theta": self.theta.to_json(),
@@ -279,9 +286,8 @@ def is_cuspidal_edge(nf: EdgeNormalForm, u: float | None = None,
                      tol: float = 1e-8) -> bool:
     """True when b(u, 0) never vanishes (genuine cuspidal edge, not just a
     generalized one)."""
-    if u is not None:
-        return abs(nf.b.along_edge(u)) > tol
-    return all(abs(nf.b.along_edge(x)) > tol for x in nf.stations(129))
+    us = nf.stations(129) if u is None else u
+    return bool(np.all(np.abs(nf.b.along_edge(us)) > tol))
 
 
 # -------------------------------------------------------------- construction
@@ -384,8 +390,7 @@ def _station(germ, u: float):
     """(frame, sigma''(0), sigma'''(0), theta, a0, b0) of the planar
     section at station u, from one order-3 jet of the germ on the edge."""
     j = germ.jet((u, 0.0), 3)
-    fr = frenet_from_jet(u, Jet(1, 3, {(k,): j.partial(k, 0)
-                                       for k in range(4)}))
+    fr = frenet_from_derivatives(u, [j.partial(k, 0) for k in range(4)])
     e, n, b = fr.e, fr.n, fr.b
     Fu = float(j.partial(1, 0) @ e)
     A1 = -float(j.partial(0, 1) @ e) / Fu
@@ -501,8 +506,13 @@ def to_normal_form(germ, n_stations: int = 129, nv: int = 65,
 
     theta, kappa_s, kappa_nu are parametrization invariants; a and b are
     reported in the germ's own transverse parameter (exact round trips with
-    `from_normal_form`).
+    `from_normal_form`).  nv must be odd, so that the middle section
+    sample is v = 0.
     """
+    if nv % 2 == 0:
+        raise NormalFormError(
+            f"nv = {nv} is even: the section grid needs an odd nv so that "
+            "its middle sample is v = 0")
     _check_edge_chart(germ)
     us = germ.domain[0].grid(n_stations)
     hw = halfwidth if halfwidth is not None else germ.domain[1].hi
@@ -535,16 +545,15 @@ def to_normal_form(germ, n_stations: int = 129, nv: int = 65,
 
 
 class _EdgeCurveMap:
-    """The edge u -> f(u, 0) of a germ, with jets restricted from the germ."""
+    """The edge u -> f(u, 0) of a germ: values on the germ's grid path,
+    derivatives from one germ jet per station."""
 
     def __init__(self, germ):
         self.germ = germ
 
-    def __call__(self, u) -> np.ndarray:
-        u = float(np.atleast_1d(u)[0])
-        return self.germ((u, 0.0))
-
-    def eval_jet(self, point, order: int = 3) -> Jet:
-        u = float(np.atleast_1d(point)[0])
-        j = self.germ.jet((u, 0.0), order)
-        return Jet(1, order, {(k,): j.partial(k, 0) for k in range(order + 1)})
+    def derivatives(self, us, order: int) -> np.ndarray:
+        if order == 0:
+            return self.germ.points(np.column_stack([us, 0.0 * us]))[None]
+        jets = [self.germ.jet((u, 0.0), order) for u in us]
+        return np.array([[j.partial(k, 0) for j in jets]
+                         for k in range(order + 1)])

@@ -1,0 +1,30 @@
+"""The benchmark's tracer wraps program functions by name: every name it
+lists must still resolve, and uninstalling must restore the originals."""
+import importlib.util
+from pathlib import Path
+
+import frontalforge.cli  # noqa: F401  (imports every program module)
+
+
+def _tracing():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_tracer_hooks_resolve_and_uninstall():
+    tracing = _tracing()
+    names = list(tracing.SPANS.values()) + list(tracing.COUNTS.values()) \
+        + [tracing.LIFT_FACTORY]
+    originals = [tracing._resolve(*name)[1] for name in names]
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        wrapped = [tracing._resolve(*name)[1] for name in names]
+    finally:
+        tracer.uninstall()
+    assert all(w is not o for w, o in zip(wrapped, originals))
+    restored = [tracing._resolve(*name)[1] for name in names]
+    assert all(r is o for r, o in zip(restored, originals))

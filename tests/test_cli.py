@@ -101,12 +101,33 @@ def test_isomers(capsys, scene_path):
 
 
 def test_strip_and_fold(capsys, scene_path, tmp_path):
+    # unit circle crease, theta = 0.3: kappa = 1, tau = 0, alpha = 0.3 and
+    # beta = pi/2, so the ruling is cos(0.3) n + sin(0.3) b
     code, rep, _ = run(capsys, "strip", "--scene", scene_path,
                        "--germ", "circle_edge", "--out", str(tmp_path))
     assert code == 0
+    res = rep["results"]
+    for row in res["profiles"]:
+        for key, want in (("kappa", 1.0), ("tau", 0.0), ("alpha", 0.3),
+                          ("beta", math.pi / 2)):
+            assert abs(row[key] - want) <= 1e-12, (key, row)
+    assert res["max_abs_gaussian_curvature"] < 1e-6
+    hw = res["halfwidth"]
+    with open(tmp_path / "circle_edge_strip.obj") as fh:
+        verts = np.array([ln.split()[1:] for ln in fh if ln.startswith("v ")],
+                         dtype=float)
+    u, v = (x.ravel() for x in np.meshgrid(np.linspace(-1.5, 1.5, 33),
+                                           np.linspace(-hw, hw, 9),
+                                           indexing="ij"))
+    n = np.column_stack([-np.cos(u), -np.sin(u), 0 * u])
+    b = np.array([0.0, 0.0, 1.0])
+    want = (np.column_stack([np.cos(u), np.sin(u), 0 * u])
+            + v[:, None] * (math.cos(0.3) * n + math.sin(0.3) * b))
+    np.testing.assert_allclose(verts, want, rtol=0, atol=1e-8)
     code, rep, _ = run(capsys, "fold", "--scene", scene_path,
                        "--germ", "circle_edge", "--out", str(tmp_path))
     assert code == 0
+    assert rep["results"]["crease_residual"] <= 1e-15
 
 
 def test_strip_determinism(capsys, scene_path, tmp_path):

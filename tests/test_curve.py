@@ -14,7 +14,7 @@ from frontalforge.numkit import Interval
 def test_circle_unit_speed_curvature():
     c = circle(2.0, 1.0)
     fr = frenet(c, 0.3)
-    assert np.linalg.norm(c.jet(0.3).partial(1)) == pytest.approx(1.0)
+    assert np.linalg.norm(c.derivatives(0.3, 1)[1]) == pytest.approx(1.0)
     assert fr.kappa == pytest.approx(0.5, abs=1e-12)
     assert abs(fr.tau) < 1e-10
 
@@ -49,7 +49,7 @@ def test_arclength_parabola_oracle():
     ca = arclength_param(c)
     assert ca.domain.length == pytest.approx(exact, abs=1e-10)
     for s in np.linspace(0.05, exact - 0.05, 7):
-        assert np.linalg.norm(ca.jet(s).partial(1)) == pytest.approx(
+        assert np.linalg.norm(ca.derivatives(s, 1)[1]) == pytest.approx(
             1.0, abs=1e-8)
 
 

@@ -176,6 +176,20 @@ def test_to_normal_form_takes_one_jet_per_station(monkeypatch, helix_nf):
         assert orders == [3] * n
 
 
+def test_extraction_needs_an_odd_section_count():
+    # the middle section sample is v = 0 only for an odd nv
+    nf = EdgeNormalForm(circle(1.0, 2.0), ScalarProfile.constant(0.3),
+                        SurfaceProfile.from_expr("1 + v"),
+                        SurfaceProfile.constant(1.0))
+    germ = from_normal_form(nf)
+    with pytest.raises(NormalFormError, match="nv = 4"):
+        to_normal_form(germ, n_stations=3, nv=4)
+    nf2 = to_normal_form(germ, n_stations=3, nv=5)
+    _, vs, a_grid = nf2.a.grid
+    np.testing.assert_allclose(a_grid, np.broadcast_to(1 + vs, (3, 5)),
+                               rtol=0, atol=1e-8)
+
+
 def test_extraction_needs_the_singular_set_on_the_v_axis():
     with pytest.raises(NormalFormError, match="co-rank-one"):
         to_normal_form(catalog("swallowtail"))
