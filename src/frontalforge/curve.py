@@ -12,7 +12,7 @@ from .numkit import Interval, integrate, invert_monotone
 __all__ = [
     "SpaceCurve", "FrenetSample", "frenet", "frenet_from_derivatives",
     "arclength_param", "shift_param", "center_param", "curve_length",
-    "curve_plane", "curve_symmetry", "circle", "helix", "segment",
+    "curve_plane", "curve_symmetry", "circle", "helix",
     "spline_curve", "SplineMap", "CurveError",
     "VanishingSpeed", "VanishingCurvature",
 ]
@@ -303,7 +303,3 @@ def helix(a: float = 1.0, b: float = 1.0, span: float = 2.0) -> SpaceCurve:
                   ["a*cos(u/c)", "a*sin(u/c)", "b*u/c"], {"a": a, "b": b, "c": c})
     return SpaceCurve(m, Interval(-span, span), "helix")
 
-
-def segment(span: float = 1.0) -> SpaceCurve:
-    m = ex.MapDef("segment", ("u",), ["u", "0", "0"])
-    return SpaceCurve(m, Interval(-span, span), "segment")

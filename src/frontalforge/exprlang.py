@@ -327,11 +327,7 @@ def compile_expr(e: Expr, variables, params=None):
 
 
 def _div(l, r):
-    if isinstance(r, Series):
-        if not isinstance(l, Series):
-            l = r._coerce(l)
-        return l / r
-    if not isinstance(l, Series) and r == 0.0:
+    if not isinstance(l, Series) and not isinstance(r, Series) and r == 0.0:
         raise DomainViolation("division by zero")
     return l / r
 
@@ -714,7 +710,7 @@ class MapDef:
     def tape(self) -> Tape:
         if self._tape is None:
             tape = Tape(self.components, self.variables + tuple(self.params))
-            self._param_values = [self.params[n]
+            self._param_values = [float(self.params[n])
                                   for n in tape.names[len(self.variables):]]
             self._tape = tape
         return self._tape
@@ -734,21 +730,29 @@ class MapDef:
         return np.array([regs[i] for i in tape.outputs], dtype=float)
 
     def eval_jet(self, point, order: int = 3):
+        """The jet at one point (k,), partials (m,), or at the rows of an
+        (N, k) array, partials (N, m): one tape run on Taylor series.  A
+        row with a non-finite value is evaluated again as one point, so it
+        raises what the float path raises."""
         from .numkit import Jet
-        tape = self.tape
-        pt = np.atleast_1d(np.asarray(point, dtype=float))
+        pt = np.asarray(point, dtype=float)
+        X = np.atleast_2d(pt)
         nvars = len(self.variables)
-        inputs = [Series.variable(i, float(pt[i]), nvars, order)
+        if X.ndim != 2 or X.shape[1] != nvars:
+            raise ValueError(f"map '{self.name}' expects {nvars} coordinates")
+        inputs = [Series.variable(i, X[:, i], nvars, order)
                   for i in range(nvars)]
-        inputs += [Series.constant(v, nvars, order) for v in self._param_values]
-        regs = tape.run(inputs)
-        series = []
-        for i in tape.outputs:
-            s = regs[i]
-            if not isinstance(s, Series):
-                s = Series.constant(float(s), nvars, order)
-            series.append(s)
-        return Jet.from_series(series, nvars, order)
+        with np.errstate(all="ignore"):
+            regs = self.tape.run(inputs + self._param_values)
+        jet = Jet.from_series(
+            [s if isinstance(s, Series)
+             else Series.constant(np.full(len(X), s), nvars, order)
+             for s in (regs[i] for i in self.tape.outputs)], nvars, order)
+        for k in np.flatnonzero(~np.isfinite(jet.value).all(axis=1)):
+            self(X[k])
+        if pt.ndim < 2:
+            jet.partials = {a: p[0] for a, p in jet.partials.items()}
+        return jet
 
     def eval_grid(self, arrays: dict) -> np.ndarray:
         """Evaluate on broadcastable numpy arrays; returns shape (m, ...)."""

@@ -128,45 +128,43 @@ class NormalField:
         self.germ = germ
         if germ.normal_map is None:
             # a normal must exist at the base point; it orients all others
-            self._ref = self._limit_normal(np.asarray(germ.base, dtype=float))
+            self._ref = self._limit_normal(np.array([germ.base]))[0]
 
     def __call__(self, point) -> np.ndarray:
-        g = self.germ
-        if g.normal_map is not None:
-            raw = np.asarray(g.normal_map(point), dtype=float)
-            n = np.linalg.norm(raw)
-            if n < 1e-13:
-                raise NotAFrontal(
-                    f"analytic normal of '{g.name}' vanishes at {tuple(point)}")
-            return raw / n
-        nu = self._limit_normal(np.asarray(point, dtype=float))
-        return -nu if nu @ self._ref < 0 else nu
+        """The unit normal at one point: the one-row case of `points`."""
+        return self.points(np.reshape(point, (1, 2)))[0]
 
     def points(self, X) -> np.ndarray:
         """The unit normal on the rows of an (N, 2) array, as (N, 3), on
-        the tape's grid path: the analytic normal, or f_u x f_v from
-        `partials_grid`.  A row where that is non-finite or too short (the
-        thresholds of `__call__` and `_limit_normal`) is evaluated again as
-        one point, so it raises what `self(p)` raises."""
+        the tape's grid path: the analytic normal, where a non-finite row
+        is evaluated again as one point, to raise the float path's error,
+        and a row shorter than 1e-13 raises `NotAFrontal`; or f_u x f_v
+        from `partials_grid`, where the rows that are non-finite or at most
+        1e-7 times the squared scale of f_u and f_v take its exact limit,
+        all in one `_limit_normal` call."""
         X = np.asarray(X, dtype=float)
         g, U, V = self.germ, X[:, 0], X[:, 1]
         if g.normal_map is not None:
             u, v = g.normal_map.variables
             raw = g.normal_map.eval_grid({u: U, v: V}).T
             n = np.linalg.norm(raw, axis=1)
-            short = n < 1e-13
-        else:
-            fu, fv = g.partials_grid(U, V)
-            raw = np.cross(fu, fv, axis=0).T
-            raw[raw @ self._ref < 0] *= -1.0
-            n = np.linalg.norm(raw, axis=1)
-            scale = np.maximum(np.maximum(np.linalg.norm(fu, axis=0),
-                                          np.linalg.norm(fv, axis=0)), 1e-300)
-            short = ~(n > 1e-7 * scale ** 2)
+            bad = np.flatnonzero(~(n >= 1e-13))
+            if bad.size:
+                at = tuple(X[bad[0]].tolist())
+                g.normal_map(at)  # a non-finite row raises the float path's error
+                raise NotAFrontal(
+                    f"analytic normal of '{g.name}' vanishes at {at}")
+            return raw / n[:, None]
+        fu, fv = g.partials_grid(U, V)
+        raw = np.cross(fu, fv, axis=0).T
+        n = np.linalg.norm(raw, axis=1)
+        scale = np.maximum(np.linalg.norm([fu, fv], axis=1).max(axis=0), 1e-300)
         with np.errstate(divide="ignore", invalid="ignore"):
             out = raw / n[:, None]
-        for i in np.flatnonzero(~np.isfinite(out).all(axis=1) | short):
-            out[i] = self(tuple(X[i]))
+        redo = ~(n > 1e-7 * scale ** 2) | ~np.isfinite(out).all(axis=1)
+        if redo.any():
+            out[redo] = self._limit_normal(X[redo])
+        out[out @ self._ref < 0] *= -1.0
         return out
 
     def grid(self, U, V) -> np.ndarray:
@@ -181,43 +179,48 @@ class NormalField:
                             (0.7071067811865476, 0.7071067811865476),
                             (0.7071067811865476, -0.7071067811865476)])
 
-    def _limit_normal(self, point) -> np.ndarray:
-        """The unit limit of f_u x f_v at `point`, from one order-3 jet.
-        Along each probe direction d it is the first Taylor coefficient of
-        f_u x f_v along point + t d (orders 0 to 2) longer than 1e-7 times
-        the squared scale of f_u and f_v; the directions that have one must
-        agree up to sign."""
-        j = self.germ.jet(point, 3)
-        floor = 1e-7 * max(np.linalg.norm(j.partial(1, 0)),
-                           np.linalg.norm(j.partial(0, 1)), 1e-300) ** 2
+    def _limit_normal(self, P) -> np.ndarray:
+        """The unit limits of f_u x f_v, up to sign, at the rows p of an
+        (N, 2) array, as (N, 3), from one order-3 jet.  Along each probe
+        direction d it is the first Taylor coefficient of f_u x f_v along
+        p + t d (orders 0 to 2) longer than 1e-7 times the squared scale
+        of f_u and f_v; the directions that have one must agree up to
+        sign, or `NotAFrontal` names the first row where they do not."""
+        j = self.germ.jet(P, 3)
+        scale = np.linalg.norm([j.partial(1, 0), j.partial(0, 1)], axis=2)
+        floor = 1e-7 * np.maximum(scale.max(axis=0), 1e-300) ** 2
         C = _cross_coefficients(j, self._DIRECTIONS)
-        n = np.linalg.norm(C, axis=2)
-        above = n > floor
-        dirs = np.flatnonzero(above.any(axis=0))
-        if not dirs.size:
+        n = np.linalg.norm(C, axis=-1)
+        above = n > floor[:, None]
+        found = above.any(axis=0)
+        rows, dirs = np.ogrid[:len(P), :len(self._DIRECTIONS)]
+        order = above.argmax(axis=0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            estimates = C[order, rows, dirs] / n[order, rows, dirs][..., None]
+        ref = estimates[rows[:, 0], found.argmax(axis=1)]
+        flip = np.where(np.einsum("ndk,nk->nd", estimates, ref) < 0, -1.0, 1.0)
+        dist = np.linalg.norm(flip[..., None] * estimates - ref[:, None], axis=-1)
+        gap = np.where(found, dist, -np.inf).max(axis=1)  # -inf: no direction
+        bad = np.flatnonzero((gap > 1e-6) | (gap < 0))
+        if bad.size:
+            name, at, gap = self.germ.name, tuple(P[bad[0]].tolist()), gap[bad[0]]
             raise NotAFrontal(
-                f"normal of '{self.germ.name}' undefined near {tuple(point)}")
-        order = above[:, dirs].argmax(axis=0)
-        estimates = C[order, dirs] / n[order, dirs][:, None]
-        ref = estimates[0]
-        flip = np.where(estimates @ ref < 0, -1.0, 1.0)[:, None]
-        gap = np.linalg.norm(flip * estimates - ref, axis=1).max()
-        if gap > 1e-6:
-            raise NotAFrontal(
-                f"'{self.germ.name}' has no single-valued normal at "
-                f"{tuple(point)} (directional limits disagree by {gap:.2e})")
+                f"normal of '{name}' undefined near {at}" if gap < 0 else
+                f"'{name}' has no single-valued normal at {at} "
+                f"(directional limits disagree by {gap:.2e})")
         return ref
 
 
 def _cross_coefficients(j: Jet, D) -> np.ndarray:
     """Taylor coefficients of orders 0 to 2 of f_u x f_v along p + t d for
-    each row d of D, shape (3, len(D), 3), from an order-3 jet of f at p."""
+    each row d of D, at each of the N points of an order-3 jet of f, shape
+    (3, N, len(D), 3)."""
     def along(k, a, b):
         # k-th Taylor coefficient of the partial (a, b) of f along p + t d
         W = [math.comb(k, i) * D[:, 0] ** i * D[:, 1] ** (k - i)
              for i in range(k + 1)]
         P = [j.partial(a + i, b + k - i) for i in range(k + 1)]
-        return np.transpose(W) @ P / math.factorial(k)
+        return np.einsum("id,inx->ndx", W, P) / math.factorial(k)
 
     fu = [along(k, 1, 0) for k in range(3)]
     fv = [along(k, 0, 1) for k in range(3)]
@@ -280,13 +283,14 @@ def _lambda_gradient(lam, Q, h=1e-6):
     return np.column_stack([(L[0] - L[1]) / (2 * h), (L[2] - L[3]) / (2 * h)])
 
 
-def _null_direction(germ, q):
-    j = germ.jet(q, 1)
-    J = np.column_stack([j.partial(1, 0), j.partial(0, 1)])
-    _, s, vt = np.linalg.svd(J)
-    null = vt[1]
-    if null[0] < 0 or (null[0] == 0 and null[1] < 0):
-        null = -null
+def _null_directions(germ, Q):
+    """Unit null directions of (f_u, f_v) at the rows of an (N, 2) array,
+    pointing to increasing u (or v where u is flat), and the singular
+    values, (N, 2) each, from one `partials_grid` call and a stacked SVD."""
+    fu, fv = germ.partials_grid(Q[:, 0], Q[:, 1])
+    _, s, vt = np.linalg.svd(np.stack([fu.T, fv.T], axis=2))
+    null = vt[:, 1]
+    null[(null[:, 0] < 0) | ((null[:, 0] == 0) & (null[:, 1] < 0))] *= -1.0
     return null, s
 
 
@@ -298,91 +302,61 @@ def singular_curve(germ: SurfaceGerm, grid: int = 256, tol: float = 1e-12):
     U, V = np.meshgrid(U1, V1, indexing="ij")
     L = lam.grid(U, V)
 
-    seeds = []
-    sign = np.signbit(L)
-    zero = np.abs(L) < tol
-    # sign changes between horizontally / vertically adjacent grid nodes
-    for axis in (0, 1):
-        flips = (sign[:-1, :] != sign[1:, :]) if axis == 0 else (sign[:, :-1] != sign[:, 1:])
-        idx = np.argwhere(flips)
-        for i, jx in idx:
-            if axis == 0:
-                a, b = (i, jx), (i + 1, jx)
-            else:
-                a, b = (i, jx), (i, jx + 1)
-            la, lb = L[a], L[b]
-            t = la / (la - lb) if la != lb else 0.5
-            seed = (1 - t) * np.array([U[a], V[a]]) + t * np.array([U[b], V[b]])
-            seeds.append(seed)
-    for i, jx in np.argwhere(zero):
-        seeds.append(np.array([U[i, jx], V[i, jx]]))
-    if not seeds:
+    # seeds: the linear zero between each pair of horizontally, then
+    # vertically, adjacent grid nodes whose signs differ, then the nodes
+    # where lambda vanishes
+    P, sign, seeds = np.stack([U, V], axis=-1), np.signbit(L), []
+    for a, b in ((np.s_[:-1, :], np.s_[1:, :]), (np.s_[:, :-1], np.s_[:, 1:])):
+        flip = sign[a] != sign[b]
+        la, lb = L[a][flip], L[b][flip]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = np.where(la != lb, la / (la - lb), 0.5)[:, None]
+        seeds.append((1 - t) * P[a][flip] + t * P[b][flip])
+    seeds = np.concatenate(seeds + [P[np.abs(L) < tol]])
+    if not len(seeds):
         return []
 
     lo, hi = _domain_box(germ)
     q, res, _ = damped_gauss_newton(
         lambda X: lam.grid(X[:, 0], X[:, 1])[:, None],
-        np.zeros((len(seeds), 1)), np.array(seeds), lo, hi, 40, h=1e-7)
+        np.zeros((len(seeds), 1)), seeds, lo, hi, 40, h=1e-7)
     pts = q[res <= tol]
     if not len(pts):
         return []
-    # deduplicate on the grid scale
-    hu = U1[1] - U1[0] if grid > 1 else 1.0
-    hv = V1[1] - V1[0] if grid > 1 else 1.0
-    keep = []
-    seen = set()
-    for q in pts:
-        key = (round(q[0] / (0.5 * hu)), round(q[1] / (0.5 * hv)))
-        if key not in seen:
-            seen.add(key)
-            keep.append(q)
-    pts = np.array(keep)
+    # deduplicate on the grid scale, keeping the first point of each cell
+    h = np.array([U1[1] - U1[0], V1[1] - V1[0]]) if grid > 1 else np.ones(2)
+    cells = np.round(pts / (0.5 * h)) + 0.0  # + 0.0 merges -0.0 into 0.0
+    pts = pts[np.sort(np.unique(cells, axis=0, return_index=True)[1])]
 
-    components = _split_components(pts, 3.0 * max(hu, hv))
+    components = _split_components(pts, 3.0 * h.max())
     out = []
     for comp in components:
-        samples = []
         # order along the dominant extent axis
-        span = comp.max(axis=0) - comp.min(axis=0)
-        axis = int(np.argmax(span))
-        comp = comp[np.argsort(comp[:, axis])]
+        comp = comp[np.argsort(comp[:, np.argmax(np.ptp(comp, axis=0))])]
         grads = _lambda_gradient(lam, comp)
-        images = germ.points(comp)
-        for q, g, image in zip(comp, grads, images):
-            nondeg = np.linalg.norm(g) > 1e-6
-            null, _ = _null_direction(germ, q)
-            if nondeg:
-                tangent = np.array([-g[1], g[0]])
-                tangent /= np.linalg.norm(tangent)
-                cross = abs(null[0] * tangent[1] - null[1] * tangent[0])
-                stype = "I" if cross > 1e-6 else "II"
-            else:
-                stype = "degenerate"
-            samples.append(SingularSample(q, image, g, null, nondeg, stype))
-        out.append(SingularComponent(samples))
+        nulls, _ = _null_directions(germ, comp)
+        g = np.linalg.norm(grads, axis=1)
+        nondeg = g > 1e-6
+        # type I: the null direction is transverse to the curve, whose
+        # tangent is grad lambda turned by 90 degrees
+        transverse = np.abs(np.sum(nulls * grads, axis=1)) > 1e-6 * g
+        types = np.where(nondeg, np.where(transverse, "I", "II"), "degenerate")
+        out.append(SingularComponent([SingularSample(*s) for s in zip(
+            comp, germ.points(comp), grads, nulls, nondeg.tolist(), types.tolist())]))
     return out
 
 
 def _split_components(pts, radius):
+    """The points chained by steps within `radius`, one array per
+    component, in the order of their first points."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
     from scipy.spatial import cKDTree
-    tree = cKDTree(pts)
-    n = len(pts)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in tree.query_pairs(radius):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(pts[i])
-    return [np.array(g) for g in groups.values()]
+    i, j = cKDTree(pts).query_pairs(radius, output_type="ndarray").T
+    n, labels = connected_components(
+        coo_matrix((np.ones(len(i)), (i, j)), shape=(len(pts),) * 2),
+        directed=False)
+    return [pts[labels == k] for k in range(n)]
 
 
 # ------------------------------------------------- pointwise singular helpers
@@ -424,14 +398,13 @@ def _domain_box(germ):
             np.array([d.hi for d in germ.domain]))
 
 
-def limiting_normal_curvature(germ: SurfaceGerm, p=None, tol: float = 1e-10,
-                              h: float = 1e-3) -> float:
+def limiting_normal_curvature(germ: SurfaceGerm, p=None, h: float = 1e-3) -> float:
     """Normal curvature of the singular image in the limiting normal
     direction at p (second derivative of f along the singular curve, dotted
     with the unit normal, over the squared speed)."""
     p = np.asarray(p if p is not None else germ.base, dtype=float)
     lam = area_density(germ)
-    null, s = _null_direction(germ, p)
+    _, (s,) = _null_directions(germ, p[None])
     if s[1] > 1e-6 * max(s[0], 1.0):
         raise NotSingular(f"'{germ.name}' is immersive at {tuple(p)}")
     _, ts, pts = _trace_gamma(germ, lam, p, h)
@@ -447,12 +420,11 @@ def limiting_normal_curvature(germ: SurfaceGerm, p=None, tol: float = 1e-10,
 
 
 def first_fundamental_form(germ: SurfaceGerm, p) -> tuple:
-    j = germ.jet(p, 1)
-    fu, fv = j.partial(1, 0), j.partial(0, 1)
+    fu, fv = germ.partials_grid(*np.asarray(p, dtype=float))
     return float(fu @ fu), float(fu @ fv), float(fv @ fv)
 
 
-def distinguished_frame(germ: SurfaceGerm, p=None, tol: float = 1e-8) -> GermFrame:
+def distinguished_frame(germ: SurfaceGerm, p=None) -> GermFrame:
     """Frame (tangent, limiting normal, conormal) at a co-rank-one singular
     point, with the cuspidal direction when the transverse section is a cusp.
 
@@ -477,7 +449,8 @@ def distinguished_frame(germ: SurfaceGerm, p=None, tol: float = 1e-8) -> GermFra
     e = img_t / np.linalg.norm(img_t)
     nu = germ.normal_field(p)
     w = np.cross(e, nu)
-    f_nn = j.directional2(null)
+    f_nn = (j.partial(2, 0) * null[0] ** 2 + 2.0 * j.partial(1, 1) * null[0]
+            * null[1] + j.partial(0, 2) * null[1] ** 2)
     s_w = float(f_nn @ w)
     cusp = None
     if abs(s_w) > 1e-10 * max(1.0, np.linalg.norm(f_nn)):

@@ -61,6 +61,10 @@ def admissible(nf: EdgeNormalForm, n: int = 129) -> tuple:
     """(admissible, strict): max|kappa_s| < min kappa; strict adds
     0 < min|kappa_s|."""
     _, kap, _, th = _station_data(nf, n)
+    return _admissible(kap, th)
+
+
+def _admissible(kap, th) -> tuple:
     if np.min(kap) <= 0:
         raise IsomerError("crease curvature must be positive")
     ks = kap * np.cos(th)
@@ -73,6 +77,10 @@ def dual(nf: EdgeNormalForm, n: int = 129, tol: float = 1e-12) -> EdgeNormalForm
     """Same crease, theta -> -theta.  Needs kappa_nu = kappa sin(theta)
     without zeros."""
     _, kap, _, th = _station_data(nf, n)
+    return _dual(nf, kap, th, tol)
+
+
+def _dual(nf: EdgeNormalForm, kap, th, tol: float = 1e-12) -> EdgeNormalForm:
     if np.min(np.abs(kap * np.sin(th))) <= tol:
         raise IsomerError("dual undefined: limiting normal curvature has a zero")
     return EdgeNormalForm(nf.crease, nf.theta.negated(), nf.a, nf.b,
@@ -96,6 +104,11 @@ def inverse(nf: EdgeNormalForm, n: int = 129) -> EdgeNormalForm:
     adm, _ = admissible(nf, n)
     if not adm:
         raise NotAdmissible("inverse isomer requires an admissible edge")
+    return _inverse(nf)
+
+
+def _inverse(nf: EdgeNormalForm) -> EdgeNormalForm:
+    """`inverse` of an edge already known to be admissible."""
     if abs(nf.interval.lo + nf.interval.hi) > 1e-12:
         raise IsomerError("inverse needs a symmetric station interval")
     crease_rev = _reverse_crease(nf.crease)
@@ -151,17 +164,20 @@ class IsomerSet:
 
 
 def isomer_set(nf: EdgeNormalForm, n: int = 129) -> IsomerSet:
-    adm, strict = admissible(nf, n)
+    # one Frenet call: the dual has the edge's kappa and |theta|, so it is
+    # admissible exactly when the edge is
+    _, kap, _, th = _station_data(nf, n)
+    adm, strict = _admissible(kap, th)
     notes = []
     d = i = di = None
     try:
-        d = dual(nf, n)
+        d = _dual(nf, kap, th)
     except IsomerError as exc:
         notes.append(f"dual unavailable: {exc}")
     if adm:
-        i = inverse(nf, n)
+        i = _inverse(nf)
         if d is not None:
-            di = inverse(d, n)
+            di = _inverse(d)
     else:
         notes.append("inverse unavailable: edge is not admissible")
     return IsomerSet(nf, d, i, di, adm, strict, notes)

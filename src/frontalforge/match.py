@@ -115,20 +115,15 @@ class PlaneMap:
         return j - lower
 
     def _raw_normal(self, t: float):
-        d = np.asarray(self.map.eval_jet((t,), 2).partial(1), dtype=float)
-        raw = np.array([-d[1], d[0]])
-        n = np.linalg.norm(raw)
-        if n > _RAW_TOL:
-            return raw / n
-        # at a cusp the tangent limit is the first nonvanishing Taylor
-        # coefficient of the curve
-        var = self.map.variables[0]
-        dm = self.map
-        for _ in range(9):
-            dm = dm.diff(var)
-            d = np.asarray(dm((t,)), float)
-            if np.linalg.norm(d) > 1e-9:
-                raw = np.array([-d[1], d[0]])
+        # the rotated tangent; at a cusp, the rotated first nonvanishing
+        # Taylor coefficient of the curve, up to the ninth
+        dm = self._tangent
+        for k in range(9):
+            if k:
+                dm = dm.diff(self.map.variables[0])
+            d = np.asarray(dm((t,)), dtype=float)
+            raw = np.array([-d[1], d[0]])
+            if np.linalg.norm(raw) > (_RAW_TOL if k == 0 else 1e-9):
                 return raw / np.linalg.norm(raw)
         return None
 

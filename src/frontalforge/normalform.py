@@ -13,7 +13,6 @@ limiting normal curvature kappa_nu = kappa sin(theta).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -386,31 +385,37 @@ def _check_edge_chart(germ):
             "singular image is not regular along the edge")
 
 
-def _station(germ, u: float):
+def _dot(a, b):
+    """Dot products over the last axis, keeping it."""
+    return np.sum(a * b, axis=-1, keepdims=True)
+
+
+def _station(germ, u):
     """(frame, sigma''(0), sigma'''(0), theta, a0, b0) of the planar
-    section at station u, from one order-3 jet of the germ on the edge."""
-    j = germ.jet((u, 0.0), 3)
+    section at station u, or at each of a 1-D array of them, from one
+    order-3 jet of the germ on the edge."""
+    j = germ.jet(np.stack([u, np.zeros_like(u)], axis=-1), 3)
     fr = frenet_from_derivatives(u, [j.partial(k, 0) for k in range(4)])
     e, n, b = fr.e, fr.n, fr.b
-    Fu = float(j.partial(1, 0) @ e)
-    A1 = -float(j.partial(0, 1) @ e) / Fu
+    Fu = _dot(j.partial(1, 0), e)
+    A1 = -_dot(j.partial(0, 1), e) / Fu
     fuu, fuv, fvv = j.partial(2, 0), j.partial(1, 1), j.partial(0, 2)
     fuuv, fuvv, fvvv = j.partial(2, 1), j.partial(1, 2), j.partial(0, 3)
     fuuu = j.partial(3, 0)
-    A2 = -(float(fuu @ e) * A1 * A1 + 2 * float(fuv @ e) * A1
-           + float(fvv @ e)) / Fu
+    A2 = -(_dot(fuu, e) * A1 * A1 + 2 * _dot(fuv, e) * A1 + _dot(fvv, e)) / Fu
     vec2 = fuu * A1 * A1 + 2 * fuv * A1 + fvv
     vec3 = (fuuu * A1 ** 3 + 3 * fuuv * A1 * A1 + 3 * fuvv * A1 + fvvv
             + 3 * (fuu * A1 + fuv) * A2)
-    sigma2 = np.array([float(vec2 @ n), float(vec2 @ b)])
-    sigma3 = np.array([float(vec3 @ n), float(vec3 @ b)])
-    norm2 = float(np.linalg.norm(sigma2))
-    if norm2 < 1e-10:
-        raise DegenerateCusp(
-            f"transverse section at u={u} has a degenerate cusp")
-    theta = math.atan2(-sigma2[1], sigma2[0])
-    d = sigma2 / norm2
-    b0 = float(sigma3 @ np.array([-d[1], d[0]])) / 6.0
+    sigma2 = np.concatenate([_dot(vec2, n), _dot(vec2, b)], axis=-1)
+    sigma3 = np.concatenate([_dot(vec3, n), _dot(vec3, b)], axis=-1)
+    norm2 = np.linalg.norm(sigma2, axis=-1)
+    flat = np.flatnonzero(np.ravel(norm2 < 1e-10))
+    if flat.size:
+        raise DegenerateCusp(f"transverse section at u={np.ravel(u)[flat[0]]}"
+                             " has a degenerate cusp")
+    theta = np.arctan2(-sigma2[..., 1], sigma2[..., 0])
+    d = sigma2 / norm2[..., None]
+    b0 = (sigma3[..., 1] * d[..., 0] - sigma3[..., 0] * d[..., 1]) / 6.0
     return fr, sigma2, sigma3, theta, 0.5 * norm2, b0
 
 
@@ -431,18 +436,18 @@ class SectionalCusp:
     b0: float
 
 
-def _solve_sections(germ, frames, vs, tol):
-    """u = A(u0, v) with (f(u, v) - c(u0)) . e = 0 for every station frame
-    (at u0) and every v, by one Newton iteration over all the samples at
-    once; each starts at u0, and its step divides the residual from
-    `germ.points` by the exact f_u . e from `germ.partials_grid`.  Returns
-    A and the section sigma in (n, b) coordinates, shapes (S, nv) and
-    (S, nv, 2)."""
-    nv = len(vs)
-    U0 = np.repeat([fr.u for fr in frames], nv)
-    V = np.tile(np.asarray(vs, dtype=float), len(frames))
-    CENB = np.repeat([(fr.point, fr.e, fr.n, fr.b) for fr in frames], nv,
-                     axis=0)
+def _solve_sections(germ, fr, vs, tol):
+    """u = A(u0, v) with (f(u, v) - c(u0)) . e = 0 for every station u0 of
+    the Frenet data fr (one station or S of them) and every v, by one
+    Newton iteration over all the samples at once; each starts at u0, and
+    its step divides the residual from `germ.points` by the exact f_u . e
+    from `germ.partials_grid`.  Returns A and the section sigma in (n, b)
+    coordinates, shapes (S, nv) and (S, nv, 2)."""
+    nv, u0 = len(vs), np.ravel(fr.u)
+    U0 = np.repeat(u0, nv)
+    V = np.tile(np.asarray(vs, dtype=float), len(u0))
+    CENB = np.repeat(np.stack([fr.point, fr.e, fr.n, fr.b], axis=-2)
+                     .reshape(-1, 4, 3), nv, axis=0)
     C, E = CENB[:, 0], CENB[:, 1]
     U, P = U0.copy(), np.empty_like(C)
     live = np.arange(len(U))
@@ -477,7 +482,7 @@ def sectional_cusp(germ, u0: float, nv: int = 65,
     hw = halfwidth if halfwidth is not None else 0.98 * germ.domain[1].hi
     fr, sigma2, sigma3, theta, a0, b0 = _station(germ, u0)
     vs = np.linspace(-hw, hw, nv)
-    (us,), (sigma,) = _solve_sections(germ, [fr], vs, tol)
+    (us,), (sigma,) = _solve_sections(germ, fr, vs, tol)
     # half-arc-length per sample via trapezoid of |d sigma / dv|
     from scipy.interpolate import CubicSpline
     sp = CubicSpline(vs, sigma, axis=0)
@@ -498,8 +503,8 @@ def to_normal_form(germ, n_stations: int = 129, nv: int = 65,
                    tol: float = 1e-12) -> EdgeNormalForm:
     """Extract (crease, theta, a, b) from a germ singular along {v = 0}.
 
-    Stations are equally spaced in the germ's own u.  Each takes one
-    order-3 jet on the edge, which gives the crease frame, theta and the
+    Stations are equally spaced in the germ's own u.  One order-3 jet on
+    the edge, over all stations, gives the crease frame, theta and the
     v = 0 values a0, b0.  One batched Newton solve then finds every
     (station, v) sample of the normal-plane sections at once, and a and b
     are read off the sections as arrays.
@@ -518,8 +523,8 @@ def to_normal_form(germ, n_stations: int = 129, nv: int = 65,
     hw = halfwidth if halfwidth is not None else germ.domain[1].hi
     vs = np.linspace(-hw, hw, nv)
 
-    frames, _, _, thetas, a0, b0 = zip(*(_station(germ, u0) for u0 in us))
-    _, sigma = _solve_sections(germ, frames, vs, tol)
+    fr, _, _, thetas, a0, b0 = _station(germ, us)
+    _, sigma = _solve_sections(germ, fr, vs, tol)
     ct, st = np.cos(thetas)[:, None], np.sin(thetas)[:, None]
     x = sigma[..., 0] * ct - sigma[..., 1] * st
     y = sigma[..., 0] * st + sigma[..., 1] * ct
@@ -545,15 +550,12 @@ def to_normal_form(germ, n_stations: int = 129, nv: int = 65,
 
 
 class _EdgeCurveMap:
-    """The edge u -> f(u, 0) of a germ: values on the germ's grid path,
-    derivatives from one germ jet per station."""
+    """The edge u -> f(u, 0) of a germ: its values and derivatives from
+    one germ jet over all stations."""
 
     def __init__(self, germ):
         self.germ = germ
 
     def derivatives(self, us, order: int) -> np.ndarray:
-        if order == 0:
-            return self.germ.points(np.column_stack([us, 0.0 * us]))[None]
-        jets = [self.germ.jet((u, 0.0), order) for u in us]
-        return np.array([[j.partial(k, 0) for j in jets]
-                         for k in range(order + 1)])
+        j = self.germ.jet(np.column_stack([us, 0.0 * us]), order)
+        return np.array([j.partial(k, 0) for k in range(order + 1)])

@@ -69,135 +69,149 @@ class Interval:
 
 
 def multi_indices(nvars: int, order: int):
-    """All derivative multi-indices with total degree <= order."""
-    out = []
-    for alpha in product(range(order + 1), repeat=nvars):
-        if sum(alpha) <= order:
-            out.append(alpha)
-    out.sort(key=lambda a: (sum(a), a))
-    return out
+    """All derivative multi-indices with total degree <= order, by degree,
+    then lexicographically."""
+    return sorted((a for a in product(range(order + 1), repeat=nvars)
+                   if sum(a) <= order), key=lambda a: (sum(a), a))
 
 
-def _factorial_alpha(alpha) -> float:
-    r = 1.0
-    for k in alpha:
-        r *= math.factorial(k)
-    return r
+class _Table:
+    """The multi-indices of (nvars, order), their positions and
+    factorials, and the coefficient rows (i, j) whose multi-indices add up
+    to that of row k, sorted by k, each k's first at starts[k]."""
+
+    _built = {}
+
+    def __init__(self, nvars: int, order: int):
+        self.index = multi_indices(nvars, order)
+        self.pos = {a: k for k, a in enumerate(self.index)}
+        self.fact = np.array([math.prod(map(math.factorial, a))
+                              for a in self.index])
+        pairs = sorted((self.pos[s], i, j)
+                       for i, a in enumerate(self.index)
+                       for j, b in enumerate(self.index)
+                       if (s := tuple(map(sum, zip(a, b)))) in self.pos)
+        k, self.i, self.j = map(np.array, zip(*pairs))
+        self.starts = np.searchsorted(k, np.arange(len(self.index)))
+
+    @classmethod
+    def of(cls, nvars: int, order: int) -> "_Table":
+        """The table of (nvars, order), built on first use."""
+        if (nvars, order) not in cls._built:
+            cls._built[nvars, order] = cls(nvars, order)
+        return cls._built[nvars, order]
 
 
 class Series:
-    """Truncated Taylor polynomial in `nvars` variables up to total `order`.
+    """Truncated Taylor polynomials in `nvars` variables up to total
+    `order`, at N base points at once.
 
-    Coefficients are stored against multi-indices; the derivative of the
-    underlying function is coefficient times the multi-index factorial.
+    The coefficients `c` have shape (K, N): row k belongs to the k-th
+    multi-index of `multi_indices`, column i to point i.  Domain checks
+    are per point: an operation raises what the first point it fails at
+    raises as a one-point series.
     """
 
     __slots__ = ("nvars", "order", "c")
 
-    def __init__(self, nvars: int, order: int, coeffs=None):
+    def __init__(self, nvars: int, order: int, coeffs):
         self.nvars = nvars
         self.order = order
-        self.c = dict(coeffs) if coeffs else {}
+        self.c = coeffs
 
     @classmethod
-    def constant(cls, value: float, nvars: int, order: int) -> "Series":
-        s = cls(nvars, order)
-        if value != 0.0:
-            s.c[(0,) * nvars] = float(value)
-        return s
+    def constant(cls, value, nvars: int, order: int) -> "Series":
+        """The constant `value`: a float, or one per point."""
+        value = np.atleast_1d(np.asarray(value, dtype=float))
+        c = np.zeros((len(_Table.of(nvars, order).index), len(value)))
+        c[0] = value
+        return cls(nvars, order, c)
 
     @classmethod
-    def variable(cls, i: int, value: float, nvars: int, order: int) -> "Series":
+    def variable(cls, i: int, value, nvars: int, order: int) -> "Series":
+        """The i-th variable at `value`: a float, or one per point."""
         s = cls.constant(value, nvars, order)
         if order >= 1:
-            idx = tuple(1 if j == i else 0 for j in range(nvars))
-            s.c[idx] = s.c.get(idx, 0.0) + 1.0
+            unit = tuple(int(j == i) for j in range(nvars))
+            s.c[_Table.of(nvars, order).pos[unit]] = 1.0
         return s
 
     @property
-    def const(self) -> float:
-        return self.c.get((0,) * self.nvars, 0.0)
+    def const(self) -> np.ndarray:
+        return self.c[0]
 
-    def coeff(self, alpha) -> float:
-        return self.c.get(tuple(alpha), 0.0)
+    def deriv(self, alpha) -> np.ndarray:
+        """Partial derivative of the represented function at each point:
+        the coefficient times the multi-index factorial."""
+        t = _Table.of(self.nvars, self.order)
+        k = t.pos[tuple(alpha)]
+        return self.c[k] * t.fact[k]
 
-    def deriv(self, alpha) -> float:
-        """Partial derivative of the represented function at the base point."""
-        return self.coeff(alpha) * _factorial_alpha(alpha)
-
-    def _like(self) -> "Series":
-        return Series(self.nvars, self.order)
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        out = Series(self.nvars, self.order, self.c)
-        for k, v in other.c.items():
-            out.c[k] = out.c.get(k, 0.0) + v
-        return out
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Series(self.nvars, self.order, {k: -v for k, v in self.c.items()})
-
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
+    def _new(self, c) -> "Series":
+        return Series(self.nvars, self.order, c)
 
     def _coerce(self, other) -> "Series":
         if isinstance(other, Series):
             return other
-        return Series.constant(float(other), self.nvars, self.order)
+        return self._new(np.zeros_like(self.c)) + other
+
+    def __add__(self, other):
+        if isinstance(other, Series):
+            return self._new(self.c + other.c)
+        c = self.c.copy()
+        c[0] += float(other)
+        return self._new(c)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new(-self.c)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
 
     def __mul__(self, other):
         if not isinstance(other, Series):
-            f = float(other)
-            return Series(self.nvars, self.order,
-                          {k: v * f for k, v in self.c.items()})
-        out = self._like()
-        for ka, va in self.c.items():
-            for kb, vb in other.c.items():
-                k = tuple(a + b for a, b in zip(ka, kb))
-                if sum(k) <= self.order:
-                    out.c[k] = out.c.get(k, 0.0) + va * vb
-        return out
+            return self._new(self.c * float(other))
+        t = _Table.of(self.nvars, self.order)
+        return self._new(np.add.reduceat(self.c[t.i] * other.c[t.j],
+                                         t.starts, axis=0))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if not isinstance(other, Series):
+            if float(other) == 0.0:
+                raise DomainViolation(
+                    "division by a quantity vanishing at the base point")
             return self * (1.0 / float(other))
         return self * other._reciprocal()
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
 
-    def _nilpotent(self) -> "Series":
-        out = self._like()
-        zero = (0,) * self.nvars
-        for k, v in self.c.items():
-            if k != zero:
-                out.c[k] = v
-        return out
-
     def compose(self, derivs) -> "Series":
-        """Apply a univariate function given its derivative list at self.const."""
-        n = self._nilpotent()
-        out = Series.constant(derivs[0], self.nvars, self.order)
-        term = Series.constant(1.0, self.nvars, self.order)
-        fact = 1.0
+        """Apply a univariate function given its derivatives at each
+        point's constant term: derivs[k] is the k-th derivative, a float
+        or one value per point; those past the series order go unused."""
+        n = self._new(self.c.copy())
+        n.c[0] = 0.0
+        c = np.zeros_like(self.c)
+        c[0] = derivs[0]
+        term, fact = n, 1.0
         for k in range(1, min(len(derivs), self.order + 1)):
-            term = term * n
+            if k > 1:
+                term = term * n
             fact *= k
-            if derivs[k] != 0.0:
-                out = out + term * (derivs[k] / fact)
-        return out
+            c += term.c * (np.asarray(derivs[k]) / fact)
+        return self._new(c)
 
     def _reciprocal(self) -> "Series":
         x0 = self.const
-        if x0 == 0.0:
+        if (x0 == 0.0).any():
             raise DomainViolation("division by a quantity vanishing at the base point")
         d = [1.0 / x0]
         for k in range(1, self.order + 1):
@@ -206,14 +220,20 @@ class Series:
 
     def __pow__(self, p):
         if isinstance(p, Series):
-            if not p._nilpotent().c:
-                p = p.const
-            else:
+            flat = ~p.c[1:].any(axis=0)  # the points where p is constant
+            if not flat.any():
                 return (p * self.log()).exp()
+            if not (flat.all() and (p.const == p.const[0]).all()):
+                # exponents of both kinds, or unequal constant ones: each
+                # point on its own
+                cols = [(self._new(self.c[:, [i]]) ** p._new(p.c[:, [i]])).c
+                        for i in range(self.c.shape[1])]
+                return self._new(np.hstack(cols))
+            p = float(p.const[0])
         if isinstance(p, (int, float)) and float(p).is_integer():
             n = int(p)
             if n == 0:
-                return Series.constant(1.0, self.nvars, self.order)
+                return self._coerce(1.0)
             base = self if n > 0 else self._reciprocal()
             n = abs(n)
             # repeated squaring, O(log n) truncated products; squares and
@@ -226,58 +246,57 @@ class Series:
                 if not n:
                     return out
                 base = base * base
-        x0 = self.const
-        if x0 <= 0.0:
+        if (self.const <= 0.0).any():
             raise DomainViolation("non-integer power of a nonpositive base")
         return (self.log() * float(p)).exp()
 
     def sqrt(self):
         x0 = self.const
-        if x0 < 0.0:
-            raise DomainViolation("sqrt of a negative quantity")
-        if x0 == 0.0:
-            if self._nilpotent().c:
-                raise DomainViolation("sqrt not differentiable at zero")
-            return Series.constant(0.0, self.nvars, self.order)
-        r = math.sqrt(x0)
-        d = [r, 0.5 / r, -0.25 / (x0 * r), 0.375 / (x0 * x0 * r)]
-        return self.compose(d[: self.order + 1])
+        zero = x0 == 0.0
+        bad = (x0 < 0.0) | (zero & self.c[1:].any(axis=0))
+        if bad.any():
+            if x0[bad.argmax()] < 0.0:
+                raise DomainViolation("sqrt of a negative quantity")
+            raise DomainViolation("sqrt not differentiable at zero")
+        # a point at zero without a nilpotent part has the square root 0
+        x0 = np.where(zero, 1.0, x0)
+        r = np.sqrt(x0)
+        out = self.compose([r, 0.5 / r, -0.25 / (x0 * r), 0.375 / (x0 * x0 * r)])
+        out.c[:, zero] = 0.0
+        return out
 
     def exp(self):
-        e = math.exp(self.const)
-        return self.compose([e] * (self.order + 1))
+        return self.compose([np.exp(self.const)] * 4)
 
     def log(self):
         x0 = self.const
-        if x0 <= 0.0:
+        if (x0 <= 0.0).any():
             raise DomainViolation("log of a nonpositive quantity")
-        d = [math.log(x0), 1.0 / x0, -1.0 / x0 ** 2, 2.0 / x0 ** 3]
-        return self.compose(d[: self.order + 1])
+        return self.compose([np.log(x0), 1.0 / x0, -1.0 / x0 ** 2, 2.0 / x0 ** 3])
 
     def sin(self):
-        x0 = self.const
-        s, c = math.sin(x0), math.cos(x0)
-        return self.compose([s, c, -s, -c][: self.order + 1])
+        s, c = np.sin(self.const), np.cos(self.const)
+        return self.compose([s, c, -s, -c])
 
     def cos(self):
-        x0 = self.const
-        s, c = math.sin(x0), math.cos(x0)
-        return self.compose([c, -s, -c, s][: self.order + 1])
+        s, c = np.sin(self.const), np.cos(self.const)
+        return self.compose([c, -s, -c, s])
 
     def tan(self):
-        t = math.tan(self.const)
+        t = np.tan(self.const)
         u = 1.0 + t * t
-        return self.compose([t, u, 2 * t * u, u * (2 + 6 * t * t)][: self.order + 1])
+        return self.compose([t, u, 2 * t * u, u * (2 + 6 * t * t)])
 
     def atan(self):
         x0 = self.const
         q = 1.0 + x0 * x0
-        d = [math.atan(x0), 1.0 / q, -2.0 * x0 / q ** 2, (6 * x0 * x0 - 2) / q ** 3]
-        return self.compose(d[: self.order + 1])
+        return self.compose([np.arctan(x0), 1.0 / q, -2.0 * x0 / q ** 2,
+                             (6 * x0 * x0 - 2) / q ** 3])
 
 
 class Jet:
-    """Partial derivatives of a vector-valued map at a point, up to `order`."""
+    """Partial derivatives of a map R^k -> R^m up to `order`, at one
+    point (each of shape (m,)) or at N points (shape (N, m))."""
 
     __slots__ = ("nvars", "order", "partials")
 
@@ -288,10 +307,11 @@ class Jet:
 
     @classmethod
     def from_series(cls, series_list, nvars: int, order: int) -> "Jet":
-        partials = {}
-        for alpha in multi_indices(nvars, order):
-            partials[alpha] = np.array([s.deriv(alpha) for s in series_list])
-        return cls(nvars, order, partials)
+        """The jet whose m components are `series_list`, at their N
+        points: each partial has shape (N, m)."""
+        t = _Table.of(nvars, order)
+        C = np.stack([s.c for s in series_list], axis=-1)
+        return cls(nvars, order, dict(zip(t.index, C * t.fact[:, None, None])))
 
     @property
     def value(self) -> np.ndarray:
@@ -301,13 +321,6 @@ class Jet:
         if len(alpha) == 1 and isinstance(alpha[0], tuple):
             alpha = alpha[0]
         return self.partials[tuple(alpha)]
-
-    def directional2(self, d) -> np.ndarray:
-        """Second derivative along a domain direction d (for 2-variable maps)."""
-        d = np.asarray(d, dtype=float)
-        return (self.partial(2, 0) * d[0] ** 2
-                + 2.0 * self.partial(1, 1) * d[0] * d[1]
-                + self.partial(0, 2) * d[1] ** 2)
 
 
 def eval_jet(map_, point, order: int = 3) -> Jet:

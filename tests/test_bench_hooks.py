@@ -28,3 +28,21 @@ def test_tracer_hooks_resolve_and_uninstall():
     assert all(w is not o for w, o in zip(wrapped, originals))
     restored = [tracing._resolve(*name)[1] for name in names]
     assert all(r is o for r, o in zip(restored, originals))
+
+
+def test_tracer_counts_a_batched_jet_once():
+    # one jet over three rows is one MapDef.eval_jet call, and its
+    # truncated products still reach the Series.__mul__ counter
+    import numpy as np
+
+    from frontalforge.exprlang import MapDef
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    m = MapDef("m", ("u", "v"), ["u*v^2", "sin(u)*v"])
+    tracer.install()
+    try:
+        m.eval_jet(np.array([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]), 3)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["exprlang.eval_jet.calls"] == 1
+    assert tracer.counts["numkit.series_mul.calls"] > 0

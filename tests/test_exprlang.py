@@ -192,7 +192,7 @@ def _outcome(fn, *args):
     except Exception as exc:  # the same failure is part of the contract
         return ("raised", type(exc).__name__, str(exc))
     if isinstance(value, Series):
-        return tuple(sorted((k, float(c).hex()) for k, c in value.c.items()))
+        return tuple(float(c).hex() for c in value.c.ravel())
     return float(value).hex()
 
 
@@ -274,6 +274,35 @@ def test_jet_partials_equal_diff(e, u, v):
             d = ex.diff(d, name)
         want = ex.evaluate(d, {"u": u, "v": v})
         assert partial[0] == pytest.approx(want, rel=1e-9, abs=1e-9 * scale)
+
+
+@_PROPERTY
+@given(_smooth_expr, st.lists(st.tuples(st.floats(-1.0, 1.0),
+                                        st.floats(-1.0, 1.0)),
+                              min_size=1, max_size=5))
+def test_jet_batch_rows_equal_one_point_jets(e, rows):
+    m = ex.MapDef("m", ("u", "v"), [e])
+    X = np.array(rows)
+    batch = m.eval_jet(X, 3)
+    for k, x in enumerate(X):
+        for alpha, partial in m.eval_jet(x, 3).partials.items():
+            assert partial.shape == (1,)
+            assert batch.partials[alpha].shape == (len(X), 1)
+            np.testing.assert_allclose(batch.partials[alpha][k], partial,
+                                       rtol=1e-15, atol=0)
+
+
+def test_jet_batch_raises_the_error_of_its_failing_row():
+    m = ex.MapDef("m", ("u",), ["sqrt(u)"])
+    with pytest.raises(ex.EvalDomainError) as one:
+        m.eval_jet((-1.0,), 3)
+    with pytest.raises(ex.EvalDomainError) as batch:
+        m.eval_jet(np.array([[1.0], [-1.0]]), 3)
+    assert str(batch.value) == str(one.value)
+    # a zero with no nilpotent part has the square root 0 in any batch
+    zero = ex.MapDef("z", ("u",), ["sqrt(u - u) + u"])
+    np.testing.assert_array_equal(
+        zero.eval_jet(np.array([[0.5], [-2.0]]), 3).partial(1), [[1.0], [1.0]])
 
 
 def test_signed_zero_constants_stay_distinct():

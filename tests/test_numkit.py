@@ -129,4 +129,4 @@ def test_square_and_cube_jets_are_repeated_products():
         power, product = u ** n, u
         for _ in range(n - 1):
             product = product * u
-        assert power.c == product.c
+        assert np.array_equal(power.c, product.c)

@@ -153,3 +153,19 @@ def test_cli_edge_commands_make_no_jets(calls, sub, tmp_path, capsys):
     # every command samples at least 17 stations; a per-station loop would
     # make at least that many calls
     assert 0 < counts["frenet"] < 17
+
+
+def test_extracted_crease_takes_one_jet_per_station_set(calls):
+    # the edge of a germ is differentiated by one jet over all stations
+    crease = CREASES["ms_edge"]()
+    _, counts = calls(lambda: frenet(crease, _stations(crease)))
+    assert counts["eval_jet"] == 1
+
+
+def test_isomer_set_takes_one_frenet_call(calls):
+    # the dual has the edge's kappa and |theta|, so one Frenet call on the
+    # stations decides the admissibility of every member
+    iso, counts = calls(lambda: isomer_set(_edge(), 33))
+    assert [name for name, _ in iso.members()] == [
+        "base", "dual", "inverse", "inverse_dual"]
+    assert counts["frenet"] == 1

@@ -209,10 +209,25 @@ def test_bare_edge_involution_builds_one_normal_field(monkeypatch):
         init(self, germ)
 
     monkeypatch.setattr(NormalField, "__init__", counted)
+    # the singular rows of each NormalField.points call share one jet
+    calls = {"jet": 0, "points": 0}
+    jet, points = SurfaceGerm.jet, NormalField.points
+
+    def counted_jet(self, *args):
+        calls["jet"] += 1
+        return jet(self, *args)
+
+    def counted_points(self, X):
+        calls["points"] += 1
+        return points(self, X)
+
+    monkeypatch.setattr(SurfaceGerm, "jet", counted_jet)
+    monkeypatch.setattr(NormalField, "points", counted_points)
     g = catalog("cuspidal_edge")
     bare = SurfaceGerm(g.map, g.domain, name="bare_edge")
     rep = connecting_involution(bare, Isometry(np.diag([1.0, -1.0, 1.0])))
     assert built == [bare]
+    assert 0 < calls["jet"] <= calls["points"]
     assert rep["sign"] == 1
     assert rep["involution_residual"] < 1e-12
 
