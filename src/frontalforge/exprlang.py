@@ -573,29 +573,30 @@ def diff(e: Expr, name: str, memo: dict | None = None) -> Expr:
     shared derivative.  Pass the same `memo` to differentiate several
     expressions in `name` with shared work.
     """
-    memo = {} if memo is None else memo
-
-    def d(e: Expr) -> Expr:
-        hit = memo.get(id(e))
-        if hit is not None:
-            return hit[1]
-        out = _diff_node(e, name, d)
-        memo[id(e)] = (e, out)  # holding e keeps its id from being reused
-        return out
-
-    return d(e)
+    return _diff(e, name, {} if memo is None else memo)
 
 
-def _diff_node(e: Expr, name: str, d) -> Expr:
+def _diff(e: Expr, name: str, memo: dict) -> Expr:
+    # a module-level recursion, not a closure over itself: a self-referring
+    # closure would hold the memo in a reference cycle
+    hit = memo.get(id(e))
+    if hit is not None:
+        return hit[1]
+    out = _diff_node(e, name, memo)
+    memo[id(e)] = (e, out)  # holding e keeps its id from being reused
+    return out
+
+
+def _diff_node(e: Expr, name: str, memo: dict) -> Expr:
     if isinstance(e, Num):
         return num(0)
     if isinstance(e, Var):
         return num(1) if e.name == name else num(0)
     if isinstance(e, Neg):
-        return neg(d(e.operand))
+        return neg(_diff(e.operand, name, memo))
     if isinstance(e, Bin):
         l, r = e.left, e.right
-        dl, dr = d(l), d(r)
+        dl, dr = _diff(l, name, memo), _diff(r, name, memo)
         if e.op == "+":
             return add(dl, dr)
         if e.op == "-":
@@ -615,7 +616,7 @@ def _diff_node(e: Expr, name: str, d) -> Expr:
         whole = Bin((0, 0), "^", l, r)
         return mul(whole, add(mul(dr, call("log", l)), mul(r, div(dl, l))))
     if isinstance(e, Call):
-        inner = d(e.arg)
+        inner = _diff(e.arg, name, memo)
         x = e.arg
         if e.fn == "sin":
             dx = call("cos", x)

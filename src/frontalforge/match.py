@@ -76,7 +76,9 @@ class PlaneMap:
         self.map = map_
         self.domain = domain if isinstance(domain, Interval) else Interval(*domain)
         self.name = name
-        self._tangent = map_.diff(map_.variables[0])
+        # c', c'', ...: each order is derived once, when a cusp first
+        # needs it
+        self._dmaps = [map_.diff(map_.variables[0])]
         self._ts = self.domain.grid(grid)
         self._nus = self._continuous_normals(self._ts)
 
@@ -117,11 +119,10 @@ class PlaneMap:
     def _raw_normal(self, t: float):
         # the rotated tangent; at a cusp, the rotated first nonvanishing
         # Taylor coefficient of the curve, up to the ninth
-        dm = self._tangent
         for k in range(9):
-            if k:
-                dm = dm.diff(self.map.variables[0])
-            d = np.asarray(dm((t,)), dtype=float)
+            if k == len(self._dmaps):
+                self._dmaps.append(self._dmaps[-1].diff(self.map.variables[0]))
+            d = np.asarray(self._dmaps[k]((t,)), dtype=float)
             raw = np.array([-d[1], d[0]])
             if np.linalg.norm(raw) > (_RAW_TOL if k == 0 else 1e-9):
                 return raw / np.linalg.norm(raw)
@@ -132,7 +133,7 @@ class PlaneMap:
         derivative runs on the grid path; where it is at most the raw
         tolerance (a cusp) or non-finite, the point goes through
         `_raw_normal`."""
-        d = self._tangent.eval_grid({self._tangent.variables[0]: ts})
+        d = self._dmaps[0].eval_grid({self.map.variables[0]: ts})
         raw = np.stack([-d[1], d[0]], axis=1)
         n = np.linalg.norm(raw, axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -64,7 +64,7 @@ class SymmetryFinding:
 def _image_tree(germ: SurfaceGerm, n: int = 16384):
     m = max(8, int(math.sqrt(n)))
     us, vs = germ.grid(m, m)
-    xs = np.array([(u, v) for u in us for v in vs])
+    xs = np.stack(np.meshgrid(us, vs, indexing="ij"), axis=-1).reshape(-1, 2)
     return cKDTree(germ.points(xs)), xs
 
 
@@ -78,6 +78,15 @@ def _shrunken_domain(germ: SurfaceGerm, p, factor: float = 0.5):
     return tuple(out)
 
 
+def _worst_residuals(germ: SurfaceGerm, isometries, F, tree, xs):
+    """Each isometry T's worst distance from the T-images of the probe
+    image points F to the image of germ, all rows in one polish."""
+    dist, _ = closest_image_point(
+        germ, germ.domain, np.concatenate([T(F) for T in isometries]),
+        tree, xs)
+    return dist.reshape(len(isometries), len(F)).max(axis=1)
+
+
 def detect_symmetries(germ: SurfaceGerm, p=None, tol: float = 1e-6,
                       n_probe: int = 121, n_image: int = 16384,
                       extra_candidates: dict | None = None):
@@ -87,24 +96,30 @@ def detect_symmetries(germ: SurfaceGerm, p=None, tol: float = 1e-6,
     extra_candidates ("brute" mode) adds user-supplied isometries, which
     are classified against the frame before testing.
 
-    Every candidate x probe x seed row is polished to the solver's stop,
-    on the grid path of the germ's expression map: the frame needs its
-    exact jets.
+    Probe images are polished in two batches, on the grid path of the
+    germ's expression map (the frame needs its exact jets): first the
+    four corners of the probe grid, the probes farthest from p, for every
+    candidate; then the other probes, only for the candidates whose
+    corners all landed within tol.  A candidate's residual is the worst
+    over its probes.
     """
     p = tuple(germ.base) if p is None else tuple(float(c) for c in p)
     frame = distinguished_frame(germ, p)
     tree, xs = _image_tree(germ, n_image)
-    probes = _sample_grid(_shrunken_domain(germ, p), n_probe)
+    probes = np.array(_sample_grid(_shrunken_domain(germ, p), n_probe))
     candidates = dict(frame.candidate_isometries())
     if extra_candidates:
         candidates.update(extra_candidates)
-    # every candidate's probe images are polished in one batch; a
-    # candidate's residual is the worst over its probes
-    F = germ.points(np.array(probes))
-    dist, _ = closest_image_point(
-        germ, germ.domain, np.concatenate([T(F) for T in candidates.values()]),
-        tree, xs)
-    worst = dist.reshape(len(candidates), len(probes)).max(axis=1)
+    Ts = list(candidates.values())
+    F = germ.points(probes)
+    m = math.isqrt(len(probes))  # the probes are an m x m grid, u-major
+    corner = np.zeros(len(probes), dtype=bool)
+    corner[[0, m - 1, -m, -1]] = True
+    worst = _worst_residuals(germ, Ts, F[corner], tree, xs)
+    standing = np.flatnonzero(worst < tol)
+    if standing.size and not corner.all():
+        worst[standing] = np.maximum(worst[standing], _worst_residuals(
+            germ, [Ts[i] for i in standing], F[~corner], tree, xs))
     findings = []
     for (label, T), w in zip(candidates.items(), worst.tolist()):
         if w < tol:

@@ -46,3 +46,21 @@ def test_tracer_counts_a_batched_jet_once():
         tracer.uninstall()
     assert tracer.counts["exprlang.eval_jet.calls"] == 1
     assert tracer.counts["numkit.series_mul.calls"] > 0
+
+
+def test_tracer_sees_both_detection_stages():
+    # the corner probes and the other probes are two closest-point calls;
+    # a stage that bypassed the traced entry point would vanish from the
+    # per-layer figures
+    from frontalforge import symmetry
+    from frontalforge.germ import catalog
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    germ = catalog("swallowtail")
+    tracer.install()
+    try:
+        symmetry.detect_symmetries(germ)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["symmetry.detect_symmetries.calls"] == 1
+    assert tracer.counts["match.closest_image_point.calls"] == 2

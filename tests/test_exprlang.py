@@ -69,6 +69,29 @@ def test_diff():
     assert got == pytest.approx(3 * 0.25 + math.cos(0.5) * 2.0)
 
 
+def test_diff_frees_its_memo_by_refcount():
+    # the memo holds every node visited; with no reference cycle it goes
+    # when diff returns, without waiting for the cyclic collector
+    import gc
+
+    from frontalforge.curve import helix
+    from frontalforge.normalform import (EdgeNormalForm, ScalarProfile,
+                                         SurfaceProfile, from_normal_form)
+    nf = EdgeNormalForm(helix(1.0, 0.5, 1.0),
+                        ScalarProfile.from_expr("0.4 + 0.1*sin(u)"),
+                        SurfaceProfile.from_expr("1 + 0.1*u*v"),
+                        SurfaceProfile.from_expr("0.7 + 0.1*u^2"))
+    component = from_normal_form(nf).map.components[2]
+    gc.disable()
+    try:
+        gc.collect()
+        d = ex.diff(component, "u")
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert d is not None
+
+
 def test_subs_and_free_vars():
     e = ex.parse("u + v")
     assert ex.free_vars(e) == {"u", "v"}

@@ -233,6 +233,55 @@ def test_plane_lift_points_match_per_point_normal(comps):
     assert np.allclose(nu[0], (0.0, 1.0), atol=1e-15)
 
 
+class FreshDerivativePlaneMap(PlaneMap):
+    """A PlaneMap whose cusp normal derives its map again at every call,
+    as it did before the derivative chain was kept on the map."""
+
+    def _raw_normal(self, t):
+        dm = self._dmaps[0]
+        for k in range(9):
+            if k:
+                dm = dm.diff(self.map.variables[0])
+            d = np.asarray(dm((t,)), dtype=float)
+            raw = np.array([-d[1], d[0]])
+            if np.linalg.norm(raw) > (1e-12 if k == 0 else 1e-9):
+                return raw / np.linalg.norm(raw)
+        return None
+
+
+def test_plane_map_derives_each_order_once(monkeypatch):
+    derived = []
+    diff = MapDef.diff
+
+    def counted(self, name):
+        derived.append(self.name)
+        return diff(self, name)
+
+    monkeypatch.setattr(MapDef, "diff", counted)
+    pm = plane("flat", ("t^10", "t^15"))
+    ts = np.array([0.0, -0.5, 0.0, 0.25])
+    pm.lift_points(ts)
+    pm.lift_points(ts)
+    # the cusp at t = 0 needs every order up to the ninth, once each
+    assert len(derived) == 9
+    assert len(set(derived)) == len(derived)
+
+
+@pytest.mark.parametrize("psi", ["(0.7*t)", "(-0.6*t)", "(t+0.2*t^3)",
+                                 "(t^3)", "(t^5)"])
+@pytest.mark.parametrize("m", [3, 5])
+def test_plane_lifts_equal_fresh_derivations(psi, m):
+    # the benchmark's plane pairs: f2 = (t^2, t^m), f1 = f2 o psi
+    for comps in ((f"{psi}^2", f"{psi}^{m}"), ("t^2", f"t^{m}")):
+        md = MapDef("f", ("t",), comps, {})
+        kept = PlaneMap(md, Interval(-1.0, 1.0))
+        fresh = FreshDerivativePlaneMap(md, Interval(-1.0, 1.0))
+        assert np.array_equal(kept._nus, fresh._nus)
+        ts = np.concatenate([Interval(-1.0, 1.0).grid(64), [0.0]])
+        for a, b in zip(kept.lift_points(ts), fresh.lift_points(ts)):
+            assert np.array_equal(a, b)
+
+
 def one_point_polish(lift, domain, target, e, x0, iters=40):
     """The one-point lift polish that `damped_gauss_newton` batches."""
     x = np.asarray(x0, float)

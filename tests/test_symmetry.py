@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from closest_reference import one_point_closest
+import frontalforge.match as ffmatch
+import frontalforge.symmetry as ffsym
 from frontalforge.exprlang import MapDef
-from frontalforge.geom import LABEL_TO_CASE, classify_isometry
+from frontalforge.geom import LABEL_TO_CASE, Isometry, classify_isometry
 from frontalforge.germ import catalog, distinguished_frame
-from frontalforge.match import _sample_grid
+from frontalforge.match import _sample_grid, closest_image_point
 from frontalforge.symmetry import (EXPECTED_CATALOG_LABELS,
                                    connecting_involution,
                                    detect_symmetries,
@@ -321,3 +323,86 @@ def test_detect_symmetries_polishes_on_the_grid_path(monkeypatch):
                                                                    "iv"}
     # one float-path evaluation per probe or seed would be tens of thousands
     assert len(calls) < 200
+
+
+def one_batch_detect(germ, n_probe=121, extra_candidates=None, tol=1e-6):
+    """`detect_symmetries` before its two stages, every candidate x probe x
+    seed row in one polish: (frame label, case, Q, residual) per finding."""
+    p = tuple(germ.base)
+    frame = distinguished_frame(germ, p)
+    tree, xs = _image_tree(germ)
+    F = germ.points(np.array(_sample_grid(_shrunken_domain(germ, p), n_probe)))
+    cands = {**frame.candidate_isometries(), **(extra_candidates or {})}
+    dist, _ = closest_image_point(germ, germ.domain, np.concatenate(
+        [T(F) for T in cands.values()]), tree, xs)
+    worst = dist.reshape(len(cands), len(F)).max(axis=1).tolist()
+    return [(label, LABEL_TO_CASE.get(label) or LABEL_TO_CASE.get(
+        classify_isometry(T, frame), label), T.Q, w)
+        for (label, T), w in zip(cands.items(), worst) if w < tol]
+
+
+def assert_same_findings(found, ref):
+    assert [(f.frame_label, f.label) for f in found] == \
+        [(label, case) for label, case, _, _ in ref]
+    for f, (_, _, Q, res) in zip(found, ref):
+        assert np.array_equal(f.isometry.Q, Q)
+        assert f.residual == res
+
+
+BRUTE = {"brute_x_flip": Isometry(np.diag([-1.0, 1.0, 1.0]))}
+
+
+@pytest.mark.parametrize("name, params, extra", [(n, None, None) for n in (
+    "cuspidal_edge", "swallowtail", "cuspidal_cross_cap", "ccr_example")]
+    + [(n, p, None) for n, p in seeded_germs()]
+    + [("cuspidal_edge", None, BRUTE)])
+def test_staged_detection_equals_one_batch(name, params, extra):
+    # rows of the solver evolve independently, so deciding on the corner
+    # probes first changes no verdict and no residual bit
+    germ = catalog(name, **(params or {}))
+    assert_same_findings(detect_symmetries(germ, extra_candidates=extra),
+                         one_batch_detect(germ, extra_candidates=extra))
+
+
+def solver_rows(monkeypatch):
+    rows = []
+    solve = ffmatch.damped_gauss_newton
+
+    def counted(fn, target, x0, *args, **kwargs):
+        rows.append(len(x0))
+        return solve(fn, target, x0, *args, **kwargs)
+
+    monkeypatch.setattr(ffmatch, "damped_gauss_newton", counted)
+    return rows
+
+
+def test_detection_polishes_corners_first(monkeypatch):
+    rows = solver_rows(monkeypatch)
+    assert cases(detect_symmetries(catalog("swallowtail"))) == {"iii"}
+    # 4 candidates x 4 corners x 4 seeds, then the 117 other probes of
+    # the one candidate left standing (1,936 rows in one batch before)
+    assert rows == [4 * 4 * 4, 117 * 4]
+
+
+def test_detection_on_corner_probes_only(monkeypatch):
+    germ = catalog("cuspidal_edge")
+    rows = solver_rows(monkeypatch)
+    found = detect_symmetries(germ, n_probe=4)
+    assert rows == [4 * 4 * 4]
+    assert_same_findings(found, one_batch_detect(germ, n_probe=4))
+
+
+def test_detection_residual_is_worst_over_both_stages(monkeypatch):
+    # on the catalog germs the worst probe is never a corner, so a fake
+    # polish puts it there: corners at 5e-7, every other probe at 1e-8
+    polished = []
+
+    def fake(germ, domain, targets, tree, xs):
+        polished.append(len(targets))
+        dist = 5e-7 if len(polished) == 1 else 1e-8
+        return np.full(len(targets), dist), None
+
+    monkeypatch.setattr(ffsym, "closest_image_point", fake)
+    found = detect_symmetries(catalog("cuspidal_edge"))
+    assert polished == [4 * 4, 4 * 117]
+    assert [f.residual for f in found] == [5e-7] * 4
