@@ -369,6 +369,73 @@ _GRID_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
 _UNBOUND = object()
 
 
+class _Compilation:
+    """The registers and instructions of a `Tape` being compiled.  The
+    recursion over the expressions is module-level (`_visit`): a local
+    function that calls itself would hold the compilation, and the tape
+    it fills, in a reference cycle."""
+
+    def __init__(self, names):
+        self.slots = {n: i for i, n in enumerate(dict.fromkeys(names))}
+        # temporary -> (kind, index): kind 0 an input, 1 a constant,
+        # 2 an instruction; registers are numbered kind by kind
+        self.temps = []
+        self.by_key = {}     # structural key -> temporary
+        self.by_id = {}      # id(node) -> temporary
+        self.consts, self.code, self.nodes = [], [], []
+        self.first_use = {}  # input -> instructions before its first use
+
+    def intern(self, key, kind, index) -> int:
+        self.by_key[key] = len(self.temps)
+        self.temps.append((kind, index))
+        return self.by_key[key]
+
+    def constant(self, key, value) -> int:
+        self.consts.append(value)
+        return self.intern(key, 1, len(self.consts) - 1)
+
+
+def _visit(e, c: _Compilation) -> int:
+    """The temporary holding expression e, compiling e on first sight."""
+    t = c.by_id.get(id(e))
+    if t is not None:
+        return t
+    if isinstance(e, Num):
+        v = e.value
+        key = ("num", type(v), v, math.copysign(1.0, v))
+        t = c.by_key.get(key)
+        if t is None:
+            t = c.constant(key, v)
+    elif isinstance(e, Var):
+        key = ("var", e.name)
+        t = c.by_key.get(key)
+        if t is None and e.name not in c.slots and e.name in CONSTANTS:
+            t = c.constant(key, CONSTANTS[e.name])
+        elif t is None:
+            i = c.slots.setdefault(e.name, len(c.slots))
+            c.first_use[i] = len(c.code)
+            t = c.intern(key, 0, i)
+    else:
+        if isinstance(e, Bin):
+            key = (e.op, _visit(e.left, c), _visit(e.right, c))
+        elif isinstance(e, Neg):
+            key = ("neg", _visit(e.operand, c), -1)
+        elif isinstance(e, Call):
+            if e.fn not in FUNCTIONS:
+                raise UnknownFunctionError(
+                    f"unknown function '{e.fn}'", e.span[0])
+            key = (e.fn, _visit(e.arg, c), -1)
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+        t = c.by_key.get(key)
+        if t is None:
+            t = c.intern(key, 2, len(c.code))
+            c.code.append(key)
+            c.nodes.append(e)
+    c.by_id[id(e)] = t
+    return t
+
+
 class Tape:
     """Expressions compiled to a straight-line program over registers.
 
@@ -383,70 +450,16 @@ class Tape:
     """
 
     def __init__(self, exprs, names=()):
-        slots = {n: i for i, n in enumerate(dict.fromkeys(names))}
-        # temporary -> (kind, index): kind 0 an input, 1 a constant,
-        # 2 an instruction; registers are numbered kind by kind
-        temps = []
-        by_key = {}         # structural key -> temporary
-        by_id = {}          # id(node) -> temporary
-        consts, code, nodes = [], [], []
-        self.first_use = {}  # input -> instructions before its first use
-
-        def intern(key, kind, index):
-            by_key[key] = len(temps)
-            temps.append((kind, index))
-            return by_key[key]
-
-        def constant(key, value):
-            consts.append(value)
-            return intern(key, 1, len(consts) - 1)
-
-        def visit(e):
-            t = by_id.get(id(e))
-            if t is not None:
-                return t
-            if isinstance(e, Num):
-                v = e.value
-                key = ("num", type(v), v, math.copysign(1.0, v))
-                t = by_key.get(key)
-                if t is None:
-                    t = constant(key, v)
-            elif isinstance(e, Var):
-                key = ("var", e.name)
-                t = by_key.get(key)
-                if t is None and e.name not in slots and e.name in CONSTANTS:
-                    t = constant(key, CONSTANTS[e.name])
-                elif t is None:
-                    i = slots.setdefault(e.name, len(slots))
-                    self.first_use[i] = len(code)
-                    t = intern(key, 0, i)
-            else:
-                if isinstance(e, Bin):
-                    key = (e.op, visit(e.left), visit(e.right))
-                elif isinstance(e, Neg):
-                    key = ("neg", visit(e.operand), -1)
-                elif isinstance(e, Call):
-                    if e.fn not in FUNCTIONS:
-                        raise UnknownFunctionError(
-                            f"unknown function '{e.fn}'", e.span[0])
-                    key = (e.fn, visit(e.arg), -1)
-                else:
-                    raise TypeError(f"not an expression node: {e!r}")
-                t = by_key.get(key)
-                if t is None:
-                    t = intern(key, 2, len(code))
-                    code.append(key)
-                    nodes.append(e)
-            by_id[id(e)] = t
-            return t
-
-        outputs = [visit(e) for e in exprs]
-        self.names = tuple(slots)
-        offset = (0, len(slots), len(slots) + len(consts))
-        reg = [offset[kind] + i for kind, i in temps]
-        self.consts = consts
+        c = _Compilation(names)
+        outputs = [_visit(e, c) for e in exprs]
+        code = c.code
+        self.first_use = c.first_use
+        self.names = tuple(c.slots)
+        offset = (0, len(c.slots), len(c.slots) + len(c.consts))
+        reg = [offset[kind] + i for kind, i in c.temps]
+        self.consts = c.consts
         self.base = offset[2]
-        self.nodes = nodes
+        self.nodes = c.nodes
         self.outputs = [reg[t] for t in outputs]
         self.scalar = [(_SCALAR_OPS[op], reg[a], reg[b] if b >= 0 else -1)
                        for op, a, b in code]
@@ -639,28 +652,30 @@ def _diff_node(e: Expr, name: str, memo: dict) -> Expr:
 
 
 def subs(e: Expr, name: str, replacement: Expr) -> Expr:
-    memo = {}
+    return _subs(e, name, replacement, {})
 
-    def s(e: Expr) -> Expr:
-        hit = memo.get(id(e))
-        if hit is not None:
-            return hit
-        if isinstance(e, Num):
-            out = e
-        elif isinstance(e, Var):
-            out = replacement if e.name == name else e
-        elif isinstance(e, Neg):
-            out = Neg(e.span, s(e.operand))
-        elif isinstance(e, Bin):
-            out = Bin(e.span, e.op, s(e.left), s(e.right))
-        elif isinstance(e, Call):
-            out = Call(e.span, e.fn, s(e.arg))
-        else:
-            raise TypeError(f"not an expression node: {e!r}")
-        memo[id(e)] = out
-        return out
 
-    return s(e)
+def _subs(e: Expr, name: str, replacement: Expr, memo: dict) -> Expr:
+    # a module-level recursion, as in `_diff`: a self-referring closure
+    # would hold the memo in a reference cycle
+    hit = memo.get(id(e))
+    if hit is not None:
+        return hit
+    if isinstance(e, Num):
+        out = e
+    elif isinstance(e, Var):
+        out = replacement if e.name == name else e
+    elif isinstance(e, Neg):
+        out = Neg(e.span, _subs(e.operand, name, replacement, memo))
+    elif isinstance(e, Bin):
+        out = Bin(e.span, e.op, _subs(e.left, name, replacement, memo),
+                  _subs(e.right, name, replacement, memo))
+    elif isinstance(e, Call):
+        out = Call(e.span, e.fn, _subs(e.arg, name, replacement, memo))
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    memo[id(e)] = out
+    return out
 
 
 # 3-vectors of expressions -----------------------------------------------

@@ -81,10 +81,6 @@ class Isometry:
     def det(self) -> float:
         return float(np.linalg.det(self.Q))
 
-    def is_involution(self, tol: float = 1e-10) -> bool:
-        return (np.max(np.abs(self.Q @ self.Q - I3)) <= tol
-                and np.max(np.abs(self.Q @ self.b + self.b)) <= tol)
-
     def fixes(self, point, tol: float = 1e-10) -> bool:
         return float(np.max(np.abs(self(point) - np.asarray(point)))) <= tol
 

@@ -303,13 +303,31 @@ class ConnectingMap:
                            + ["%.12g" % self.residual_image])
 
 
-def _signed_lift(obj, e: int):
-    """x -> (f(x), e * nu(x)) on the rows of an (N, d) array."""
+def _lift(obj):
+    """x -> (f(x), nu(x)) on the rows of an (N, d) array."""
     def fn(X):
         F, nu = obj.lift_points(X)
-        return np.hstack([F, e * nu])
+        return np.hstack([F, nu])
 
     return fn
+
+
+def _corners(n: int, dim: int) -> np.ndarray:
+    """Mask of the corner samples of an n-point `_sample_grid` over a
+    dim-dimensional domain: the 2 ends of a 1-D grid, the 4 corners of a
+    2-D one (an m x m grid, u-major)."""
+    m = math.isqrt(n) if dim == 2 else n
+    corner = np.zeros(n, dtype=bool)
+    corner[[0, m - 1, -m, -1]] = True
+    return corner
+
+
+def _lift_residuals(f2, F1, nu1, e: int, x):
+    """The worst image and normal residuals of psi = x against the lift
+    (F1, nu1): sup|F1 - f2(x)| and sup|nu1 - e * nu2(x)|."""
+    G, mu = f2.lift_points(x)
+    return (float(np.max(np.linalg.norm(F1 - G, axis=1))),
+            float(np.max(np.linalg.norm(nu1 - e * mu, axis=1))))
 
 
 def connecting_map(f1, f2, tol: float = 1e-6,
@@ -317,16 +335,23 @@ def connecting_map(f1, f2, tol: float = 1e-6,
     """Recover psi = L2^{-1} o L1 by lift-distance minimization.
 
     Each lift sample of f1 is polished from the 4 nearest lift samples of
-    f2, all of them at once.  Tries both normal signs e = +1, -1; the sign
-    with the smaller sup residual wins.  Raises on inclusion failure, on a
-    non-injective lift of f2, or when neither sign meets the tolerance.
+    f2.  Since |nu1 - e nu2| = |e nu1 - nu2|, both normal signs e = +1, -1
+    polish against the one lift of f2, with (f1, e nu1) as the target.
+    The sign is decided on the corner samples first: one polish covers
+    them for both signs, and a sign whose worst corner residual exceeds
+    tol is dropped, since its worst over all samples can only be larger.
+    The other samples are polished only for the signs left standing, and
+    of these the sign with the smaller sup residual wins.  Raises on
+    inclusion failure, on a non-injective lift of f2, or when neither
+    sign meets the tolerance.
     """
     D1 = _domain_of(f1)
     D2 = _domain_of(f2)
 
     xs2 = np.array(_sample_grid(D2, n2))
     F2, nu2 = f2.lift_points(xs2)
-    _check_lift_injective(xs2, np.hstack([F2, nu2]), D2)
+    lifts2 = np.hstack([F2, nu2])
+    _check_lift_injective(xs2, lifts2, D2)
 
     incl, dist = image_subset(f1, D1, f2, D2, max(tol * 10, 1e-4),
                               n1=min(n1, 256), n2=min(n2, 8192))
@@ -336,28 +361,44 @@ def connecting_map(f1, f2, tol: float = 1e-6,
 
     qs = _sample_grid(D1, n1)
     F1, nu1 = f1.lift_points(np.array(qs))
-    targets = np.hstack([F1, nu1])
-    best = None
-    for e in (1, -1):
-        tree = cKDTree(np.hstack([F2, e * nu2]))
-        x, _ = _polish(_signed_lift(f2, e), targets, tree, xs2, D2, iters=40)
-        G, mu = f2.lift_points(x)
-        res_im = float(np.max(np.linalg.norm(F1 - G, axis=1)))
-        res_nu = float(np.max(np.linalg.norm(nu1 - e * mu, axis=1)))
-        score = max(res_im, res_nu)
-        if best is None or score < best[0]:
-            best = (score, e, tree, x, res_im, res_nu)
-    score, e, tree, x, res_im, res_nu = best
+    tree = cKDTree(lifts2)
+    lift2 = _lift(f2)
+
+    def polish(rows, signs):
+        """psi at the samples `rows`, for each sign in one polish."""
+        targets = np.concatenate([np.hstack([F1[rows], e * nu1[rows]])
+                                  for e in signs])
+        x, _ = _polish(lift2, targets, tree, xs2, D2, iters=40)
+        return np.split(x, len(signs))
+
+    corner = _corners(len(qs), len(D1))
+    # (score, sign, psi samples, image and normal residuals); a sign
+    # dropped at the corners keeps its corner score and no samples
+    tried = []
+    for e, xc in zip((1, -1), polish(corner, (1, -1))):
+        res = _lift_residuals(f2, F1[corner], nu1[corner], e, xc)
+        if max(res) > tol:
+            tried.append((max(res), e, None) + res)
+            continue
+        x = np.empty((len(qs), len(D2)))
+        x[corner] = xc
+        if not corner.all():
+            x[~corner] = polish(~corner, (e,))[0]
+        res = _lift_residuals(f2, F1, nu1, e, x)
+        tried.append((max(res), e, x) + res)
+    score, e, x, res_im, res_nu = min(tried, key=lambda t: t[0])
     if score > tol:
+        where = " on the corner samples" if x is None else ""
         raise ResidualError(
-            f"connecting map residual {score:.3e} exceeds tol {tol:.1e}")
+            f"connecting map residual {score:.3e}{where} exceeds tol "
+            f"{tol:.1e}")
     outs = [tuple(float(c) for c in row) for row in x]
     _check_psi_injective(qs, outs, D2)
-    lift2 = _signed_lift(f2, e)
 
     def solver(X):
         F, nu = f1.lift_points(X)
-        return _polish(lift2, np.hstack([F, nu]), tree, xs2, D2, iters=40)[0]
+        return _polish(lift2, np.hstack([F, e * nu]), tree, xs2, D2,
+                       iters=40)[0]
 
     return ConnectingMap(qs, outs, e, res_im, res_nu, solver)
 

@@ -61,9 +61,6 @@ class Interval:
     def mid(self) -> float:
         return 0.5 * (self.lo + self.hi)
 
-    def contains(self, x, margin: float = 0.0) -> bool:
-        return self.lo - margin <= x <= self.hi + margin
-
     def grid(self, n: int) -> np.ndarray:
         return np.linspace(self.lo, self.hi, n)
 
@@ -396,20 +393,24 @@ def damped_gauss_newton(fn, target, x0, lo, hi, iters: int, h: float = 1e-6):
     [lo, hi].
 
     `fn` maps a (K, d) array of points to their (K, m) values; each call
-    evaluates all live rows, or all their central-difference shifts (step
-    h), together.  A row keeps its best iterate; its damping starts at
-    1e-8, falls by 0.3 (floor 1e-12) after an improving step and grows
-    tenfold otherwise.  The row stops once its damping exceeds 1e6, after
-    `iters` steps, when its normal equations are singular, or when its
-    step (before clamping) no longer changes x in any coordinate: more
-    damping would only shorten that step.  Returns
+    evaluates a set of rows together with their central-difference shifts
+    (step h): the start rows first, then at every step the trial points
+    of all live rows.  A row takes the Jacobian of its trial point only
+    when it accepts the step, so after a rejected step it keeps the
+    Jacobian of its unchanged x.  A row keeps its best iterate; its
+    damping starts at 1e-8, falls by 0.3 (floor 1e-12) after an improving
+    step and grows tenfold otherwise.  The row stops once its damping
+    exceeds 1e6, after `iters` steps, when its normal equations are
+    singular, or when its step (before clamping) no longer changes x in
+    any coordinate: more damping would only shorten that step.  Returns
     (x, residual, iterations): per row the best point, |fn(x) - target|
     there, and the steps taken.
     """
     x = np.array(x0, dtype=float)
     target = np.asarray(target, dtype=float)
     n, d = x.shape
-    r = fn(x) - target
+    y, J = _values_and_jacobian(fn, x, h)
+    r = y - target
     best = np.linalg.norm(r, axis=1)
     lam = np.full(n, 1e-8)
     steps = np.zeros(n, dtype=int)
@@ -418,32 +419,43 @@ def damped_gauss_newton(fn, target, x0, lo, hi, iters: int, h: float = 1e-6):
     for _ in range(iters):
         if not live.size:
             break
-        xl = x[live]
-        shifted = []
-        for sign in (1.0, -1.0):
-            for i in range(d):
-                xs = xl.copy()
-                xs[:, i] += sign * h
-                shifted.append(xs)
-        vals = fn(np.concatenate(shifted)).reshape(2, d, len(live), -1)
-        J = np.stack([(vals[0, i] - vals[1, i]) / (2 * h) for i in range(d)],
-                     axis=2)
-        Jt = J.transpose(0, 2, 1)
-        A = Jt @ J + lam[live, None, None] * eye
+        xl, Jl = x[live], J[live]
+        Jt = Jl.transpose(0, 2, 1)
+        A = Jt @ Jl + lam[live, None, None] * eye
         g = -Jt @ r[live][:, :, None]
         step, ok = _solve_rows(A, g)
         steps[live] += 1
         xn = np.clip(xl + step, lo, hi)
-        rn_vec = fn(xn) - target[live]
+        yn, Jn = _values_and_jacobian(fn, xn, h)
+        rn_vec = yn - target[live]
         rn = np.linalg.norm(rn_vec, axis=1)
         better = ok & (rn < best[live])
         up = live[better]
         x[up], best[up], r[up] = xn[better], rn[better], rn_vec[better]
+        J[up] = Jn[better]
         lam[up] = np.maximum(lam[up] * 0.3, 1e-12)
         lam[live[~better]] *= 10.0
         moved = (xl + step != xl).any(axis=1)
         live = live[ok & moved & (better | (lam[live] <= 1e6))]
     return x, best, steps
+
+
+def _values_and_jacobian(fn, x, h: float):
+    """fn at the rows of the (K, d) array x, (K, m), and its
+    central-difference Jacobian there, (K, m, d), from one call of fn on
+    the rows and their 2d shifts."""
+    k, d = x.shape
+    shifted = [x]
+    for sign in (1.0, -1.0):
+        for i in range(d):
+            xs = x.copy()
+            xs[:, i] += sign * h
+            shifted.append(xs)
+    vals = fn(np.concatenate(shifted))
+    shifts = vals[k:].reshape(2, d, k, -1)
+    J = np.stack([(shifts[0, i] - shifts[1, i]) / (2 * h) for i in range(d)],
+                 axis=2)
+    return vals[:k], J
 
 
 def _solve_rows(A, g):

@@ -24,8 +24,8 @@ from .geom import LABEL_TO_CASE, Isometry, classify_isometry
 from .germ import (DegenerateSingularity, NotSingular, SurfaceGerm, catalog,
                    distinguished_frame, limiting_normal_curvature)
 from . import exprlang as ex
-from .match import (ConnectingMap, _sample_grid, closest_image_point,
-                    connecting_map)
+from .match import (ConnectingMap, _corners, _sample_grid,
+                    closest_image_point, connecting_map)
 from .numkit import Interval, damped_gauss_newton
 
 __all__ = [
@@ -112,9 +112,7 @@ def detect_symmetries(germ: SurfaceGerm, p=None, tol: float = 1e-6,
         candidates.update(extra_candidates)
     Ts = list(candidates.values())
     F = germ.points(probes)
-    m = math.isqrt(len(probes))  # the probes are an m x m grid, u-major
-    corner = np.zeros(len(probes), dtype=bool)
-    corner[[0, m - 1, -m, -1]] = True
+    corner = _corners(len(probes), 2)
     worst = _worst_residuals(germ, Ts, F[corner], tree, xs)
     standing = np.flatnonzero(worst < tol)
     if standing.size and not corner.all():
@@ -226,15 +224,16 @@ def connecting_involution(germ: SurfaceGerm, T: Isometry,
     """Domain involution psi with f o psi = T o f, plus its diagnostics.
 
     Returns a report with the sampled psi, the involution residual
-    sup|psi(psi(x)) - x|, the matching residuals, and orientation data
-    (domain orientation and the direction of travel along the singular
-    curve at the base point).
+    sup|psi(psi(x)) - x| over every k-th sample x, the matching residuals,
+    and orientation data (domain orientation and the direction of travel
+    along the singular curve at the base point).  psi(x) at a sample is
+    the polished sample of the connecting map, so the second application
+    of psi and the six orientation probes share one solver call.
     """
     g1 = _TransformedGerm(germ, T)
     cm = connecting_map(g1, germ, tol=tol, n1=n1, n2=n2)
     k = max(1, len(cm.samples_in) // 16)
     X = np.array(cm.samples_in[::k])
-    inv_err = float(np.max(np.linalg.norm(cm(cm(X)) - X, axis=1)))
     # orientation of psi at a regular probe point, and travel along the
     # singular curve {v = 0} near the base station
     h = 1e-4
@@ -243,7 +242,10 @@ def connecting_involution(germ: SurfaceGerm, T: Isometry,
                        germ.domain[i].hi - 2 * h) for i in range(2)])
     b = np.asarray(germ.base, float)
     eu, ev = np.array([h, 0.0]), np.array([0.0, h])
-    P = cm(np.array([p0 + eu, p0 - eu, p0 + ev, p0 - ev, b + eu, b - eu]))
+    probes = np.array([p0 + eu, p0 - eu, p0 + ev, p0 - ev, b + eu, b - eu])
+    P = cm(np.concatenate([np.array(cm.samples_out[::k]), probes]))
+    inv_err = float(np.max(np.linalg.norm(P[:len(X)] - X, axis=1)))
+    P = P[len(X):]
     J = np.column_stack([(P[0] - P[1]) / (2 * h), (P[2] - P[3]) / (2 * h)])
     detJ = float(np.linalg.det(J))
     du = (P[4][0] - P[5][0]) / (2 * h)

@@ -64,3 +64,25 @@ def test_tracer_sees_both_detection_stages():
         tracer.uninstall()
     assert tracer.counts["symmetry.detect_symmetries.calls"] == 1
     assert tracer.counts["match.closest_image_point.calls"] == 2
+
+
+def test_tracer_pins_the_work_of_one_involution():
+    # the losing normal sign is polished on the corner samples only, and a
+    # solver step evaluates its trial points and their shifts in one call:
+    # 200,355 grid points when every sample was polished for both signs
+    # and the shifts were a separate call
+    import numpy as np
+
+    from frontalforge import symmetry
+    from frontalforge.geom import Isometry
+    from frontalforge.germ import catalog
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    germ = catalog("cuspidal_edge")
+    tracer.install()
+    try:
+        symmetry.connecting_involution(germ, Isometry(np.diag([1.0, -1.0, 1.0])))
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["match.connecting_map.calls"] == 1
+    assert tracer.counts["exprlang.eval_grid.points"] < 100_000

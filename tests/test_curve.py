@@ -83,7 +83,8 @@ def test_curve_symmetry_circle():
     assert len(syms) >= 1
     c = circle(1.0, 1.0)
     for T, det in syms:
-        assert T.is_involution()
+        assert np.allclose(T.Q @ T.Q, np.eye(3), rtol=0, atol=1e-10)
+        assert np.allclose(T.Q @ T.b, -T.b, rtol=0, atol=1e-10)
         assert det == pytest.approx(T.det)
         # endpoints exchange
         assert np.allclose(T(c(-1.0)), c(1.0), atol=1e-8)

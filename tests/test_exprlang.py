@@ -92,6 +92,29 @@ def test_diff_frees_its_memo_by_refcount():
     assert d is not None
 
 
+def test_tape_and_subs_free_by_refcount():
+    # the tape compiler and subs recurse through module-level functions,
+    # so a dropped tape, and the memo of subs, go without the cyclic
+    # collector
+    import gc
+
+    from frontalforge.germ import catalog
+    component = catalog("swallowtail").map.components[2]
+    gc.disable()
+    try:
+        gc.collect()
+        m = ex.MapDef("m", ("u", "v"),
+                      ["u*v + sin(u)", "u^2 - v", "exp(v)*u"])
+        assert m((0.1, 0.2)) is not None
+        del m
+        assert gc.collect() == 0
+        s = ex.subs(component, "u", ex.parse("v + 1"))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert s is not None
+
+
 def test_subs_and_free_vars():
     e = ex.parse("u + v")
     assert ex.free_vars(e) == {"u", "v"}

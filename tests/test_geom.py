@@ -13,7 +13,8 @@ def frame():
 
 def test_reflection_is_involution():
     T = make_reflection(Plane((0.5, 0.0, 0.0), (1.0, 0.0, 0.0)))
-    assert T.is_involution()
+    assert np.allclose(T.Q @ T.Q, np.eye(3), rtol=0, atol=1e-10)
+    assert np.allclose(T.Q @ T.b, -T.b, rtol=0, atol=1e-10)
     p = np.array([2.0, 1.0, -1.0])
     assert np.allclose(T(p), [-1.0, 1.0, -1.0])
     assert T.det == pytest.approx(-1.0)
@@ -21,7 +22,8 @@ def test_reflection_is_involution():
 
 def test_rotation180_is_involution():
     T = make_rotation180(Line((0.0, 0.0, 0.0), (0.0, 0.0, 1.0)))
-    assert T.is_involution()
+    assert np.allclose(T.Q @ T.Q, np.eye(3), rtol=0, atol=1e-10)
+    assert np.allclose(T.Q @ T.b, -T.b, rtol=0, atol=1e-10)
     assert np.allclose(T((1.0, 2.0, 3.0)), [-1.0, -2.0, 3.0])
     assert T.det == pytest.approx(1.0)
 
@@ -45,7 +47,8 @@ def test_isometry_rejects_non_orthogonal():
 def test_frame_candidates_are_involutions_fixing_origin():
     fr = frame()
     for label, T in fr.candidate_isometries().items():
-        assert T.is_involution()
+        assert np.allclose(T.Q @ T.Q, np.eye(3), rtol=0, atol=1e-10)
+        assert np.allclose(T.Q @ T.b, -T.b, rtol=0, atol=1e-10)
         assert T.fixes(fr.origin)
         assert label in LABEL_TO_CASE
 

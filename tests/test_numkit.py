@@ -11,8 +11,8 @@ def test_interval_basics():
     iv = Interval(-1.0, 3.0)
     assert iv.length == 4.0
     assert iv.mid == 1.0
-    assert iv.contains(0.0)
-    assert not iv.contains(3.5)
+    assert iv.lo <= 0.0 <= iv.hi
+    assert not iv.lo <= 3.5 <= iv.hi
     g = iv.grid(5)
     assert np.allclose(g, [-1.0, 0.0, 1.0, 2.0, 3.0])
 
@@ -110,6 +110,84 @@ def test_damped_gauss_newton_stops_once_the_step_is_lost():
     assert np.array_equal(x, solutions)
     assert np.array_equal(res, np.zeros(3))
     assert np.all(steps <= 4)
+
+
+def two_call_gauss_newton(fn, target, x0, lo, hi, iters, h=1e-6):
+    """The solver loop before each step became one call: per step, one
+    call of fn on the 2d shifts of every live row's x, then one on the
+    trial points."""
+    from frontalforge.numkit import _solve_rows
+    x = np.array(x0, dtype=float)
+    n, d = x.shape
+    r = fn(x) - target
+    best = np.linalg.norm(r, axis=1)
+    lam = np.full(n, 1e-8)
+    steps = np.zeros(n, dtype=int)
+    live = np.arange(n)
+    for _ in range(iters):
+        if not live.size:
+            break
+        xl = x[live]
+        shifted = []
+        for sign in (1.0, -1.0):
+            for i in range(d):
+                xs = xl.copy()
+                xs[:, i] += sign * h
+                shifted.append(xs)
+        vals = fn(np.concatenate(shifted)).reshape(2, d, len(live), -1)
+        J = np.stack([(vals[0, i] - vals[1, i]) / (2 * h) for i in range(d)],
+                     axis=2)
+        Jt = J.transpose(0, 2, 1)
+        A = Jt @ J + lam[live, None, None] * np.eye(d)
+        step, ok = _solve_rows(A, -Jt @ r[live][:, :, None])
+        steps[live] += 1
+        xn = np.clip(xl + step, lo, hi)
+        rn_vec = fn(xn) - target[live]
+        rn = np.linalg.norm(rn_vec, axis=1)
+        better = ok & (rn < best[live])
+        up = live[better]
+        x[up], best[up], r[up] = xn[better], rn[better], rn_vec[better]
+        lam[up] = np.maximum(lam[up] * 0.3, 1e-12)
+        lam[live[~better]] *= 10.0
+        moved = (xl + step != xl).any(axis=1)
+        live = live[ok & moved & (better | (lam[live] <= 1e6))]
+    return x, best, steps
+
+
+def _curved(X):
+    u, v = X[:, 0], X[:, 1]
+    return np.stack([u * u - v, np.sin(3 * u) * v, np.exp(0.5 * v) + u * v],
+                    axis=1)
+
+
+@pytest.mark.parametrize("case", ["curved", "swallowtail"])
+def test_one_call_step_equals_two_call_loop(case):
+    # a step evaluates its trial points with their shifts in one call, and
+    # a row that rejects its step keeps the Jacobian of its unchanged x:
+    # the same x, residual and step count as recomputing it
+    from frontalforge.germ import catalog
+    from frontalforge.numkit import damped_gauss_newton
+    fn = _curved if case == "curved" else catalog("swallowtail").points
+    rng = np.random.default_rng(7)
+    x0 = rng.uniform(-0.8, 0.8, (60, 2))
+    # half the targets lie on the image, half off it (rejected steps)
+    target = fn(rng.uniform(-0.8, 0.8, (60, 2)))
+    target[30:] += rng.normal(0, 0.3, (30, 3))
+    lo, hi = np.full(2, -1.0), np.full(2, 1.0)
+    calls = []
+
+    def counted(X):
+        calls.append(len(X))
+        return fn(X)
+
+    x, res, steps = damped_gauss_newton(counted, target, x0, lo, hi, 30)
+    ref = two_call_gauss_newton(fn, target, x0, lo, hi, 30)
+    assert np.array_equal(x, ref[0])
+    assert np.array_equal(res, ref[1])
+    assert np.array_equal(steps, ref[2])
+    assert 1 < len(calls) <= 30 + 1
+    # every call holds its rows and their 4 shifts
+    assert all(k % 5 == 0 for k in calls)
 
 
 @pytest.mark.parametrize("n", [20000, -7])

@@ -406,3 +406,28 @@ def test_detection_residual_is_worst_over_both_stages(monkeypatch):
     found = detect_symmetries(catalog("cuspidal_edge"))
     assert polished == [4 * 4, 4 * 117]
     assert [f.residual for f in found] == [5e-7] * 4
+
+
+def test_connecting_map_decides_the_sign_on_the_corners(monkeypatch):
+    from frontalforge.numkit import Interval
+    f1, f2 = (ffmatch.PlaneMap(MapDef(n, ("t",), comps), Interval(-1.0, 1.0))
+              for n, comps in (("f1", ["0.49*t^2", "0.343*t^3"]),
+                               ("f2", ["t^2", "t^3"])))
+    rows = solver_rows(monkeypatch)
+    assert ffmatch.connecting_map(f1, f2).sign == 1
+    # image_subset's 256 samples x 4 seeds; both signs on the 2 ends of
+    # the 1-D sample grid; then the other 254 samples for the one sign
+    # left standing (1,024 rows for each sign before)
+    assert rows == [256 * 4, 2 * 2 * 4, 254 * 4]
+
+
+@pytest.mark.parametrize("name", ["cuspidal_edge", "swallowtail"])
+def test_involution_polishes_the_losing_sign_on_corners_only(monkeypatch,
+                                                             name):
+    rows = solver_rows(monkeypatch)
+    connecting_involution(catalog(name), Isometry(np.diag([1.0, -1.0, 1.0])))
+    # image_subset; both signs on the 4 corners of the 9 x 9 sample grid;
+    # the other 77 samples for the standing sign; then psi at psi(x) for
+    # every 5th sample x (17 of them) and at the 6 orientation probes, in
+    # one call (324 rows for each sign, then 68, 68 and 24 before)
+    assert rows == [81 * 4, 2 * 4 * 4, 77 * 4, (17 + 6) * 4]
