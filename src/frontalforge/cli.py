@@ -22,8 +22,9 @@ import numpy as np
 from . import __version__
 from . import exprlang as ex
 from .curve import SpaceCurve, circle, helix
-from .germ import (CATALOG_NAMES, SurfaceGerm, area_density, catalog,
-                   limiting_normal_curvature, normal_field, singular_curve)
+from .germ import (CATALOG_NAMES, GermError, SurfaceGerm, area_density,
+                   catalog, limiting_normal_curvature, normal_field,
+                   singular_curve)
 from .isomer import (SymmetryPredicates, congruence_count, isomer_set,
                      right_equivalence_classes)
 from .devfold import (curved_folding, folding_mesh, gaussian_curvature, ist,
@@ -187,7 +188,7 @@ def cmd_analyze(args, scene):
     flat = [s for comp in components for s in comp.samples]
     try:
         knu = limiting_normal_curvature(germ)
-    except Exception as err:
+    except (GermError, ex.ExprError) as err:
         knu = None
         rep["warnings"].append(f"limiting normal curvature: {err}")
     rep["results"] = {

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curve import SpaceCurve, frenet
-from .isomer import NotAdmissible, admissible, dual, inverse, inverse_dual
+from .isomer import (NotAdmissible, _admissible, _station_data, dual, inverse,
+                     inverse_dual)
 from .normalform import EdgeNormalForm, ScalarProfile
 from .numkit import Interval
 
@@ -115,9 +116,7 @@ def evaluate_strip(strip: DevStrip, u, v) -> np.ndarray:
     return fr.point + v[..., None] * _ruling(strip, fr, u)
 
 
-def _check_alpha_range(nf: EdgeNormalForm, n: int = 129, tol: float = 1e-10):
-    us = nf.stations(n)
-    th = nf.theta(us)
+def _check_alpha_range(us, th, tol: float = 1e-10):
     bad = np.flatnonzero((np.abs(th) <= tol) | (np.abs(th) >= np.pi / 2 - tol))
     if bad.size:
         raise AngleRangeError(
@@ -132,19 +131,21 @@ def ist(nf: EdgeNormalForm, halfwidth: float | None = None,
     Requires a strictly admissible edge with 0 < |theta| < pi/2 at every
     station (both kappa_s and kappa_nu nonvanishing).
     """
-    adm, strict = admissible(nf, n_check)
+    # one Frenet call feeds the admissibility, angle and focal checks
+    us, kap, _, th = _station_data(nf, n_check)
+    _, strict = _admissible(kap, th)
     if not strict:
         raise NotAdmissible(
             "strip construction requires a strictly admissible edge")
-    _check_alpha_range(nf, n_check)
+    _check_alpha_range(us, th)
     hw = nf.halfwidth if halfwidth is None else float(halfwidth)
-    hw = _truncate_to_focal(nf, hw, n_check)
+    hw = _truncate_to_focal(kap, hw)
     return DevStrip(nf.crease, nf.theta, hw, nf.interval, source_nf=nf)
 
 
-def _truncate_to_focal(nf: EdgeNormalForm, hw: float, n: int) -> float:
+def _truncate_to_focal(kap, hw: float) -> float:
     import warnings
-    rmin = float(np.min(1.0 / nf.frame(nf.stations(n)).kappa))
+    rmin = float(np.min(1.0 / kap))
     if hw > 0.5 * rmin:
         warnings.warn(
             f"halfwidth {hw} is close to the focal distance {rmin}; "

@@ -251,6 +251,13 @@ def _ts(e: Expr, parent_prec: int) -> str:
         return e.name
     if isinstance(e, Neg):
         inner = _ts(e.operand, 2)
+        # unary minus binds before "^": a power that would print first in
+        # the operand needs parentheses, -(u^2) and not -u^2 = (-u)^2
+        lead = e.operand
+        while isinstance(lead, Bin) and lead.op == "*":
+            lead = lead.left
+        if isinstance(lead, Bin) and lead.op == "^":
+            inner = f"({inner})"
         s = f"-{inner}"
         return f"({s})" if parent_prec >= 2 else s
     if isinstance(e, Call):

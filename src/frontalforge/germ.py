@@ -4,6 +4,9 @@ A germ is a map (u, v) -> R^3 around a base point.  Frontal germs carry a
 unit normal along the map; for wave-front catalog entries an analytic
 (unnormalized) normal expression is attached, everything else goes through
 the exact directional limits of f_u x f_v, oriented at the base point.
+On the singular set, the gradient of the area density, the null directions
+and the limiting normal curvature all come from one order-2 jet of f and
+the unit normal.
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ __all__ = [
     "singular_curve", "SingularSample", "SingularComponent",
     "limiting_normal_curvature", "distinguished_frame",
     "first_fundamental_form", "catalog", "CATALOG_NAMES", "GermError",
-    "NotAFrontal", "NotSingular", "DegenerateSingularity", "NonConvergence",
+    "NotAFrontal", "NotSingular", "DegenerateSingularity",
 ]
 
 
@@ -40,10 +43,6 @@ class NotSingular(GermError):
 
 class DegenerateSingularity(GermError):
     pass
-
-
-class NonConvergence(GermError):
-    """An iterative step ended without meeting its tolerance."""
 
 
 class SurfaceGerm:
@@ -274,28 +273,33 @@ class SingularComponent:
         return np.array([s.point for s in self.samples])
 
 
-def _lambda_gradient(lam, Q, h=1e-6):
-    """Central-difference gradients of lambda at the rows of an (N, 2)
-    array, as (N, 2), from one `lam.grid` call over all 4N shifts."""
-    Q = np.asarray(Q, dtype=float)
-    S = np.concatenate([Q + [h, 0.0], Q - [h, 0.0], Q + [0.0, h], Q - [0.0, h]])
-    L = lam.grid(S[:, 0], S[:, 1]).reshape(4, len(Q))
-    return np.column_stack([(L[0] - L[1]) / (2 * h), (L[2] - L[3]) / (2 * h)])
+def _lambda_gradient(j, nu) -> np.ndarray:
+    """Exact gradients of lambda = det(f_u, f_v, nu), as (N, 2), from an
+    order-2 jet of f at N points and the unit normals there, (N, 3).  As
+    f_u x f_v = lambda nu and nu . nu_u = 0, no derivative of nu enters:
+    lambda_u = det(f_uu, f_v, nu) + det(f_u, f_uv, nu), and so in v."""
+    fu, fv, fuv = j.partial(1, 0), j.partial(0, 1), j.partial(1, 1)
+
+    def det(a, b):
+        return np.sum(np.cross(a, b) * nu, axis=1)
+
+    return np.column_stack([det(j.partial(2, 0), fv) + det(fu, fuv),
+                            det(fuv, fv) + det(fu, j.partial(0, 2))])
 
 
-def _null_directions(germ, Q):
-    """Unit null directions of (f_u, f_v) at the rows of an (N, 2) array,
+def _null_directions(j):
+    """Unit null directions of (f_u, f_v) at the N points of a jet of f,
     pointing to increasing u (or v where u is flat), and the singular
-    values, (N, 2) each, from one `partials_grid` call and a stacked SVD."""
-    fu, fv = germ.partials_grid(Q[:, 0], Q[:, 1])
-    _, s, vt = np.linalg.svd(np.stack([fu.T, fv.T], axis=2))
+    values, (N, 2) each, from a stacked SVD."""
+    _, s, vt = np.linalg.svd(np.stack([j.partial(1, 0), j.partial(0, 1)], axis=2))
     null = vt[:, 1]
     null[(null[:, 0] < 0) | ((null[:, 0] == 0) & (null[:, 1] < 0))] *= -1.0
     return null, s
 
 
 def singular_curve(germ: SurfaceGerm, grid: int = 256, tol: float = 1e-12):
-    """Trace the zero set of the area density on the domain rectangle."""
+    """Trace the zero set of the area density on the domain rectangle;
+    each component's samples are typed from one order-2 jet of f."""
     lam = area_density(germ)
     U1 = germ.domain[0].grid(grid)
     V1 = germ.domain[1].grid(grid)
@@ -316,10 +320,10 @@ def singular_curve(germ: SurfaceGerm, grid: int = 256, tol: float = 1e-12):
     if not len(seeds):
         return []
 
-    lo, hi = _domain_box(germ)
     q, res, _ = damped_gauss_newton(
         lambda X: lam.grid(X[:, 0], X[:, 1])[:, None],
-        np.zeros((len(seeds), 1)), seeds, lo, hi, 40, h=1e-7)
+        np.zeros((len(seeds), 1)), seeds, [d.lo for d in germ.domain],
+        [d.hi for d in germ.domain], 40, h=1e-7)
     pts = q[res <= tol]
     if not len(pts):
         return []
@@ -333,8 +337,9 @@ def singular_curve(germ: SurfaceGerm, grid: int = 256, tol: float = 1e-12):
     for comp in components:
         # order along the dominant extent axis
         comp = comp[np.argsort(comp[:, np.argmax(np.ptp(comp, axis=0))])]
-        grads = _lambda_gradient(lam, comp)
-        nulls, _ = _null_directions(germ, comp)
+        j = germ.jet(comp, 2)
+        grads = _lambda_gradient(j, germ.normal_field.points(comp))
+        nulls, _ = _null_directions(j)
         g = np.linalg.norm(grads, axis=1)
         nondeg = g > 1e-6
         # type I: the null direction is transverse to the curve, whose
@@ -342,7 +347,7 @@ def singular_curve(germ: SurfaceGerm, grid: int = 256, tol: float = 1e-12):
         transverse = np.abs(np.sum(nulls * grads, axis=1)) > 1e-6 * g
         types = np.where(nondeg, np.where(transverse, "I", "II"), "degenerate")
         out.append(SingularComponent([SingularSample(*s) for s in zip(
-            comp, germ.points(comp), grads, nulls, nondeg.tolist(), types.tolist())]))
+            comp, j.value, grads, nulls, nondeg.tolist(), types.tolist())]))
     return out
 
 
@@ -361,62 +366,32 @@ def _split_components(pts, radius):
 
 # ------------------------------------------------- pointwise singular helpers
 
-def _trace_gamma(germ, lam, p, h):
-    """Five points of the singular curve around p, as a graph over the
-    better-aligned coordinate axis.  Returns (axis, params, domain points)."""
-    g = _lambda_gradient(lam, p[None])[0]
+def limiting_normal_curvature(germ: SurfaceGerm, p=None) -> float:
+    """Limiting normal curvature <f^'', nu> / |f^'|^2 of f^ = f o gamma, for
+    the singular curve gamma through p (Saji, Umehara and Yamada).  The term
+    Df gamma'' of f^'' is tangent to the surface and drops out, so it is
+    D^2f(t, t) . nu / |Df t|^2 with t the unit tangent of gamma, grad lambda
+    turned by 90 degrees, all from one order-2 jet of f at p."""
+    p = np.asarray(p if p is not None else germ.base, dtype=float)
+    j = germ.jet(p[None], 2)
+    _, (s,) = _null_directions(j)
+    if s[1] > 1e-6 * max(s[0], 1.0):
+        raise NotSingular(f"'{germ.name}' is immersive at {tuple(p)}")
+    nu = germ.normal_field.points(p[None])
+    (g,) = _lambda_gradient(j, nu)
     if np.linalg.norm(g) < 1e-8:
         raise DegenerateSingularity(
             f"area density of '{germ.name}' is degenerate at {tuple(p)}")
-    tangent = np.array([-g[1], g[0]])
-    tangent /= np.linalg.norm(tangent)
-    axis = 0 if abs(tangent[0]) >= abs(tangent[1]) else 1
-    other = 1 - axis
-    slope = tangent[other] / tangent[axis]
-    # each station is pinned to its own abscissa by a second residual
-    ts = np.arange(-2, 3) * h
-    seeds = np.tile(np.asarray(p, dtype=float), (5, 1))
-    seeds[:, axis] += ts
-    seeds[:, other] += slope * ts
-    target = np.column_stack([np.zeros(5), seeds[:, axis]])
-    lo, hi = _domain_box(germ)
-    pts, res, _ = damped_gauss_newton(
-        lambda X: np.column_stack([lam.grid(X[:, 0], X[:, 1]), X[:, axis]]),
-        target, seeds, lo, hi, 60, h=1e-7)
-    bad = np.flatnonzero(~(res < 1e-13))
-    if bad.size:
-        k = bad[0]
-        raise NonConvergence(
-            f"singular curve of '{germ.name}' near p={tuple(p)}: the "
-            f"pinned Newton solve at t={ts[k]:.3e} ended with "
-            f"|lambda|={abs(lam(pts[k])):.3e}")
-    return axis, ts, pts
-
-
-def _domain_box(germ):
-    return (np.array([d.lo for d in germ.domain]),
-            np.array([d.hi for d in germ.domain]))
-
-
-def limiting_normal_curvature(germ: SurfaceGerm, p=None, h: float = 1e-3) -> float:
-    """Normal curvature of the singular image in the limiting normal
-    direction at p (second derivative of f along the singular curve, dotted
-    with the unit normal, over the squared speed)."""
-    p = np.asarray(p if p is not None else germ.base, dtype=float)
-    lam = area_density(germ)
-    _, (s,) = _null_directions(germ, p[None])
-    if s[1] > 1e-6 * max(s[0], 1.0):
-        raise NotSingular(f"'{germ.name}' is immersive at {tuple(p)}")
-    _, ts, pts = _trace_gamma(germ, lam, p, h)
-    vals = germ.points(pts)
-    d1 = (-vals[4] + 8 * vals[3] - 8 * vals[1] + vals[0]) / (12 * h)
-    d2 = (-vals[4] + 16 * vals[3] - 30 * vals[2] + 16 * vals[1] - vals[0]) / (12 * h * h)
+    t = np.array([-g[1], g[0]]) / np.linalg.norm(g)
+    fu, fv, fuu, fuv, fvv = (j.partial(*a)[0] for a in
+                             ((1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
+    d1 = fu * t[0] + fv * t[1]
+    d2 = fuu * t[0] ** 2 + 2.0 * fuv * t[0] * t[1] + fvv * t[1] ** 2
     speed2 = float(d1 @ d1)
     if speed2 < 1e-16:
         raise DegenerateSingularity(
             "singular image is not regular at the base point (type II?)")
-    nu = germ.normal_field(p)
-    return float(d2 @ nu) / speed2
+    return float(d2 @ nu[0]) / speed2
 
 
 def first_fundamental_form(germ: SurfaceGerm, p) -> tuple:

@@ -41,6 +41,26 @@ def test_analyze_catalog(capsys, monkeypatch, tmp_path):
     assert rep["files"] == [] and not any(tmp_path.iterdir())
 
 
+def test_analyze_warns_on_a_type_ii_base(capsys):
+    code, rep, _ = run(capsys, "analyze", "--germ", "swallowtail")
+    assert code == 0
+    assert rep["results"]["limiting_normal_curvature"] is None
+    assert rep["warnings"] == [
+        "limiting normal curvature: singular image is not regular at the "
+        "base point (type II?)"]
+
+
+def test_analyze_fails_on_a_programming_error(capsys, monkeypatch):
+    # only the germ's own failures become warnings; anything else exits 2
+    def broken(germ, p=None):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr("frontalforge.cli.limiting_normal_curvature", broken)
+    code, rep, err = run(capsys, "analyze", "--germ", "cuspidal_edge")
+    assert code == 2 and rep is None
+    assert "ZeroDivisionError: float division by zero" in err
+
+
 def test_analyze_unknown_germ(capsys):
     code, _, err = run(capsys, "analyze", "--germ", "nope")
     assert code == 1

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frontalforge.geom import (GermFrame, Isometry, LABEL_TO_CASE, Line,
                                Plane, classify_isometry, make_reflection,
@@ -35,6 +37,48 @@ def test_isometry_compose_inverse():
     p = np.array([0.3, -0.7, 1.1])
     assert np.allclose(TS(p), T(S(p)))
     assert np.allclose(TS.compose(TS.inverse())(p), p)
+
+
+def _floats(lo, hi, n):
+    return st.lists(st.floats(lo, hi), min_size=n, max_size=n).map(np.array)
+
+
+# Q from the QR factorization of a drawn matrix, b drawn in [-5, 5]^3
+_isometries = st.builds(
+    lambda A, b: Isometry(np.linalg.qr(A.reshape(3, 3))[0], b),
+    _floats(-1.0, 1.0, 9), _floats(-5.0, 5.0, 3))
+_LAWS = settings(max_examples=100, deadline=None, derandomize=True)
+
+
+def _assert_same(S, T, tol=1e-12):
+    np.testing.assert_allclose(S.Q, T.Q, rtol=0, atol=tol)
+    np.testing.assert_allclose(S.b, T.b, rtol=0, atol=tol)
+
+
+@_LAWS
+@given(_isometries, _isometries, _isometries)
+def test_isometry_compose_is_associative(R, S, T):
+    _assert_same(R.compose(S).compose(T), R.compose(S.compose(T)))
+
+
+@_LAWS
+@given(_isometries)
+def test_isometry_inverse_is_two_sided(T):
+    _assert_same(T.compose(T.inverse()), Isometry.identity())
+    _assert_same(T.inverse().compose(T), Isometry.identity())
+
+
+@_LAWS
+@given(_isometries, _isometries)
+def test_isometry_det_is_multiplicative(S, T):
+    assert abs(T.compose(S).det - T.det * S.det) <= 1e-12
+
+
+@_LAWS
+@given(_isometries)
+def test_isometry_json_round_trip_is_exact(T):
+    T2 = Isometry.from_json(T.to_json())
+    assert T2.Q.tobytes() == T.Q.tobytes() and T2.b.tobytes() == T.b.tobytes()
 
 
 def test_isometry_rejects_non_orthogonal():

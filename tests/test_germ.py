@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from frontalforge.germ import (NormalField, NotAFrontal, NotSingular,
-                               SurfaceGerm, area_density, catalog,
+from frontalforge import germ as germ_module
+from frontalforge.germ import (DegenerateSingularity, NormalField,
+                               NotAFrontal, NotSingular, SurfaceGerm,
+                               _lambda_gradient, area_density, catalog,
                                distinguished_frame,
                                first_fundamental_form,
                                limiting_normal_curvature, normal_field,
@@ -62,6 +64,41 @@ def test_limiting_normal_curvature_oracles():
         2.0, abs=1e-8)
 
 
+def test_limiting_normal_curvature_of_ms_edge_is_exact():
+    # f = (u, v^2, u^2 + v^3): gamma = (u, 0), f o gamma = (u, 0, u^2) and
+    # nu = (-2u, 0, 1) / sqrt(1 + 4u^2) on it
+    g = catalog("ms_edge")
+    for u in (-0.5, -0.2, 0.0, 0.3, 0.6, 0.9):
+        assert limiting_normal_curvature(g, (u, 0.0)) == pytest.approx(
+            2.0 / (1.0 + 4.0 * u * u) ** 1.5, rel=0, abs=1e-14)
+
+
+def test_limiting_normal_curvature_takes_one_order_2_jet(monkeypatch):
+    orders = []
+    jet = SurfaceGerm.jet
+
+    def counted(self, point, order=3):
+        orders.append(order)
+        return jet(self, point, order)
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("limiting_normal_curvature called the solver")
+
+    monkeypatch.setattr(SurfaceGerm, "jet", counted)
+    monkeypatch.setattr(germ_module, "damped_gauss_newton", no_solve)
+    assert limiting_normal_curvature(catalog("cuspidal_edge")) == 0.0
+    assert orders == [2]
+
+
+def test_limiting_normal_curvature_rejects_type_ii_base():
+    # the swallowtail point of sw_example is type II, with or without the
+    # analytic normal: the singular image is not regular there
+    g = catalog("sw_example")
+    for germ in (g, SurfaceGerm(g.map, g.domain, name="bare_sw_example")):
+        with pytest.raises(DegenerateSingularity, match="type II"):
+            limiting_normal_curvature(germ)
+
+
 def test_distinguished_frame_edge():
     fr = distinguished_frame(catalog("cuspidal_edge"))
     assert np.allclose(fr.tangent, [0.0, 0.0, 1.0], atol=1e-10)
@@ -112,17 +149,6 @@ def test_normal_field_orthogonal_to_partials():
             assert np.linalg.norm(n) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_trace_gamma_reports_non_convergence():
-    # lambda = 2 + sin(v) has a nonzero gradient but no zero, so the
-    # transverse Newton step cannot reach the singular curve
-    from frontalforge.germ import NonConvergence, _trace_gamma
-    germ = catalog("cuspidal_edge")
-    lam = lambda q: 2.0 + math.sin(q[1])
-    lam.grid = lambda U, V: 2.0 + np.sin(V)
-    with pytest.raises(NonConvergence, match="cuspidal_edge.*lambda"):
-        _trace_gamma(germ, lam, np.array([0.0, 0.0]), 1e-3)
-
-
 def bare_cuspidal_edge():
     # the catalog's cuspidal edge (v^2, v^3, u) without its analytic normal
     g = catalog("cuspidal_edge")
@@ -167,13 +193,21 @@ def test_generic_normal_points_match_per_point(monkeypatch):
                                   bare_cuspidal_edge])
 def test_area_density_closed_form(make):
     # lambda = (f_u x f_v) . nu = v sqrt(9 v^2 + 4) for either normal
-    lam = area_density(make())
+    g = make()
+    lam = area_density(g)
     U, V = np.meshgrid(np.linspace(-1, 1, 7), np.linspace(-1, 1, 9),
                        indexing="ij")
     want = V * np.sqrt(9 * V ** 2 + 4)
     np.testing.assert_allclose(lam.grid(U, V), want, rtol=0, atol=1e-12)
     got = [lam((u, v)) for u, v in zip(U.ravel(), V.ravel())]
     np.testing.assert_allclose(got, want.ravel(), rtol=0, atol=1e-12)
+    # and its gradient (0, (18 v^2 + 4) / sqrt(9 v^2 + 4)), from one jet
+    X = np.column_stack([U.ravel(), V.ravel()])
+    grad = _lambda_gradient(g.jet(X, 2), g.normal_field.points(X))
+    v = X[:, 1]
+    np.testing.assert_allclose(
+        grad, np.column_stack([0 * v, (18 * v ** 2 + 4) / np.sqrt(9 * v ** 2 + 4)]),
+        rtol=0, atol=1e-12)
 
 
 SINGULAR_CURVES = {

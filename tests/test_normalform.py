@@ -89,6 +89,12 @@ def test_json_round_trip(helix_nf):
                                helix_nf.evaluate(u, v), atol=1e-10)
 
 
+def test_negated_profile_keeps_its_sign_through_json():
+    p = ScalarProfile.from_expr("u^2").negated()
+    q = ScalarProfile.from_json(p.to_json())
+    assert p(0.5) == q(0.5) == -0.25
+
+
 def test_scalar_profile_deriv():
     p = ScalarProfile.from_expr("sin(2*u)")
     assert p.deriv(0.3) == pytest.approx(2 * math.cos(0.6), abs=1e-12)

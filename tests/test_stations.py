@@ -169,3 +169,11 @@ def test_isomer_set_takes_one_frenet_call(calls):
     assert [name for name, _ in iso.members()] == [
         "base", "dual", "inverse", "inverse_dual"]
     assert counts["frenet"] == 1
+
+
+def test_ist_takes_one_frenet_call(calls):
+    # admissibility, the angle range and the focal truncation read the
+    # same station data
+    strip, counts = calls(lambda: ist(_edge(), n_check=33))
+    assert strip.halfwidth == _edge().halfwidth
+    assert counts["frenet"] == 1
