@@ -27,8 +27,9 @@ from .germ import (CATALOG_NAMES, GermError, SurfaceGerm, area_density,
                    singular_curve)
 from .isomer import (SymmetryPredicates, congruence_count, isomer_set,
                      right_equivalence_classes)
-from .devfold import (curved_folding, folding_mesh, gaussian_curvature, ist,
-                      strip_mesh, write_obj, write_profile_csv)
+from .devfold import (_grid_mesh, _lattice_mesh, curved_folding,
+                      folding_mesh, gaussian_curvature, ist, strip_mesh,
+                      write_obj, write_profile_csv)
 from .match import PlaneMap, connecting_map, properness_probe
 from .normalform import EdgeNormalForm, to_normal_form
 from .numkit import Interval
@@ -391,11 +392,12 @@ def cmd_export(args, scene):
     germ, name = _resolve_germ(args, scene)
     rep = _base_report(args, "export", germ=name)
     if isinstance(germ, EdgeNormalForm):
-        from .normalform import from_normal_form
-        germ = from_normal_form(germ)
-    us, vs = germ.grid(args.nu, args.nv)
-    from .devfold import MeshGrid, _lattice_mesh
-    mesh = _lattice_mesh(lambda u, v: germ((u, v)), us, vs)
+        us = germ.interval.grid(args.nu)
+        vs = Interval(-germ.halfwidth, germ.halfwidth).grid(args.nv)
+        mesh = _grid_mesh(us, vs, germ.evaluate(us[:, None], vs))
+    else:
+        us, vs = germ.grid(args.nu, args.nv)
+        mesh = _lattice_mesh(lambda u, v: germ((u, v)), us, vs)
     rep["files"] = _write_files(
         args, [(f"{name}_surface.obj", lambda path: write_obj(mesh, path))])
     rep["results"] = {"vertices": int(mesh.vertices.shape[0]),

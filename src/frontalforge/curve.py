@@ -35,8 +35,8 @@ class SpaceCurve:
 
     `derivatives` is the one source of its values and derivatives.  An
     expression map is differentiated symbolically once, on first use, and
-    runs on the tape's grid path; any other map supplies its own
-    `derivatives(us, order)` over a 1-D array of stations.
+    runs on the checked grid path `MapDef.values`; any other map supplies
+    its own `derivatives(us, order)` over a 1-D array of stations.
     """
 
     def __init__(self, map_, domain: Interval, name: str = "curve"):
@@ -54,11 +54,8 @@ class SpaceCurve:
             var = self.map.variables[0]
             while len(self._dmaps) <= order:
                 self._dmaps.append(self._dmaps[-1].diff(var))
-            maps = self._dmaps[:order + 1]
-            out = np.stack([m.eval_grid({var: us}).T for m in maps])
-            for i in np.flatnonzero(~np.isfinite(out).all(axis=(0, 2))):
-                for m in maps:
-                    m((us[i],))  # raises the station's EvalDomainError
+            out = np.stack([m.values({var: us}).T
+                            for m in self._dmaps[:order + 1]])
         else:
             out = self.map.derivatives(us, order)
         return out.reshape((order + 1,) + u.shape + (3,))
@@ -124,11 +121,11 @@ class ReparamCurve:
     """Arc-length reparametrization of a base curve, with exact chain-rule
     derivatives."""
 
-    def __init__(self, base: SpaceCurve, tol: float = 1e-12, n_nodes: int = 513):
+    def __init__(self, base: SpaceCurve, tol: float = 1e-12):
         self.base = base
-        nodes = base.grid(n_nodes)
-        lengths = np.zeros(n_nodes)
-        for i in range(n_nodes - 1):
+        nodes = base.grid(513)
+        lengths = np.zeros(len(nodes))
+        for i in range(len(nodes) - 1):
             lengths[i + 1] = lengths[i] + integrate(
                 base.speed, Interval(nodes[i], nodes[i + 1]), tol)
         self.nodes = nodes

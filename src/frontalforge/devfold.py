@@ -154,8 +154,9 @@ def _truncate_to_focal(kap, hw: float) -> float:
     return hw
 
 
-def gaussian_curvature(strip, u, v, h: float | None = None):
-    """Gaussian curvature from a numeric second fundamental form.
+def gaussian_curvature(strip, u, v):
+    """Gaussian curvature from a numeric second fundamental form, on a
+    9-point stencil of step 1e-4 max(1, |u|, |v|).
 
     On a DevStrip, u and v may be broadcastable arrays, and one Frenet call
     gives the 3 stations of every 9-point stencil.  Any other callable
@@ -163,9 +164,7 @@ def gaussian_curvature(strip, u, v, h: float | None = None):
     for the negative controls: cylinders are flat, spheres are not).
     """
     u, v = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-    if h is None:
-        h = 1e-4 * np.maximum(1.0, np.maximum(np.abs(u), np.abs(v)))
-    h = np.broadcast_to(h, u.shape)[..., None]
+    h = 1e-4 * np.maximum(1.0, np.maximum(np.abs(u), np.abs(v)))[..., None]
     steps = np.array([-1.0, 0.0, 1.0])
     uu, vv = u[..., None] + steps * h, v[..., None] + steps * h
     if isinstance(strip, DevStrip):

@@ -756,8 +756,11 @@ class MapDef:
         """The jet at one point (k,), partials (m,), or at the rows of an
         (N, k) array, partials (N, m): one tape run on Taylor series.  A
         row with a non-finite value is evaluated again as one point, so it
-        raises what the float path raises."""
+        raises what the float path raises.  `Series` carries derivatives up
+        to order 3 only, so a higher order raises `ValueError`."""
         from .numkit import Jet
+        if not 0 <= order <= 3:
+            raise ValueError(f"jet order {order} is not in 0..3")
         pt = np.asarray(point, dtype=float)
         X = np.atleast_2d(pt)
         nvars = len(self.variables)
@@ -787,6 +790,20 @@ class MapDef:
         regs = tape.run_checked(inputs, grid=True)
         return np.stack([np.broadcast_to(np.asarray(regs[i], dtype=float), shape)
                          for i in tape.outputs])
+
+    def values(self, arrays: dict) -> np.ndarray:
+        """`eval_grid`, where each point left non-finite is evaluated again
+        as one point on the float path: it raises that path's error, or
+        supplies its value."""
+        out = self.eval_grid(arrays)
+        if np.isfinite(out).all():
+            return out
+        xs = np.broadcast_arrays(*(np.asarray(arrays[n], dtype=float)
+                                   for n in self.variables))
+        for i in np.flatnonzero(~np.isfinite(out).all(axis=0)):
+            at = np.unravel_index(i, out.shape[1:])
+            out[(slice(None),) + at] = self([x[at] for x in xs])
+        return out
 
     def diff(self, name: str) -> "MapDef":
         memo = {}

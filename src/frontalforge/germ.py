@@ -1,8 +1,9 @@
 """Surface germs in 3-space: normals, area density, singular sets, frames.
 
-A germ is a map (u, v) -> R^3 around a base point.  Frontal germs carry a
-unit normal along the map; for wave-front catalog entries an analytic
-(unnormalized) normal expression is attached, everything else goes through
+A germ is an expression map (u, v) -> R^3 around a base point, so it has
+exact jets.  Frontal germs carry a unit normal along the map; for
+wave-front catalog entries an analytic (unnormalized) normal expression
+is attached, everything else goes through
 the exact directional limits of f_u x f_v, oriented at the base point.
 On the singular set, the gradient of the area density, the null directions
 and the limiting normal curvature all come from one order-2 jet of f and
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import exprlang as ex
 from .geom import GermFrame
-from .numkit import Interval, Jet, damped_gauss_newton, eval_jet
+from .numkit import Interval, Jet, damped_gauss_newton
 
 __all__ = [
     "SurfaceGerm", "NormalField", "normal_field", "area_density",
@@ -48,6 +49,9 @@ class DegenerateSingularity(GermError):
 class SurfaceGerm:
     def __init__(self, map_, domain, base=(0.0, 0.0), normal_map=None,
                  name: str = "germ", sing_type: str | None = None):
+        if not isinstance(map_, ex.MapDef):
+            raise GermError(f"germ '{name}' needs an expression map, "
+                            f"not {type(map_).__name__}")
         self.map = map_
         self.domain = (Interval(*domain[0]) if not isinstance(domain[0], Interval)
                        else domain[0],
@@ -60,27 +64,19 @@ class SurfaceGerm:
         self.normal_map = normal_map  # unnormalized normal, may be None
         self.name = name
         self.sing_type = sing_type
-        self._du = self._dv = None
-        if isinstance(map_, ex.MapDef):
-            u, v = map_.variables
-            self._du = map_.diff(u)
-            self._dv = map_.diff(v)
+        u, v = map_.variables
+        self._du = map_.diff(u)
+        self._dv = map_.diff(v)
 
     def __call__(self, point) -> np.ndarray:
         return np.asarray(self.map(point), dtype=float)
 
     def points(self, X) -> np.ndarray:
-        """f on the rows of an (N, 2) array, as (N, 3).  Expression maps run
-        on the tape's grid path; a row left non-finite there is evaluated
-        again as one point, so it raises what `self(p)` raises."""
+        """f on the rows of an (N, 2) array, as (N, 3), from the map's
+        checked grid evaluation `MapDef.values`."""
         X = np.asarray(X, dtype=float)
-        if not self.is_expression:
-            return np.array([self(tuple(x)) for x in X]).reshape(-1, 3)
         u, v = self.map.variables
-        F = self.map.eval_grid({u: X[:, 0], v: X[:, 1]}).T.copy()
-        for i in np.flatnonzero(~np.isfinite(F).all(axis=1)):
-            F[i] = self(tuple(X[i]))
-        return F
+        return self.map.values({u: X[:, 0], v: X[:, 1]}).T.copy()
 
     def lift_points(self, X):
         """(f, nu) on the rows of an (N, 2) array, each (N, 3)."""
@@ -92,16 +88,10 @@ class SurfaceGerm:
         return NormalField(self)
 
     def jet(self, point, order: int = 3) -> Jet:
-        return eval_jet(self.map, point, order)
-
-    @property
-    def is_expression(self) -> bool:
-        return isinstance(self.map, ex.MapDef)
+        return self.map.eval_jet(point, order)
 
     def partials_grid(self, U, V):
-        """(f_u, f_v) stacked over broadcastable grids, expression germs only."""
-        if self._du is None:
-            raise GermError("gridded partials need an expression-backed germ")
+        """(f_u, f_v) stacked over broadcastable grids."""
         u, v = self.map.variables
         arrays = {u: U, v: V}
         return self._du.eval_grid(arrays), self._dv.eval_grid(arrays)
@@ -135,9 +125,8 @@ class NormalField:
 
     def points(self, X) -> np.ndarray:
         """The unit normal on the rows of an (N, 2) array, as (N, 3), on
-        the tape's grid path: the analytic normal, where a non-finite row
-        is evaluated again as one point, to raise the float path's error,
-        and a row shorter than 1e-13 raises `NotAFrontal`; or f_u x f_v
+        the tape's grid path: the analytic normal from `MapDef.values`,
+        where a row shorter than 1e-13 raises `NotAFrontal`; or f_u x f_v
         from `partials_grid`, where the rows that are non-finite or at most
         1e-7 times the squared scale of f_u and f_v take its exact limit,
         all in one `_limit_normal` call."""
@@ -145,14 +134,12 @@ class NormalField:
         g, U, V = self.germ, X[:, 0], X[:, 1]
         if g.normal_map is not None:
             u, v = g.normal_map.variables
-            raw = g.normal_map.eval_grid({u: U, v: V}).T
+            raw = g.normal_map.values({u: U, v: V}).T
             n = np.linalg.norm(raw, axis=1)
             bad = np.flatnonzero(~(n >= 1e-13))
             if bad.size:
-                at = tuple(X[bad[0]].tolist())
-                g.normal_map(at)  # a non-finite row raises the float path's error
-                raise NotAFrontal(
-                    f"analytic normal of '{g.name}' vanishes at {at}")
+                raise NotAFrontal(f"analytic normal of '{g.name}' vanishes "
+                                  f"at {tuple(X[bad[0]].tolist())}")
             return raw / n[:, None]
         fu, fv = g.partials_grid(U, V)
         raw = np.cross(fu, fv, axis=0).T
@@ -235,9 +222,9 @@ def normal_field(germ: SurfaceGerm) -> NormalField:
 # --------------------------------------------------------------- area density
 
 def area_density(germ: SurfaceGerm):
-    """lambda(u, v) = det(f_u, f_v, nu) = (f_u x f_v) . nu of an
-    expression germ, as a callable on one point; `.grid(U, V)` evaluates
-    it over broadcastable grids on the tape's grid path."""
+    """lambda(u, v) = det(f_u, f_v, nu) = (f_u x f_v) . nu of a germ, as
+    a callable on one point; `.grid(U, V)` evaluates it over broadcastable
+    grids on the tape's grid path."""
     nf = germ.normal_field
 
     def grid(U, V):

@@ -21,7 +21,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import exprlang as ex
-from .germ import SurfaceGerm
 from .numkit import Interval, damped_gauss_newton
 
 __all__ = [
@@ -65,11 +64,10 @@ class PlaneMap:
 
     The normal is the 90-degree rotation of the tangent, extended through
     cusps: the raw rotated derivative is divided by its vanishing order and
-    re-aligned for sign continuity along a cached grid.
+    re-aligned for sign continuity along a cached grid of 513 nodes.
     """
 
-    def __init__(self, map_, domain: Interval, name: str = "plane_map",
-                 grid: int = 513):
+    def __init__(self, map_, domain: Interval, name: str = "plane_map"):
         if not isinstance(map_, ex.MapDef):
             raise MatchError(f"plane map '{name}' needs an expression map, "
                              f"not {type(map_).__name__}")
@@ -79,7 +77,7 @@ class PlaneMap:
         # c', c'', ...: each order is derived once, when a cusp first
         # needs it
         self._dmaps = [map_.diff(map_.variables[0])]
-        self._ts = self.domain.grid(grid)
+        self._ts = self.domain.grid(513)
         self._nus = self._continuous_normals(self._ts)
 
     def __call__(self, t) -> np.ndarray:
@@ -88,14 +86,10 @@ class PlaneMap:
 
     def points(self, ts) -> np.ndarray:
         """The curve at each of the N parameters in ts (shape (N,) or
-        (N, 1)), as (N, 2), on the tape's grid path; a row left non-finite
-        there is evaluated again as one point, so it raises what `self(t)`
-        raises."""
+        (N, 1)), as (N, 2), from the map's checked grid evaluation
+        `MapDef.values`."""
         ts = np.asarray(ts, dtype=float).reshape(-1)
-        F = self.map.eval_grid({self.map.variables[0]: ts}).T.copy()
-        for i in np.flatnonzero(~np.isfinite(F).all(axis=1)):
-            F[i] = self(ts[i])
-        return F
+        return self.map.values({self.map.variables[0]: ts}).T.copy()
 
     def lift_points(self, ts):
         """(f, nu) at each of the N parameters in ts, each (N, 2); nu is
@@ -167,12 +161,11 @@ class PlaneMap:
 def legendrian_lift(obj):
     """Lift sampler x -> LiftSample(x, f(x), nu(x)).
 
-    Accepts a SurfaceGerm (normal from its frontal normal field) or a
+    Accepts a SurfaceGerm (normal from its frontal normal field), the lift
+    of T o f for an isometry T (symmetry's transformed germ), or a
     PlaneMap (normal of the plane curve extended through cusps).  Each
     sample is one row of the object's batched `lift_points`.
     """
-    if not isinstance(obj, (SurfaceGerm, PlaneMap)):
-        raise MatchError(f"cannot lift object of type {type(obj).__name__}")
     dim = len(_domain_of(obj))
 
     def lift(point):
@@ -186,11 +179,12 @@ def legendrian_lift(obj):
 # ---------------------------------------------------------------- evaluation
 
 def _domain_of(obj):
-    if isinstance(obj, SurfaceGerm):
-        return obj.domain
+    """The domain of a liftable object, as a tuple of intervals."""
     if isinstance(obj, PlaneMap):
         return (obj.domain,)
-    raise MatchError(f"no domain on {type(obj).__name__}")
+    if hasattr(obj, "lift_points"):  # a SurfaceGerm or the lift of T o f
+        return obj.domain
+    raise MatchError(f"cannot lift object of type {type(obj).__name__}")
 
 
 def _sample_grid(domain, n):
@@ -202,17 +196,17 @@ def _sample_grid(domain, n):
     return [(float(u), float(v)) for u in us for v in vs]
 
 
-def closest_image_point(obj, domain, targets, tree, xs, k: int = 4):
+def closest_image_point(obj, domain, targets, tree, xs):
     """Distance from each row of the (N, m) targets to the image of obj
     over domain, and the nearest point x found, as ((N,), (N, d)).
 
-    Each row is polished from the k samples xs whose images, held in tree,
+    Each row is polished from the 4 samples xs whose images, held in tree,
     lie nearest to it (a multi-sheeted image can strand a single seed on
-    the wrong sheet), and the best of the k is kept.  All rows go through
+    the wrong sheet), and the best of the 4 is kept.  All rows go through
     one damped Gauss-Newton on `obj.points`, the tape's grid path for
     expression maps."""
     x, dist = _polish(obj.points, np.asarray(targets, dtype=float), tree, xs,
-                      domain, iters=30, k=k)
+                      domain, iters=30)
     return dist, x
 
 
@@ -233,12 +227,12 @@ def image_subset(f1, V1, f2, U2, tol: float,
     return worst < tol, worst
 
 
-def _polish(fn, targets, tree, xs, domain, iters: int, k: int = 4):
-    """Minimize |fn(x) - target| for each row of targets, from the k
+def _polish(fn, targets, tree, xs, domain, iters: int):
+    """Minimize |fn(x) - target| for each row of targets, from the 4
     samples xs whose values fn(xs), held in tree, lie nearest to it (a
     multi-sheeted image can strand a single seed on the wrong sheet).
     Returns each target's best (x, residual)."""
-    k = min(k, tree.n)
+    k = min(4, tree.n)
     _, idx = tree.query(targets, k=k)
     idx = np.asarray(idx).reshape(-1)
     lo = np.array([d.lo for d in domain])
@@ -334,7 +328,9 @@ def connecting_map(f1, f2, tol: float = 1e-6,
                    n1: int = 256, n2: int = 8192) -> ConnectingMap:
     """Recover psi = L2^{-1} o L1 by lift-distance minimization.
 
-    Each lift sample of f1 is polished from the 4 nearest lift samples of
+    f1 and f2 are each lifted once, at their samples.  The inclusion
+    test polishes the images of f1 against the image samples of f2, and
+    each lift sample of f1 is polished from the 4 nearest lift samples of
     f2.  Since |nu1 - e nu2| = |e nu1 - nu2|, both normal signs e = +1, -1
     polish against the one lift of f2, with (f1, e nu1) as the target.
     The sign is decided on the corner samples first: one polish covers
@@ -350,18 +346,16 @@ def connecting_map(f1, f2, tol: float = 1e-6,
 
     xs2 = np.array(_sample_grid(D2, n2))
     F2, nu2 = f2.lift_points(xs2)
-    lifts2 = np.hstack([F2, nu2])
-    _check_lift_injective(xs2, lifts2, D2)
-
-    incl, dist = image_subset(f1, D1, f2, D2, max(tol * 10, 1e-4),
-                              n1=min(n1, 256), n2=min(n2, 8192))
-    if not incl:
-        raise InclusionError(
-            f"image of f1 is not inside image of f2 (gap {dist:.3e})")
+    tree = cKDTree(np.hstack([F2, nu2]))
+    _check_lift_injective(xs2, tree, D2)
 
     qs = _sample_grid(D1, n1)
     F1, nu1 = f1.lift_points(np.array(qs))
-    tree = cKDTree(lifts2)
+    dist, _ = closest_image_point(f2, D2, F1, cKDTree(F2), xs2)
+    gap = float(np.max(dist, initial=0.0))
+    if not gap < max(tol * 10, 1e-4):
+        raise InclusionError(
+            f"image of f1 is not inside image of f2 (gap {gap:.3e})")
     lift2 = _lift(f2)
 
     def polish(rows, signs):
@@ -403,11 +397,11 @@ def connecting_map(f1, f2, tol: float = 1e-6,
     return ConnectingMap(qs, outs, e, res_im, res_nu, solver)
 
 
-def _check_lift_injective(xs, pts, domain, lift_tol=1e-5):
-    tree = cKDTree(pts)
+def _check_lift_injective(xs, tree, domain):
+    """Raise when two samples xs farther apart than 5 % of the domain
+    have lifts, held in tree, within 1e-5."""
     scale = max(d.length for d in domain)
-    pairs = tree.query_pairs(lift_tol)
-    for i, j in pairs:
+    for i, j in tree.query_pairs(1e-5):
         if np.linalg.norm(xs[i] - xs[j]) > 0.05 * scale:
             raise LiftInjectivityError(
                 f"lift collision: x={tuple(xs[i].tolist())} and "

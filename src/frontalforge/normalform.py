@@ -45,16 +45,13 @@ def _scalar(x):
 
 
 def _grid_fn(e, variables, params):
-    """`e` over broadcastable arrays on the tape's grid path; a non-finite
-    value is evaluated again as one point, to raise the float path's error."""
+    """`e` over broadcastable arrays, from the checked grid evaluation
+    `MapDef.values`."""
     m = ex.MapDef("profile", variables, [e], params)
 
     def fn(*xs):
-        xs = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in xs))
-        out = m.eval_grid(dict(zip(variables, xs)))[0]
-        for i in np.flatnonzero(~np.isfinite(out.ravel())):
-            m([x.ravel()[i] for x in xs])
-        return out
+        return m.values({n: np.asarray(x, dtype=float)
+                         for n, x in zip(variables, xs)})[0]
 
     return fn
 
@@ -131,8 +128,8 @@ class ScalarProfile:
 
 
 class SurfaceProfile:
-    """Function of (station, transverse) used for the coefficients a and b;
-    the expression and grid backings take broadcastable arrays."""
+    """Function of (station, transverse) used for the coefficients a and b,
+    backed by an expression or by a grid; it takes broadcastable arrays."""
 
     def __init__(self, fn, expr=None, params=None, grid=None):
         self._fn = fn
@@ -173,21 +170,17 @@ class SurfaceProfile:
     def negated(self) -> "SurfaceProfile":
         if self.expr is not None:
             return SurfaceProfile.from_expr(ex.neg(self.expr), self.params)
-        if self.grid is not None:
-            us, vs, vals = self.grid
-            return SurfaceProfile.from_grid(us, vs, -vals)
-        return SurfaceProfile(lambda u, v: -self._fn(u, v))
+        us, vs, vals = self.grid
+        return SurfaceProfile.from_grid(us, vs, -vals)
 
     def to_json(self):
         if self.expr is not None:
             return {"kind": "expr", "source": ex.to_source(self.expr),
                     "params": self.params}
-        if self.grid is not None:
-            us, vs, vals = self.grid
-            return {"kind": "grid", "u": list(map(float, us)),
-                    "v": list(map(float, vs)),
-                    "values": [list(map(float, row)) for row in vals]}
-        raise NormalFormError("profile backed by an opaque callable")
+        us, vs, vals = self.grid
+        return {"kind": "grid", "u": list(map(float, us)),
+                "v": list(map(float, vs)),
+                "values": [list(map(float, row)) for row in vals]}
 
     @classmethod
     def from_json(cls, data):
@@ -292,24 +285,24 @@ def is_cuspidal_edge(nf: EdgeNormalForm, u: float | None = None,
 # -------------------------------------------------------------- construction
 
 def from_normal_form(nf: EdgeNormalForm):
-    """Realize the normal form as a surface germ.  When all ingredients are
-    expressions the germ is expression-backed, with exact jets and an
-    analytic normal; a sampled normal form gives a germ that can only be
-    evaluated at points, with no jets and no normal."""
+    """Realize the normal form as a surface germ, with exact jets and an
+    analytic normal.  Every ingredient must be an expression: a sampled
+    or unset one raises `NormalFormError`, which names it
+    (`EdgeNormalForm.evaluate` evaluates any normal form directly)."""
     from .germ import SurfaceGerm
 
-    hw = nf.halfwidth
-    dom = (nf.interval, Interval(-hw, hw))
-    cuspidal = is_cuspidal_edge(nf)
-    stype = "cuspidal_edge" if cuspidal else "generalized_cuspidal_edge"
-    if (nf.crease.is_expression and nf.theta.is_expression
-            and nf.a.is_expression and nf.b.is_expression):
-        f, nu = _nf_expression_maps(nf)
-        g = SurfaceGerm(f, dom, normal_map=nu, name="nf_germ", sing_type=stype)
-    else:
-        g = SurfaceGerm(_NFMap(nf), dom, name="nf_germ", sing_type=stype)
-    g.nf_source = nf
-    return g
+    other = [k for k, p in (("crease", nf.crease), ("theta", nf.theta),
+                            ("a", nf.a), ("b", nf.b))
+             if p is None or not p.is_expression]
+    if other:
+        raise NormalFormError(
+            "a germ needs an expression normal form; not expressions: "
+            + ", ".join(other))
+    stype = ("cuspidal_edge" if is_cuspidal_edge(nf)
+             else "generalized_cuspidal_edge")
+    f, nu = _nf_expression_maps(nf)
+    return SurfaceGerm(f, (nf.interval, Interval(-nf.halfwidth, nf.halfwidth)),
+                       normal_map=nu, name="nf_germ", sing_type=stype)
 
 
 def _nf_expression_maps(nf: EdgeNormalForm):
@@ -355,18 +348,6 @@ def _nf_expression_maps(nf: EdgeNormalForm):
                  for i in range(3))
     nu = ex.MapDef("nf_germ_nu", ("u", "v"), ex.cross3(fu, gvec), params)
     return f, nu
-
-
-class _NFMap:
-    """Numeric realization of a normal form: point values only, no jets."""
-
-    def __init__(self, nf: EdgeNormalForm):
-        self.nf = nf
-        self.variables = ("u", "v")
-
-    def __call__(self, point) -> np.ndarray:
-        u, v = float(point[0]), float(point[1])
-        return self.nf.evaluate(u, v)
 
 
 # ---------------------------------------------------------------- extraction

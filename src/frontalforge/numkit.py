@@ -2,7 +2,7 @@
 
 Jets are truncated multivariate Taylor expansions (order <= 3, at most two
 variables in practice), taken exactly by forward propagation on the
-expression tape; a map without its own jet has none.
+expression tape in `MapDef.eval_jet`.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from scipy.optimize import brentq
 EPS = float(np.finfo(float).eps)
 
 __all__ = [
-    "Interval", "Series", "Jet", "eval_jet", "integrate", "invert_monotone",
+    "Interval", "Series", "Jet", "integrate", "invert_monotone",
     "NumkitError", "DomainViolation", "NonFiniteValue", "QuadratureError",
     "BracketError", "multi_indices", "damped_gauss_newton",
 ]
@@ -320,20 +320,12 @@ class Jet:
         return self.partials[tuple(alpha)]
 
 
-def eval_jet(map_, point, order: int = 3) -> Jet:
-    """Exact jet of a map at a point, from the map's own ``eval_jet``
-    (truncated Taylor arithmetic on the expression tape).  A map without
-    one has no jet: `NumkitError` names its type."""
-    if order < 0 or order > 3:
-        raise ValueError("jet order must be in 0..3")
-    if not hasattr(map_, "eval_jet"):
-        raise NumkitError(
-            f"no exact jet for a map of type {type(map_).__name__}")
-    return map_.eval_jet(point, order)
+_MAX_DEPTH = 48  # bisection levels of `integrate`
 
 
-def integrate(f, interval: Interval, tol: float = 1e-10, max_depth: int = 48) -> float:
-    """Adaptive Simpson quadrature with absolute tolerance `tol`."""
+def integrate(f, interval: Interval, tol: float = 1e-10) -> float:
+    """Adaptive Simpson quadrature with absolute tolerance `tol`, bisecting
+    at most `_MAX_DEPTH` times."""
     a, b = interval.lo, interval.hi
     if a == b:
         return 0.0
@@ -344,10 +336,10 @@ def integrate(f, interval: Interval, tol: float = 1e-10, max_depth: int = 48) ->
         if not math.isfinite(v):
             raise NonFiniteValue("integrand returned a non-finite value")
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    total, ok = _simpson(f, a, b, fa, fm, fb, whole, tol, max_depth)
+    total, ok = _simpson(f, a, b, fa, fm, fb, whole, tol, _MAX_DEPTH)
     if not ok:
         raise QuadratureError(
-            f"quadrature did not converge to {tol} within depth {max_depth}",
+            f"quadrature did not converge to {tol} within depth {_MAX_DEPTH}",
             best=total)
     return total
 

@@ -14,7 +14,6 @@ recovered through the connecting-map machinery.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,9 +60,10 @@ class SymmetryFinding:
 
 # ------------------------------------------------------------- image testing
 
-def _image_tree(germ: SurfaceGerm, n: int = 16384):
-    m = max(8, int(math.sqrt(n)))
-    us, vs = germ.grid(m, m)
+def _image_tree(germ: SurfaceGerm):
+    """The image of a 128 x 128 grid of germ's domain in a KD-tree, and
+    the grid points."""
+    us, vs = germ.grid(128, 128)
     xs = np.stack(np.meshgrid(us, vs, indexing="ij"), axis=-1).reshape(-1, 2)
     return cKDTree(germ.points(xs)), xs
 
@@ -88,8 +88,7 @@ def _worst_residuals(germ: SurfaceGerm, isometries, F, tree, xs):
 
 
 def detect_symmetries(germ: SurfaceGerm, p=None, tol: float = 1e-6,
-                      n_probe: int = 121, n_image: int = 16384,
-                      extra_candidates: dict | None = None):
+                      n_probe: int = 121, extra_candidates: dict | None = None):
     """Frame-derived candidate isometries whose action maps the image of
     a half-radius neighborhood of p back into the full image.
 
@@ -105,7 +104,7 @@ def detect_symmetries(germ: SurfaceGerm, p=None, tol: float = 1e-6,
     """
     p = tuple(germ.base) if p is None else tuple(float(c) for c in p)
     frame = distinguished_frame(germ, p)
-    tree, xs = _image_tree(germ, n_image)
+    tree, xs = _image_tree(germ)
     probes = np.array(_sample_grid(_shrunken_domain(germ, p), n_probe))
     candidates = dict(frame.candidate_isometries())
     if extra_candidates:
@@ -198,17 +197,14 @@ def expected_catalog_labels(name: str) -> set:
 
 # ----------------------------------------------------- connecting involution
 
-class _TransformedGerm(SurfaceGerm):
-    """T o f as a germ that evaluates points and lifts; its lift is the
-    germ's, with the normal transformed by det(Q) * Q.  It has no jets and
-    no normal map of its own."""
+class _TransformedGerm:
+    """The lift of T o f: the germ's lift, with the image moved by T and
+    the normal by det(Q) * Q, on the germ's domain."""
 
     def __init__(self, germ: SurfaceGerm, T: Isometry):
-        super().__init__(lambda p: T(germ(p)), germ.domain, germ.base,
-                         name=f"transformed_{germ.name}",
-                         sing_type=germ.sing_type)
         self.germ = germ
         self.T = T
+        self.domain = germ.domain
 
     def points(self, X) -> np.ndarray:
         return self.T(self.germ.points(X))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from frontalforge.cli import main
+from frontalforge.cli import load_scene, main
 from frontalforge.curve import circle
 from frontalforge.normalform import (EdgeNormalForm, ScalarProfile,
                                      SurfaceProfile)
@@ -208,6 +208,36 @@ def test_export(capsys, tmp_path):
     assert code == 0
     objs = list(tmp_path.glob("*.obj"))
     assert objs and objs[0].read_text().startswith("v ")
+
+
+def test_export_meshes_normal_forms_directly(capsys, tmp_path):
+    # an expression normal form and a sampled one are meshed by one
+    # EdgeNormalForm.evaluate call; the files equal those of the
+    # per-point meshes: the expression germ's, and evaluate's per point
+    from frontalforge.curve import helix
+    from frontalforge.devfold import _lattice_mesh, write_obj
+    from frontalforge.normalform import from_normal_form, to_normal_form
+    nf = EdgeNormalForm(helix(1.0, 0.4, 1.2),
+                        ScalarProfile.from_expr("0.3 + 0.2*sin(u)"),
+                        SurfaceProfile.from_expr("1 + 0.1*u + 0.2*v"),
+                        SurfaceProfile.from_expr("0.8 - 0.1*u*v"))
+    sampled = to_normal_form(from_normal_form(nf), n_stations=17, nv=9)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"germs": {
+        "expr": {"normal_form": nf.to_json()},
+        "sampled": {"normal_form": sampled.to_json()}}}))
+    scene = load_scene(str(path))
+    germ = from_normal_form(scene.germ("expr"))
+    for name, point in (("expr", lambda u, v: germ((u, v))),
+                        ("sampled", scene.germ("sampled").evaluate)):
+        code, rep, _ = run(capsys, "export", "--scene", str(path), "--germ",
+                           name, "--nu", "17", "--nv", "9",
+                           "--out", str(tmp_path))
+        assert code == 0 and rep["results"] == {"vertices": 153, "faces": 128}
+        us, vs = germ.grid(17, 9)
+        write_obj(_lattice_mesh(point, us, vs), tmp_path / "reference.obj")
+        assert ((tmp_path / f"{name}_surface.obj").read_bytes()
+                == (tmp_path / "reference.obj").read_bytes())
 
 
 def test_report_file_written(capsys, tmp_path):

@@ -378,6 +378,66 @@ def test_jet_batch_raises_the_error_of_its_failing_row():
         zero.eval_jet(np.array([[0.5], [-2.0]]), 3).partial(1), [[1.0], [1.0]])
 
 
+def test_eval_jet_refuses_orders_above_3():
+    # Series carries four derivatives, so an order-4 jet of sin would read 0
+    m = ex.MapDef("m", ("u",), ["sin(u)", "exp(u)", "u^5"])
+    with pytest.raises(ValueError, match="jet order 4"):
+        m.eval_jet((0.3,), 4)
+    with pytest.raises(ValueError, match="jet order -1"):
+        m.eval_jet(np.array([[0.3]]), -1)
+    np.testing.assert_allclose(m.eval_jet((0.3,), 3).partial(3),
+                               [-math.cos(0.3), math.exp(0.3), 60 * 0.3 ** 2],
+                               rtol=1e-14)
+
+
+def _checked_grid_cases():
+    from frontalforge.curve import SpaceCurve
+    from frontalforge.germ import SurfaceGerm
+    from frontalforge.match import PlaneMap
+    from frontalforge.normalform import ScalarProfile, SurfaceProfile
+    from frontalforge.numkit import Interval
+    log, root = ("log of a nonpositive quantity in 'log(u)'",
+                 "sqrt of a negative quantity in 'sqrt({})'")
+    sp = ScalarProfile.from_expr("log(u)")
+    sf = SurfaceProfile.from_expr("v + log(u)")
+    cv = SpaceCurve(ex.MapDef("c", ("u",), ["u", "sqrt(u)", "0"]),
+                    Interval(0.0, 1.0))
+    g = SurfaceGerm(ex.MapDef("g", ("u", "v"), ["u", "v", "log(u)"]),
+                    ((-1, 1), (-1, 1)))
+    pm = PlaneMap(ex.MapDef("p", ("t",), ["t", "sqrt(t)"]), Interval(0.0, 1.0))
+    # name: (the failing station alone, in an array of stations, message)
+    return {name: case for name, *case in [
+        ("ScalarProfile", lambda: sp(-1.0),
+         lambda: sp(np.array([0.5, -1.0, 2.0])), log),
+        ("ScalarProfile.deriv", lambda: sp.deriv(0.0),
+         lambda: sp.deriv(np.array([0.5, 0.0])), "division by zero in '1/u'"),
+        ("SurfaceProfile", lambda: sf(-1.0, 0.2),
+         lambda: sf(np.array([[0.5], [-1.0]]), np.array([0.1, 0.2])), log),
+        ("SpaceCurve", lambda: cv(-1.0), lambda: cv(np.array([0.5, -1.0])),
+         root.format("u")),
+        ("SpaceCurve.derivatives", lambda: cv.derivatives(0.0, 3),
+         lambda: cv.derivatives(np.array([0.5, 0.0]), 3),
+         "division by zero in '1/(2*sqrt(u))'"),
+        ("SurfaceGerm.points", lambda: g.points(np.array([[-0.25, 0.2]])),
+         lambda: g.points(np.array([[0.5, 0.1], [-0.25, 0.2]])), log),
+        ("PlaneMap.points", lambda: pm.points(-0.5),
+         lambda: pm.points(np.array([0.25, -0.5])), root.format("t")),
+    ]}
+
+
+@pytest.mark.parametrize("name", [
+    "ScalarProfile", "ScalarProfile.deriv", "SurfaceProfile", "SpaceCurve",
+    "SpaceCurve.derivatives", "SurfaceGerm.points", "PlaneMap.points"])
+def test_checked_grid_paths_raise_the_float_error(name):
+    # MapDef.values evaluates a non-finite grid point again on the float
+    # path, for a 0-d station as for an array of them
+    one, many, message = _checked_grid_cases()[name]
+    for call in (one, many):
+        with pytest.raises(ex.EvalDomainError) as err:
+            call()
+        assert str(err.value) == message
+
+
 def test_signed_zero_constants_stay_distinct():
     u = ex.var("u")
     zero, minus_zero = ex.Num((0, 0), 0.0), ex.Num((0, 0), -0.0)

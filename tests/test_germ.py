@@ -20,6 +20,13 @@ def test_catalog_names_resolve():
         assert g.name == name
 
 
+def test_germ_rejects_a_map_that_is_not_an_expression():
+    from frontalforge.germ import GermError
+    with pytest.raises(GermError, match="needs an expression map, not function"):
+        SurfaceGerm(lambda p: np.array([p[0], p[1] ** 2, p[1] ** 3]),
+                    ((-1, 1), (-1, 1)), name="lam")
+
+
 def test_cuspidal_edge_normal_and_density():
     g = catalog("cuspidal_edge")
     nu = normal_field(g)

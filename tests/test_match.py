@@ -200,15 +200,16 @@ def test_lift_points_match_per_point_lift(make):
     assert np.array_equal(F, [s.fx for s in samples])
     assert np.array_equal(nu, [s.nu for s in samples])
     # the tape's grid path (numpy's power) and the float path (libm's
-    # pow) may round differently in the last place.  A transformed germ has
-    # no normal of its own: its per-point normal is the base germ's,
-    # transformed by det(Q) Q
+    # pow) may round differently in the last place.  A transformed germ is
+    # the lift of T o f: its per-point image is T(f(x)) and its normal the
+    # base germ's, transformed by det(Q) Q
     if hasattr(germ, "T"):
         base_nf = NormalField(germ.germ)
         nf = lambda x: germ.T.det * (germ.T.Q @ base_nf(x))
+        f = lambda x: germ.T(germ.germ(x))
     else:
-        nf = NormalField(germ)
-    np.testing.assert_allclose(F, [germ(tuple(x)) for x in X], rtol=0,
+        nf, f = NormalField(germ), germ
+    np.testing.assert_allclose(F, [f(tuple(x)) for x in X], rtol=0,
                                atol=1e-15)
     np.testing.assert_allclose(nu, [nf(tuple(x)) for x in X], rtol=0,
                                atol=1e-15)

@@ -103,6 +103,21 @@ def test_scalar_profile_deriv():
     assert q.deriv(0.3) == pytest.approx(2 * math.cos(0.6), abs=1e-5)
 
 
+def test_from_normal_form_names_the_ingredients_not_expressions(circle_nf):
+    sampled = to_normal_form(from_normal_form(circle_nf), n_stations=9, nv=5)
+    with pytest.raises(NormalFormError,
+                       match="not expressions: crease, theta, a, b$"):
+        from_normal_form(sampled)
+    one_grid = EdgeNormalForm(circle_nf.crease, circle_nf.theta, sampled.a,
+                              circle_nf.b)
+    with pytest.raises(NormalFormError, match="not expressions: a$"):
+        from_normal_form(one_grid)
+    # the inverse isomer fixes only the crease and the cuspidal angle
+    from frontalforge.isomer import inverse
+    with pytest.raises(NormalFormError, match="not expressions: theta, a, b$"):
+        from_normal_form(inverse(circle_nf))
+
+
 def test_section_solve_reports_non_convergence(circle_nf):
     # no Newton iterate meets |F| < 0, so the solve must fail loudly
     # instead of keeping its last iterate

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from frontalforge.numkit import (BracketError, Interval, NumkitError, Series,
-                                 eval_jet, integrate, invert_monotone)
+from frontalforge.numkit import (BracketError, Interval, Series, integrate,
+                                 invert_monotone)
 
 
 def test_interval_basics():
@@ -44,11 +44,6 @@ def test_series_division():
     s = Series.constant(1.0, 1, 3) / u
     assert s.deriv((0,)) == pytest.approx(0.5)
     assert s.deriv((1,)) == pytest.approx(-0.25)
-
-
-def test_eval_jet_rejects_a_map_without_exact_jets():
-    with pytest.raises(NumkitError, match="function"):
-        eval_jet(lambda p: np.array([math.sin(p[0]) * p[1]]), (0.3, 0.7), 2)
 
 
 def test_integrate_cusp_speed_oracle():
@@ -194,7 +189,7 @@ def test_one_call_step_equals_two_call_loop(case):
 def test_integer_power_jet_partials(n):
     from frontalforge.exprlang import MapDef
     x = 1.0001
-    jet = eval_jet(MapDef("m", ("u",), [f"u^({n})"]), (x,), 3)
+    jet = MapDef("m", ("u",), [f"u^({n})"]).eval_jet((x,), 3)
     falling = [1.0, n, n * (n - 1), n * (n - 1) * (n - 2)]
     for k in range(4):
         assert jet.partial(k)[0] == pytest.approx(falling[k] * x ** (n - k),
