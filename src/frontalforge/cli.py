@@ -27,9 +27,9 @@ from .germ import (CATALOG_NAMES, GermError, SurfaceGerm, area_density,
                    singular_curve)
 from .isomer import (SymmetryPredicates, congruence_count, isomer_set,
                      right_equivalence_classes)
-from .devfold import (_grid_mesh, _lattice_mesh, curved_folding,
-                      folding_mesh, gaussian_curvature, ist, strip_mesh,
-                      write_obj, write_profile_csv)
+from .devfold import (_grid_mesh, curved_folding, folding_mesh,
+                      gaussian_curvature, ist, strip_mesh, write_obj,
+                      write_profile_csv)
 from .match import PlaneMap, connecting_map, properness_probe
 from .normalform import EdgeNormalForm, to_normal_form
 from .numkit import Interval
@@ -397,7 +397,8 @@ def cmd_export(args, scene):
         mesh = _grid_mesh(us, vs, germ.evaluate(us[:, None], vs))
     else:
         us, vs = germ.grid(args.nu, args.nv)
-        mesh = _lattice_mesh(lambda u, v: germ((u, v)), us, vs)
+        uv = np.stack(np.meshgrid(us, vs, indexing="ij"), axis=-1)
+        mesh = _grid_mesh(us, vs, germ.points(uv.reshape(-1, 2)))
     rep["files"] = _write_files(
         args, [(f"{name}_surface.obj", lambda path: write_obj(mesh, path))])
     rep["results"] = {"vertices": int(mesh.vertices.shape[0]),

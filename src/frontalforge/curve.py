@@ -4,10 +4,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
 from . import exprlang as ex
 from .geom import Line, Plane, make_reflection, make_rotation180
-from .numkit import Interval, integrate, invert_monotone
+from .numkit import (EPS, Interval, NumkitError, QuadratureError,
+                     damped_gauss_newton)
 
 __all__ = [
     "SpaceCurve", "FrenetSample", "frenet", "frenet_from_derivatives",
@@ -34,16 +36,17 @@ class SpaceCurve:
     """A parametrized curve in R^3 on a closed interval.
 
     `derivatives` is the one source of its values and derivatives.  An
-    expression map is differentiated symbolically once, on first use, and
-    runs on the checked grid path `MapDef.values`; any other map supplies
-    its own `derivatives(us, order)` over a 1-D array of stations.
+    expression map is differentiated symbolically on first use, and
+    c, c', ..., c^(order) run as one map on the checked grid path
+    `MapDef.values`; any other map supplies its own
+    `derivatives(us, order)` over a 1-D array of stations.
     """
 
     def __init__(self, map_, domain: Interval, name: str = "curve"):
         self.map = map_
         self.domain = domain
         self.name = name
-        self._dmaps = [map_]
+        self._jets = {}
 
     def derivatives(self, u, order: int = 3) -> np.ndarray:
         """c, c', ..., c^(order) at a station or an array of stations,
@@ -51,11 +54,16 @@ class SpaceCurve:
         u = np.asarray(u, dtype=float)
         us = u.ravel()
         if self.is_expression:
-            var = self.map.variables[0]
-            while len(self._dmaps) <= order:
-                self._dmaps.append(self._dmaps[-1].diff(var))
-            out = np.stack([m.values({var: us}).T
-                            for m in self._dmaps[:order + 1]])
+            m, var = self.map, self.map.variables[0]
+            if order not in self._jets:
+                comps = list(m.components)
+                for _ in range(order):
+                    memo = {}
+                    comps += [ex.diff(c, var, memo) for c in comps[-3:]]
+                self._jets[order] = ex.MapDef(f"{m.name}^({order})",
+                                              m.variables, comps, m.params)
+            out = self._jets[order].values({var: us})
+            out = out.reshape(order + 1, 3, -1).transpose(0, 2, 1)
         else:
             out = self.map.derivatives(us, order)
         return out.reshape((order + 1,) + u.shape + (3,))
@@ -117,40 +125,85 @@ def frenet(curve: SpaceCurve, u) -> FrenetSample:
     return frenet_from_derivatives(u, curve.derivatives(u, 3))
 
 
+_PANELS = 512        # base panels of the arc-length table
+_MAX_DEPTH = 48      # halvings of a base panel
+_MAX_SPLITS = 4096   # panels that one refinement level may halve
+_GL16 = np.polynomial.legendre.leggauss(16)
+_GL8 = np.polynomial.legendre.leggauss(8)
+
+
 class ReparamCurve:
     """Arc-length reparametrization of a base curve, with exact chain-rule
-    derivatives."""
+    derivatives.
+
+    The arc length S(t) is tabulated over the 512 panels of the base
+    domain by the 16-point Gauss-Legendre rule.  A panel where the 8-point
+    rule differs by more than `tol` is halved with `tol/2`, all of a level
+    at once.  All stations are solved in one `damped_gauss_newton` call.
+    """
 
     def __init__(self, base: SpaceCurve, tol: float = 1e-12):
         self.base = base
-        nodes = base.grid(513)
-        lengths = np.zeros(len(nodes))
-        for i in range(len(nodes) - 1):
-            lengths[i + 1] = lengths[i] + integrate(
-                base.speed, Interval(nodes[i], nodes[i + 1]), tol)
-        self.nodes = nodes
-        self.cum = lengths
-        self.length = float(lengths[-1])
         self.tol = tol
+        edges = base.grid(_PANELS + 1)
+        base.speed(edges)  # the Gauss nodes miss the panel ends
+        a, b = edges[:-1], edges[1:]
+        starts, lengths = [], []
+        for depth in range(_MAX_DEPTH + 1):
+            q = self._gauss(a, b, _GL16)
+            done = ((np.abs(q - self._gauss(a, b, _GL8)) <= tol * 0.5 ** depth)
+                    | (b - a < 4 * EPS * np.maximum(1.0, abs(a) + abs(b))))
+            starts.append(a[done])
+            lengths.append(q[done])
+            a, b = a[~done], b[~done]
+            if not a.size:
+                break
+            if depth == _MAX_DEPTH or a.size > _MAX_SPLITS:
+                raise QuadratureError(
+                    f"arc length did not converge to {tol}: {a.size} panels "
+                    f"left at depth {depth}, the first at t={a.min()}")
+            m = 0.5 * (a + b)
+            a, b = np.concatenate([a, m]), np.concatenate([m, b])
+        starts = np.concatenate(starts)
+        order = np.argsort(starts)
+        self.nodes = np.append(starts[order], edges[-1])
+        self.cum = np.append(0.0, np.cumsum(np.concatenate(lengths)[order]))
+        self.length = float(self.cum[-1])
 
-    def param_at(self, s: float) -> float:
-        if s <= 0.0:
-            return float(self.nodes[0])
-        if s >= self.length:
-            return float(self.nodes[-1])
-        i = int(np.searchsorted(self.cum, s) - 1)
-        i = max(0, min(i, len(self.nodes) - 2))
-        s0 = self.cum[i]
+    def _gauss(self, a, b, rule) -> np.ndarray:
+        """The integral of the speed over each [a_i, b_i] by a
+        Gauss-Legendre rule (nodes, weights), from one speed call."""
+        x, w = rule
+        half = 0.5 * (b - a)
+        return half * (self.base.speed(0.5 * (a + b)[:, None]
+                                       + half[:, None] * x) @ w)
 
-        def local(t):
-            return s0 + integrate(self.base.speed, Interval(self.nodes[i], t),
-                                  self.tol)
+    def params(self, ss) -> np.ndarray:
+        """The base parameter t with S(t) = s for each entry of a 1-D array
+        of arc lengths: one `damped_gauss_newton` call from the table's
+        interpolant, on the base domain."""
+        ss = np.asarray(ss, dtype=float)
+        lo, hi = self.nodes[0], self.nodes[-1]
 
-        return invert_monotone(local, s, Interval(self.nodes[i], self.nodes[i + 1]),
-                               tol=max(self.tol, 1e-12))
+        def arclength(X):
+            t = np.clip(X[:, 0], lo, hi)
+            j = np.searchsorted(self.nodes[:-1], t, side="right") - 1
+            return (self.cum[j] + self._gauss(self.nodes[j], t, _GL16))[:, None]
+
+        t, res, _ = damped_gauss_newton(
+            arclength, ss[:, None], np.interp(ss, self.cum, self.nodes)[:, None],
+            lo, hi, 60)
+        bound = np.maximum(max(self.tol, 1e-12),
+                           1e3 * EPS * np.maximum(1.0, np.abs(ss)))
+        bad = np.flatnonzero(~(res <= bound))
+        if bad.size:
+            k = bad[0]
+            raise NumkitError(f"arc length s={ss[k]} not reached on "
+                              f"[{lo}, {hi}]: |S(t) - s| = {res[k]:.3e}")
+        return t[:, 0]
 
     def derivatives(self, ss, order: int) -> np.ndarray:
-        t0 = np.array([self.param_at(s) for s in ss])
+        t0 = self.params(ss)
         c0, c1, c2, c3 = self.base.derivatives(t0, 3)
         g = np.linalg.norm(c1, axis=-1)
         if np.any(g < 1e-12):
@@ -223,7 +276,7 @@ def center_param(curve: SpaceCurve) -> SpaceCurve:
 
 
 def curve_length(curve: SpaceCurve, tol: float = 1e-12) -> float:
-    return integrate(curve.speed, curve.domain, tol)
+    return ReparamCurve(curve, tol).length
 
 
 def curve_plane(curve: SpaceCurve, tol: float = 1e-8, samples: int = 128):
@@ -270,7 +323,6 @@ class SplineMap:
     derivatives."""
 
     def __init__(self, us, points):
-        from scipy.interpolate import CubicSpline
         self._sp = CubicSpline(np.asarray(us, dtype=float),
                                np.asarray(points, dtype=float), axis=0)
 

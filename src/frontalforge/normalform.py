@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.interpolate import CubicSpline, RectBivariateSpline
 
 from . import exprlang as ex
 from .curve import (SpaceCurve, VanishingCurvature, frenet,
@@ -77,7 +78,6 @@ class ScalarProfile:
 
     @classmethod
     def from_samples(cls, us, values):
-        from scipy.interpolate import CubicSpline
         sp = CubicSpline(np.asarray(us, float), np.asarray(values, float))
         dsp = sp.derivative()
         return cls(sp, dsp,
@@ -145,7 +145,6 @@ class SurfaceProfile:
 
     @classmethod
     def from_grid(cls, us, vs, values):
-        from scipy.interpolate import RectBivariateSpline
         us = np.asarray(us, float)
         vs = np.asarray(vs, float)
         values = np.asarray(values, float)
@@ -465,7 +464,6 @@ def sectional_cusp(germ, u0: float, nv: int = 65,
     vs = np.linspace(-hw, hw, nv)
     (us,), (sigma,) = _solve_sections(germ, fr, vs, tol)
     # half-arc-length per sample via trapezoid of |d sigma / dv|
-    from scipy.interpolate import CubicSpline
     sp = CubicSpline(vs, sigma, axis=0)
     dsp = sp.derivative()
     dense = np.linspace(-hw, hw, 8 * nv + 1)

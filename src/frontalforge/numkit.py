@@ -1,4 +1,4 @@
-"""Numerical kernels: truncated Taylor jets, adaptive quadrature, monotone inversion.
+"""Numerical kernels: truncated Taylor jets and a damped Gauss-Newton solver.
 
 Jets are truncated multivariate Taylor expansions (order <= 3, at most two
 variables in practice), taken exactly by forward propagation on the
@@ -11,14 +11,12 @@ from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
-from scipy.optimize import brentq
 
 EPS = float(np.finfo(float).eps)
 
 __all__ = [
-    "Interval", "Series", "Jet", "integrate", "invert_monotone",
-    "NumkitError", "DomainViolation", "NonFiniteValue", "QuadratureError",
-    "BracketError", "multi_indices", "damped_gauss_newton",
+    "Interval", "Series", "Jet", "NumkitError", "DomainViolation",
+    "QuadratureError", "multi_indices", "damped_gauss_newton",
 ]
 
 
@@ -30,17 +28,7 @@ class DomainViolation(NumkitError):
     """Evaluation left the mathematical domain (log of nonpositive, 1/0, ...)."""
 
 
-class NonFiniteValue(NumkitError):
-    pass
-
-
 class QuadratureError(NumkitError):
-    def __init__(self, msg, best=None):
-        super().__init__(msg)
-        self.best = best
-
-
-class BracketError(NumkitError):
     pass
 
 
@@ -318,65 +306,6 @@ class Jet:
         if len(alpha) == 1 and isinstance(alpha[0], tuple):
             alpha = alpha[0]
         return self.partials[tuple(alpha)]
-
-
-_MAX_DEPTH = 48  # bisection levels of `integrate`
-
-
-def integrate(f, interval: Interval, tol: float = 1e-10) -> float:
-    """Adaptive Simpson quadrature with absolute tolerance `tol`, bisecting
-    at most `_MAX_DEPTH` times."""
-    a, b = interval.lo, interval.hi
-    if a == b:
-        return 0.0
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    for v in (fa, fb, fm):
-        if not math.isfinite(v):
-            raise NonFiniteValue("integrand returned a non-finite value")
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    total, ok = _simpson(f, a, b, fa, fm, fb, whole, tol, _MAX_DEPTH)
-    if not ok:
-        raise QuadratureError(
-            f"quadrature did not converge to {tol} within depth {_MAX_DEPTH}",
-            best=total)
-    return total
-
-
-def _simpson(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    if not (math.isfinite(flm) and math.isfinite(frm)):
-        raise NonFiniteValue("integrand returned a non-finite value")
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    err = left + right - whole
-    if abs(err) <= 15.0 * tol or (b - a) < EPS * 4 * max(1.0, abs(a) + abs(b)):
-        return left + right + err / 15.0, True
-    if depth <= 0:
-        return left + right + err / 15.0, False
-    lv, lok = _simpson(f, a, m, fa, flm, fm, left, tol / 2, depth - 1)
-    rv, rok = _simpson(f, m, b, fm, frm, fb, right, tol / 2, depth - 1)
-    return lv + rv, lok and rok
-
-
-def invert_monotone(g, target: float, bracket: Interval, tol: float = 1e-12) -> float:
-    """Solve g(x) = target for monotone g on the bracket."""
-    glo, ghi = g(bracket.lo) - target, g(bracket.hi) - target
-    if glo == 0.0:
-        return bracket.lo
-    if ghi == 0.0:
-        return bracket.hi
-    if glo * ghi > 0.0:
-        raise BracketError(
-            f"bracket [{bracket.lo}, {bracket.hi}] does not straddle the target")
-    x = brentq(lambda t: g(t) - target, bracket.lo, bracket.hi,
-               xtol=1e-15, rtol=4 * EPS, maxiter=200)
-    if abs(g(x) - target) > max(tol, 1e3 * EPS * max(1.0, abs(target))):
-        raise NumkitError("monotone inversion failed to meet the tolerance")
-    return x
 
 
 def damped_gauss_newton(fn, target, x0, lo, hi, iters: int, h: float = 1e-6):

@@ -6,6 +6,8 @@ import pytest
 
 from frontalforge.cli import load_scene, main
 from frontalforge.curve import circle
+from frontalforge.exprlang import MapDef
+from frontalforge.germ import CATALOG_NAMES
 from frontalforge.normalform import (EdgeNormalForm, ScalarProfile,
                                      SurfaceProfile)
 
@@ -238,6 +240,39 @@ def test_export_meshes_normal_forms_directly(capsys, tmp_path):
         write_obj(_lattice_mesh(point, us, vs), tmp_path / "reference.obj")
         assert ((tmp_path / f"{name}_surface.obj").read_bytes()
                 == (tmp_path / "reference.obj").read_bytes())
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + ("map",))
+def test_export_meshes_a_germ_with_one_points_call(name, capsys, tmp_path,
+                                                   monkeypatch):
+    # the lattice goes through germ.points in one call; the file equals
+    # the per-point mesh of the germ's float path
+    from frontalforge.devfold import _lattice_mesh, write_obj
+    from frontalforge.germ import SurfaceGerm, catalog
+    if name == "map":
+        args = ["--map", "u,v^2*exp(u),v^3*sin(u)+cos(v)"]
+        germ = SurfaceGerm(MapDef("cli_map", ("u", "v"), (
+            "u", "v^2*exp(u)", "v^3*sin(u)+cos(v)")), [[-1, 1], [-1, 1]])
+        name = "cli_map"
+    else:
+        args = ["--germ", name]
+        germ = catalog(name)
+    points = SurfaceGerm.points
+    calls = []
+
+    def counted(self, X):
+        calls.append(len(X))
+        return points(self, X)
+
+    monkeypatch.setattr(SurfaceGerm, "points", counted)
+    code, rep, _ = run(capsys, "export", *args, "--nu", "17", "--nv", "9",
+                       "--out", str(tmp_path))
+    assert code == 0 and calls == [153]
+    us, vs = germ.grid(17, 9)
+    write_obj(_lattice_mesh(lambda u, v: germ((u, v)), us, vs),
+              tmp_path / "reference.obj")
+    assert ((tmp_path / f"{name}_surface.obj").read_bytes()
+            == (tmp_path / "reference.obj").read_bytes())
 
 
 def test_report_file_written(capsys, tmp_path):

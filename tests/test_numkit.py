@@ -1,10 +1,11 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from frontalforge.numkit import (BracketError, Interval, Series, integrate,
-                                 invert_monotone)
+from frontalforge.numkit import Interval, Series
 
 
 def test_interval_basics():
@@ -46,28 +47,14 @@ def test_series_division():
     assert s.deriv((1,)) == pytest.approx(-0.25)
 
 
-def test_integrate_cusp_speed_oracle():
-    # arc length of (t^2, t^3) on [0, 1] has the closed form (13^1.5 - 8)/27
-    f = lambda t: math.hypot(2 * t, 3 * t * t)
-    val = integrate(f, Interval(0.0, 1.0), tol=1e-12)
-    assert val == pytest.approx((13.0 ** 1.5 - 8.0) / 27.0, abs=1e-11)
-
-
-def test_integrate_parabola_arclength():
-    f = lambda t: math.sqrt(1.0 + 4.0 * t * t)
-    exact = (2.0 * math.sqrt(5.0) + math.asinh(2.0)) / 4.0
-    assert integrate(f, Interval(0.0, 1.0)) == pytest.approx(exact, abs=1e-11)
-
-
-def test_invert_monotone():
-    g = lambda t: t ** 3 + t
-    t = invert_monotone(g, 2.0, Interval(0.0, 2.0))
-    assert g(t) == pytest.approx(2.0, abs=1e-11)
-
-
-def test_invert_monotone_bad_bracket():
-    with pytest.raises(BracketError):
-        invert_monotone(lambda t: t, 5.0, Interval(0.0, 1.0))
+def test_numkit_loads_no_scipy():
+    # the kernels are numpy only; scipy loads where a spline or a k-d
+    # tree is used
+    code = ("import sys, frontalforge.numkit; print(sorted(m for m in "
+            "sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_damped_gauss_newton_rows_are_independent():

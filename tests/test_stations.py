@@ -177,3 +177,30 @@ def test_ist_takes_one_frenet_call(calls):
     strip, counts = calls(lambda: ist(_edge(), n_check=33))
     assert strip.halfwidth == _edge().halfwidth
     assert counts["frenet"] == 1
+
+
+@pytest.mark.parametrize("name", ["circle", "helix"])
+def test_derivatives_run_one_map_per_call(name, monkeypatch):
+    # c, c', ..., c^(order) are the components of one map: one checked
+    # grid run per call, with the values of differentiating one order at
+    # a time
+    c = CREASES[name]()
+    us = _stations(c)
+    var = c.map.variables[0]
+    chain = [c.map]
+    for _ in range(3):
+        chain.append(chain[-1].diff(var))
+    runs = []
+    values = MapDef.values
+
+    def counted(self, arrays):
+        runs.append(self.name)
+        return values(self, arrays)
+
+    monkeypatch.setattr(MapDef, "values", counted)
+    for order in range(4):
+        runs.clear()
+        d = c.derivatives(us, order)
+        assert len(runs) == 1 and d.shape == (order + 1, len(us), 3)
+        for k in range(order + 1):
+            assert np.array_equal(d[k], values(chain[k], {var: us}).T)
