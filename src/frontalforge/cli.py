@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -49,14 +48,16 @@ class UsageError(Exception):
 
 
 class Scene:
-    """Named curves, germs, and tolerances loaded from a JSON file."""
+    """Named curves and germs loaded from a JSON object with the keys
+    "curves" and "germs"; any other key is a SceneError."""
 
     def __init__(self, data: dict, path: str = "<inline>"):
         self.path = path
+        unknown = sorted(set(data) - {"curves", "germs"})
+        if unknown:
+            raise SceneError(f"unknown scene keys {unknown}")
         self.curves = data.get("curves", {})
         self.germs = data.get("germs", {})
-        self.tolerances = data.get("tolerances", {})
-        self.out_dir = data.get("out_dir")
         names = list(self.curves) + list(self.germs)
         if len(set(names)) != len(names):
             raise SceneError("scene names must be unique across curves "
@@ -372,17 +373,13 @@ def cmd_proper(args, scene):
     if len(free) > 1:
         raise UsageError(f"--map must use one variable, found {free}")
     var = free[0] if free else "x"
-    f = ex.compile_expr(e, (var,))
-
-    def fn(x):
-        try:
-            return float(f(float(x)))
-        except (ZeroDivisionError, ValueError, ex.EvalDomainError,
-                OverflowError):
-            return math.nan
-
-    probe = properness_probe(fn, args.at, r0=args.r0, levels=args.levels,
-                             grid=args.grid)
+    m = ex.MapDef("proper", (var,), [e])
+    try:
+        probe = properness_probe(lambda xs: m.eval_grid({var: xs})[0],
+                                 args.at, r0=args.r0, levels=args.levels,
+                                 grid=args.grid)
+    except ValueError as err:
+        raise UsageError(str(err))
     rep["results"] = probe.to_json()
     _emit(rep, args)
     return 0

@@ -29,7 +29,7 @@ from .numkit import DomainViolation, Series
 
 __all__ = [
     "Expr", "Num", "Var", "Neg", "Bin", "Call", "parse", "to_source",
-    "evaluate", "compile_expr", "Tape", "diff", "subs", "free_vars", "MapDef",
+    "evaluate", "Tape", "diff", "subs", "free_vars", "MapDef",
     "ExprError", "ExprSyntaxError", "UnknownFunctionError", "EvalDomainError",
     "num", "var", "add", "sub", "mul", "div", "neg", "call", "dot3",
     "cross3", "norm3",
@@ -315,22 +315,6 @@ def evaluate(e: Expr, bindings: dict):
     tape = Tape([e], bindings)
     regs = tape.run_checked([bindings.get(n, _UNBOUND) for n in tape.names])
     return regs[tape.outputs[0]]
-
-
-def compile_expr(e: Expr, variables, params=None):
-    """`f(*values)`: `e` compiled once, with `variables` bound positionally
-    and `params` by name (a variable shadows a parameter of its name)."""
-    variables = tuple(variables)
-    params = dict(params or {})
-    tape = Tape([e], variables + tuple(params))
-    fixed = [params.get(n, _UNBOUND) for n in tape.names[len(variables):]]
-    out = tape.outputs[0]
-    run = tape.run_checked if any(v is _UNBOUND for v in fixed) else tape.run
-
-    def f(*values):
-        return run([*values, *fixed])[out]
-
-    return f
 
 
 def _div(l, r):

@@ -179,9 +179,11 @@ LABEL_TO_CASE = {
 }
 
 
-def classify_isometry(T: Isometry, frame: GermFrame, tol: float = 1e-8) -> str:
+def classify_isometry(T: Isometry, frame: GermFrame) -> str:
     """Name T relative to the frame: identity, the three reflections, the
-    co-normal half-turn, or 'other'."""
+    co-normal half-turn, or 'other', matching matrices and translations
+    to 1e-8."""
+    tol = 1e-8
     if (np.max(np.abs(T.Q - I3)) <= tol and np.max(np.abs(T.b)) <= tol):
         return "identity"
     if not T.fixes(frame.origin, tol):

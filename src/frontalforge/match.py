@@ -27,7 +27,7 @@ __all__ = [
     "LiftSample", "ConnectingMap", "PropernessReport", "PlaneMap",
     "legendrian_lift", "image_subset", "connecting_map",
     "match_normal_forms", "properness_probe", "MatchError",
-    "InclusionError", "LiftInjectivityError", "ResidualError",
+    "InclusionError", "LiftInjectivityError", "ResidualError", "ProbeError",
 ]
 
 
@@ -44,6 +44,10 @@ class LiftInjectivityError(MatchError):
 
 
 class ResidualError(MatchError):
+    pass
+
+
+class ProbeError(MatchError):
     pass
 
 
@@ -187,13 +191,14 @@ def _domain_of(obj):
     raise MatchError(f"cannot lift object of type {type(obj).__name__}")
 
 
-def _sample_grid(domain, n):
+def _sample_grid(domain, n) -> np.ndarray:
+    """n samples of a 1-D domain, (n, 1), or the u-major m x m grid of a
+    2-D one, (m*m, 2), with m = max(2, isqrt(n))."""
     if len(domain) == 1:
-        ts = domain[0].grid(n)
-        return [(float(t),) for t in ts]
-    m = max(2, int(math.sqrt(n)))
+        return domain[0].grid(n)[:, None]
+    m = max(2, math.isqrt(n))
     us, vs = domain[0].grid(m), domain[1].grid(m)
-    return [(float(u), float(v)) for u in us for v in vs]
+    return np.stack(np.meshgrid(us, vs, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
 def closest_image_point(obj, domain, targets, tree, xs):
@@ -219,9 +224,9 @@ def image_subset(f1, V1, f2, U2, tol: float,
     """
     V1 = _norm_domain(V1)
     U2 = _norm_domain(U2)
-    xs2 = np.array(_sample_grid(U2, n2))
+    xs2 = _sample_grid(U2, n2)
     tree = cKDTree(f2.points(xs2))
-    targets = f1.points(np.array(_sample_grid(V1, n1)))
+    targets = f1.points(_sample_grid(V1, n1))
     dist, _ = closest_image_point(f2, U2, targets, tree, xs2)
     worst = float(np.max(dist, initial=0.0))
     return worst < tol, worst
@@ -255,10 +260,11 @@ def _norm_domain(dom):
 
 @dataclass
 class ConnectingMap:
-    """Numeric psi with f1 = f2 o psi and nu1 = e * nu2 o psi."""
+    """Numeric psi with f1 = f2 o psi and nu1 = e * nu2 o psi, sampled:
+    row k of samples_out is psi at row k of samples_in."""
 
-    samples_in: list
-    samples_out: list
+    samples_in: np.ndarray
+    samples_out: np.ndarray
     sign: int
     residual_image: float
     residual_normal: float
@@ -269,7 +275,7 @@ class ConnectingMap:
         X = np.asarray(x, dtype=float)
         if X.ndim == 2:
             return self.solver(X)
-        d = len(self.samples_in[0])
+        d = self.samples_in.shape[1]
         return self.solver(np.atleast_1d(X)[:d].reshape(1, d))[0]
 
     def to_json(self) -> dict:
@@ -278,15 +284,14 @@ class ConnectingMap:
             "residual_image": self.residual_image,
             "residual_normal": self.residual_normal,
             "samples": [
-                {"x": list(map(float, a)), "psi": list(map(float, b))}
+                {"x": a.tolist(), "psi": b.tolist()}
                 for a, b in zip(self.samples_in, self.samples_out)
             ],
         }
 
     def write_csv(self, path) -> None:
-        dim = len(self.samples_in[0])
-        head = ([f"x{i+1}" for i in range(dim)]
-                + [f"psi{i+1}" for i in range(len(self.samples_out[0]))]
+        head = ([f"x{i+1}" for i in range(self.samples_in.shape[1])]
+                + [f"psi{i+1}" for i in range(self.samples_out.shape[1])]
                 + ["residual"])
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
@@ -344,13 +349,13 @@ def connecting_map(f1, f2, tol: float = 1e-6,
     D1 = _domain_of(f1)
     D2 = _domain_of(f2)
 
-    xs2 = np.array(_sample_grid(D2, n2))
+    xs2 = _sample_grid(D2, n2)
     F2, nu2 = f2.lift_points(xs2)
     tree = cKDTree(np.hstack([F2, nu2]))
     _check_lift_injective(xs2, tree, D2)
 
     qs = _sample_grid(D1, n1)
-    F1, nu1 = f1.lift_points(np.array(qs))
+    F1, nu1 = f1.lift_points(qs)
     dist, _ = closest_image_point(f2, D2, F1, cKDTree(F2), xs2)
     gap = float(np.max(dist, initial=0.0))
     if not gap < max(tol * 10, 1e-4):
@@ -386,15 +391,14 @@ def connecting_map(f1, f2, tol: float = 1e-6,
         raise ResidualError(
             f"connecting map residual {score:.3e}{where} exceeds tol "
             f"{tol:.1e}")
-    outs = [tuple(float(c) for c in row) for row in x]
-    _check_psi_injective(qs, outs, D2)
+    _check_psi_injective(qs, x, D2)
 
     def solver(X):
         F, nu = f1.lift_points(X)
         return _polish(lift2, np.hstack([F, e * nu]), tree, xs2, D2,
                        iters=40)[0]
 
-    return ConnectingMap(qs, outs, e, res_im, res_nu, solver)
+    return ConnectingMap(qs, x, e, res_im, res_nu, solver)
 
 
 def _check_lift_injective(xs, tree, domain):
@@ -413,13 +417,11 @@ def _check_psi_injective(qs, outs, domain):
     if len(qs) < 2:
         return
     res = max(d.length for d in domain) / max(math.sqrt(len(qs)), 2.0)
-    tree = cKDTree(np.array(outs))
-    for i, j in tree.query_pairs(1e-9):
-        dq = np.linalg.norm(np.asarray(qs[i]) - np.asarray(qs[j]))
-        if dq > res:
+    for i, j in cKDTree(outs).query_pairs(1e-9):
+        if np.linalg.norm(qs[i] - qs[j]) > res:
             raise LiftInjectivityError(
                 "recovered psi identifies distant domain points "
-                f"{qs[i]} and {qs[j]}")
+                f"{tuple(qs[i].tolist())} and {tuple(qs[j].tolist())}")
 
 
 # ------------------------------------------------------- normal form matching
@@ -486,17 +488,13 @@ class PropernessReport:
         }
 
 
-def _probe_value(fn, p: float) -> float:
-    v = fn(p)
-    if np.isfinite(v):
-        return float(v)
-    d = 1e-9
-    return 0.5 * (float(fn(p + d)) + float(fn(p - d)))
-
-
 def properness_probe(fn, p: float, r0: float = 0.5, levels: int = 8,
                      grid: int = 4096) -> PropernessReport:
     """Count preimage components of f(p) on refined grids around p.
+
+    fn takes an array of abscissae and returns f at each, as an array of
+    the same shape; it is called once per level and once for f(p).  A
+    non-finite value counts as NaN, so its node is never marked.
 
     At level k the window [p-r0, p+r0] is sampled with grid*2^k nodes and
     a node is marked when |f(x) - f(p)| <= r0 * 2^{-k} * 1e-3; cells whose
@@ -504,17 +502,27 @@ def properness_probe(fn, p: float, r0: float = 0.5, levels: int = 8,
     runs of marked nodes/cells.  Verdict: finite when counts stabilize over
     the last 3 levels with shrinking component width, suspected_infinite
     when counts grow monotonically or a component keeps macroscopic width.
+    Raises ValueError unless 0 < r0 < inf, levels >= 1 and grid >= 1, and
+    ProbeError when f has no finite value at p.
     """
-    fp = _probe_value(fn, p)
+    if not (0 < r0 < math.inf and levels >= 1 and grid >= 1):
+        raise ValueError(f"the probe needs 0 < r0 < inf, levels >= 1 and "
+                         f"grid >= 1, not {r0}, {levels} and {grid}")
+    # f(p), or the mean of f at p +- 1e-9 where f(p) is not finite
+    v = fn(np.array([p, p + 1e-9, p - 1e-9]))
+    fp = float(v[0] if np.isfinite(v[0]) else 0.5 * (v[1] + v[2]))
+    if not math.isfinite(fp):
+        raise ProbeError(f"f({p!r}) is not finite, nor is the mean of f at "
+                         f"{p!r} +- 1e-9")
     radii, counts, widths = [], [], []
     for k in range(levels):
         n = grid * (2 ** k)
         xs = np.linspace(p - r0, p + r0, n + 1)
-        vals = np.array([fn(x) for x in xs], dtype=float) - fp
+        vals = np.asarray(fn(xs), dtype=float)
+        vals = np.where(np.isfinite(vals), vals - fp, np.nan)
         eps = r0 * (2.0 ** -k) * 1e-3
-        near = np.abs(vals) <= eps
+        marked = np.abs(vals) <= eps
         cross = vals[:-1] * vals[1:] < 0
-        marked = near.copy()
         marked[:-1] |= cross
         marked[1:] |= cross
         comp, width = _count_runs(marked, xs)

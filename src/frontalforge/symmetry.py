@@ -30,7 +30,7 @@ from .numkit import Interval, damped_gauss_newton
 __all__ = [
     "SymmetryFinding", "SelfIntersectionLocus", "detect_symmetries",
     "validate_findings", "connecting_involution", "self_intersections",
-    "verify_c2", "ms_symmetry_check", "expected_catalog_labels",
+    "verify_c2", "ms_symmetry_check", "EXPECTED_CATALOG_LABELS",
 ]
 
 
@@ -63,15 +63,15 @@ class SymmetryFinding:
 def _image_tree(germ: SurfaceGerm):
     """The image of a 128 x 128 grid of germ's domain in a KD-tree, and
     the grid points."""
-    us, vs = germ.grid(128, 128)
-    xs = np.stack(np.meshgrid(us, vs, indexing="ij"), axis=-1).reshape(-1, 2)
+    xs = _sample_grid(germ.domain, 128 ** 2)
     return cKDTree(germ.points(xs)), xs
 
 
-def _shrunken_domain(germ: SurfaceGerm, p, factor: float = 0.5):
+def _shrunken_domain(germ: SurfaceGerm, p):
+    """The half-size domain around p, clipped to the germ's domain."""
     out = []
     for i, d in enumerate(germ.domain):
-        r = factor * 0.5 * d.length
+        r = 0.25 * d.length
         lo = max(d.lo, p[i] - r)
         hi = min(d.hi, p[i] + r)
         out.append(Interval(lo, hi))
@@ -105,7 +105,7 @@ def detect_symmetries(germ: SurfaceGerm, p=None, tol: float = 1e-6,
     p = tuple(germ.base) if p is None else tuple(float(c) for c in p)
     frame = distinguished_frame(germ, p)
     tree, xs = _image_tree(germ)
-    probes = np.array(_sample_grid(_shrunken_domain(germ, p), n_probe))
+    probes = _sample_grid(_shrunken_domain(germ, p), n_probe)
     candidates = dict(frame.candidate_isometries())
     if extra_candidates:
         candidates.update(extra_candidates)
@@ -130,15 +130,14 @@ def detect_symmetries(germ: SurfaceGerm, p=None, tol: float = 1e-6,
 _EDGE_LIKE = ("cuspidal_edge", "cuspidal_cross_cap")
 
 
-def validate_findings(germ: SurfaceGerm, findings, p=None,
-                      tol: float = 1e-8) -> list:
+def validate_findings(germ: SurfaceGerm, findings, p=None) -> list:
     """Consistency rules of the classification; returns failure messages.
 
-    Edge and cuspidal cross cap: case (iii) never occurs, and nonzero
-    limiting normal curvature admits only case (ii).  Swallowtail: the
-    finding set is exactly {(iii)} or empty.  Any type: the found
-    isometries and the identity are closed under composition (matrices
-    and translations matched to 1e-8).
+    Edge and cuspidal cross cap: case (iii) never occurs, and a limiting
+    normal curvature above 1e-8 in size admits only case (ii).
+    Swallowtail: the finding set is exactly {(iii)} or empty.  Any type:
+    the found isometries and the identity are closed under composition
+    (matrices and translations matched to 1e-8).
     """
     failures = []
     cases = {f.label for f in findings}
@@ -152,7 +151,7 @@ def validate_findings(germ: SurfaceGerm, findings, p=None,
             knu = limiting_normal_curvature(germ, p)
         except (NotSingular, DegenerateSingularity):
             knu = None
-        if knu is not None and abs(knu) > tol and cases - {"ii"}:
+        if knu is not None and abs(knu) > 1e-8 and cases - {"ii"}:
             failures.append(
                 f"limiting normal curvature {knu:.3e} is nonzero, so only "
                 f"the normal-plane reflection (ii) is allowed; found "
@@ -167,13 +166,13 @@ def validate_findings(germ: SurfaceGerm, findings, p=None,
     return failures + _closure_failures(findings)
 
 
-def _closure_failures(findings, tol: float = 1e-8) -> list:
+def _closure_failures(findings) -> list:
     group = [("identity", Isometry.identity())]
     group += [(f.label, f.isometry) for f in findings]
 
     def member(T):
-        return any(np.max(np.abs(T.Q - S.Q)) <= tol
-                   and np.max(np.abs(T.b - S.b)) <= tol for _, S in group)
+        return any(np.max(np.abs(T.Q - S.Q)) <= 1e-8
+                   and np.max(np.abs(T.b - S.b)) <= 1e-8 for _, S in group)
 
     return [f"symmetries not closed under composition: ({a}) after ({b}) "
             "is not among the findings"
@@ -189,10 +188,6 @@ EXPECTED_CATALOG_LABELS = {
     "cuspidal_cross_cap": {"i", "ii", "iv"},
     "ccr_example": {"ii"},
 }
-
-
-def expected_catalog_labels(name: str) -> set:
-    return set(EXPECTED_CATALOG_LABELS[name])
 
 
 # ----------------------------------------------------- connecting involution
@@ -215,8 +210,7 @@ class _TransformedGerm:
 
 
 def connecting_involution(germ: SurfaceGerm, T: Isometry,
-                          tol: float = 1e-6, n1: int = 81,
-                          n2: int = 4096) -> dict:
+                          tol: float = 1e-6) -> dict:
     """Domain involution psi with f o psi = T o f, plus its diagnostics.
 
     Returns a report with the sampled psi, the involution residual
@@ -224,12 +218,13 @@ def connecting_involution(germ: SurfaceGerm, T: Isometry,
     and orientation data (domain orientation and the direction of travel
     along the singular curve at the base point).  psi(x) at a sample is
     the polished sample of the connecting map, so the second application
-    of psi and the six orientation probes share one solver call.
+    of psi and the six orientation probes share one solver call.  psi is
+    sampled on a 9 x 9 grid, against 4096 lift samples of the germ.
     """
     g1 = _TransformedGerm(germ, T)
-    cm = connecting_map(g1, germ, tol=tol, n1=n1, n2=n2)
+    cm = connecting_map(g1, germ, tol=tol, n1=81, n2=4096)
     k = max(1, len(cm.samples_in) // 16)
-    X = np.array(cm.samples_in[::k])
+    X = cm.samples_in[::k]
     # orientation of psi at a regular probe point, and travel along the
     # singular curve {v = 0} near the base station
     h = 1e-4
@@ -239,7 +234,7 @@ def connecting_involution(germ: SurfaceGerm, T: Isometry,
     b = np.asarray(germ.base, float)
     eu, ev = np.array([h, 0.0]), np.array([0.0, h])
     probes = np.array([p0 + eu, p0 - eu, p0 + ev, p0 - ev, b + eu, b - eu])
-    P = cm(np.concatenate([np.array(cm.samples_out[::k]), probes]))
+    P = cm(np.concatenate([cm.samples_out[::k], probes]))
     inv_err = float(np.max(np.linalg.norm(P[:len(X)] - X, axis=1)))
     P = P[len(X):]
     J = np.column_stack([(P[0] - P[1]) / (2 * h), (P[2] - P[3]) / (2 * h)])
@@ -276,18 +271,16 @@ class SelfIntersectionLocus:
         }
 
 
-def self_intersections(germ: SurfaceGerm, region=None, tol: float = 1e-8,
-                       n: int = 129) -> SelfIntersectionLocus:
+def self_intersections(germ: SurfaceGerm,
+                       tol: float = 1e-8) -> SelfIntersectionLocus:
     """Distinct-preimage coincidences f(q) = f(q') with |q - q'| bounded
-    below, found by spatial hashing and Gauss-Newton refinement."""
-    dom = germ.domain if region is None else tuple(
-        d if isinstance(d, Interval) else Interval(*d) for d in region)
-    us = dom[0].grid(n)
-    vs = dom[1].grid(n)
-    xs = np.array([(u, v) for u in us for v in vs])
+    below, found by spatial hashing of the image of a 129 x 129 grid of
+    the germ's domain and Gauss-Newton refinement."""
+    dom = germ.domain
+    xs = _sample_grid(dom, 129 ** 2)
     pts = germ.points(xs)
     tree = cKDTree(pts)
-    spacing = max(dom[0].length, dom[1].length) / (n - 1)
+    spacing = max(dom[0].length, dom[1].length) / 128
     sep_min = 4.0 * spacing
     # image-space pairing radius: a bit beyond one image cell
     d_nn, _ = tree.query(pts[:: max(1, len(pts) // 512)], k=2)
@@ -353,32 +346,31 @@ def verify_c2(germ: SurfaceGerm, finding: SymmetryFinding,
     Checks that the image of the locus is fixed by T pointwise, that
     f o psi = f on the locus preimages, that psi fixes no locus point away
     from the base point, and, for cuspidal cross caps, that the locus
-    image lies in the normal plane Pi1 through f(p).
+    image lies in the normal plane Pi1 through f(p).  psi is polished at
+    all locus preimages in one solver call.
     """
     p = np.asarray(germ.base if p is None else p, float)
-    fp = germ(tuple(p))
     T = finding.isometry
     report = {"vacuous": locus.empty, "image_fixed": True,
               "f_psi_matches": True, "fixed_points_only_base": True}
     if locus.empty:
         return report
-    rep = connecting_involution(germ, T, tol=max(tol, 1e-6))
-    psi = rep["psi"]
+    psi = connecting_involution(germ, T, tol=max(tol, 1e-6))["psi"]
+    q = np.array(locus.pairs)[:, 0]
+    y = psi(q)
     cell = max(d.length for d in germ.domain) / 64.0
-    worst_fix = 0.0
-    for (q, qp), im in zip(locus.pairs, locus.images):
-        worst_fix = max(worst_fix, float(np.linalg.norm(T(im) - im)))
-        y = np.asarray(psi(np.asarray(q, float)))
-        if np.linalg.norm(germ(tuple(y)) - germ(q)) > 10 * tol:
-            report["f_psi_matches"] = False
-        if (np.linalg.norm(y - np.asarray(q)) < 1e-6
-                and np.linalg.norm(np.asarray(q) - p) > cell):
-            report["fixed_points_only_base"] = False
+    ims = locus.images
+    worst_fix = float(np.max(np.linalg.norm(T(ims) - ims, axis=1)))
+    gap = np.linalg.norm(germ.points(y) - germ.points(q), axis=1)
+    report["f_psi_matches"] = not np.any(gap > 10 * tol)
+    report["fixed_points_only_base"] = not np.any(
+        (np.linalg.norm(y - q, axis=1) < 1e-6)
+        & (np.linalg.norm(q - p, axis=1) > cell))
     report["image_fixed"] = bool(worst_fix < 10 * tol)
     report["image_fix_residual"] = worst_fix
     if germ.sing_type == "cuspidal_cross_cap":
         frame = distinguished_frame(germ, tuple(p))
-        off = max(abs(float((im - fp) @ frame.tangent)) for im in locus.images)
+        off = float(np.max(np.abs((ims - germ(tuple(p))) @ frame.tangent)))
         report["locus_in_Pi1"] = bool(off < 10 * tol)
         report["Pi1_offset"] = off
     return report
@@ -386,8 +378,7 @@ def verify_c2(germ: SurfaceGerm, finding: SymmetryFinding,
 
 # --------------------------------------------------------------- parity check
 
-def ms_symmetry_check(a0: str, b0: str, b2: str, b3: str,
-                      tol: float = 1e-8, det_tol: float = 1e-6):
+def ms_symmetry_check(a0: str, b0: str, b2: str, b3: str):
     """Parity probe for the coefficient functions of the edge form
     (u, a0 + v^2, b0 u^2 + b2 u v^2 + b3 v^3).
 
@@ -395,28 +386,27 @@ def ms_symmetry_check(a0: str, b0: str, b2: str, b3: str,
     reflection x -> -x; the verdict is confirmed (or refuted) by running
     the detector on the built germ.  Also reports whether the limiting
     normal curvature is nonzero, which happens exactly when b0(0) != 0.
+    Parities are checked to 1e-8 at 9 stations u (b3 on a 9 x 7 grid)
+    against -u, all in one checked grid evaluation.
     """
-    a0e, b0e, b2e, b3e = (ex.compile_expr(ex.parse(s), ("u", "v"))
-                          for s in (a0, b0, b2, b3))
+    m = ex.MapDef("ms_parity", ("u", "v"), [a0, b0, b2, b3])
     us = np.linspace(-0.4, 0.4, 9)
-    vs = np.linspace(-0.3, 0.3, 7)
-
-    def f1(e, u):
-        return float(e(float(u), 0.0))
-
-    def f2(e, u, v):
-        return float(e(float(u), float(v)))
-
+    U, V = np.meshgrid(us, np.linspace(-0.3, 0.3, 7), indexing="ij")
+    U, V = U.ravel(), V.ravel()
+    zero = np.zeros(2 * len(us) + 1)
+    vals = m.values({"u": np.concatenate([us, -us, [0.0], U, -U]),
+                     "v": np.concatenate([zero, V, V])})
+    at, neg = vals[:3, :len(us)], vals[:3, len(us):2 * len(us)]
+    b3_at, b3_neg = np.split(vals[3, len(zero):], 2)
     verdict = {
-        "a0_even": all(abs(f1(a0e, u) - f1(a0e, -u)) < tol for u in us),
-        "b0_even": all(abs(f1(b0e, u) - f1(b0e, -u)) < tol for u in us),
-        "b2_odd": all(abs(f1(b2e, u) + f1(b2e, -u)) < tol for u in us),
-        "b3_u_even": all(abs(f2(b3e, u, v) - f2(b3e, -u, v)) < tol
-                         for u in us for v in vs),
+        "a0_even": bool(np.all(np.abs(at[0] - neg[0]) < 1e-8)),
+        "b0_even": bool(np.all(np.abs(at[1] - neg[1]) < 1e-8)),
+        "b2_odd": bool(np.all(np.abs(at[2] + neg[2]) < 1e-8)),
+        "b3_u_even": bool(np.all(np.abs(b3_at - b3_neg) < 1e-8)),
     }
     verdict["all"] = all(verdict.values())
-    verdict["kappa_nu_nonzero"] = abs(f1(b0e, 0.0)) > tol
+    verdict["kappa_nu_nonzero"] = bool(abs(vals[1, 2 * len(us)]) > 1e-8)
     germ = catalog("ms_edge", a0=a0, b0=b0, b2=b2, b3=b3)
-    findings = detect_symmetries(germ, tol=det_tol)
-    found = next((f for f in findings if f.frame_label == "refl_Pi1"), None)
+    found = next((f for f in detect_symmetries(germ)
+                  if f.frame_label == "refl_Pi1"), None)
     return verdict, found

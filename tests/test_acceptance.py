@@ -242,9 +242,11 @@ def test_acceptance_08_ist_developability():
 
 
 def test_acceptance_09_properness_verdicts():
-    rep1 = properness_probe(lambda x: x * math.exp(-x * x), 0.5)
+    rep1 = properness_probe(
+        np.vectorize(lambda x: x * math.exp(-x * x), otypes=[float]), 0.5)
     rep2 = properness_probe(
-        lambda x: x * math.sin(1.0 / x) if x != 0.0 else 0.0, 0.0)
+        np.vectorize(lambda x: x * math.sin(1.0 / x) if x != 0.0 else 0.0,
+                     otypes=[float]), 0.0)
 
     def spliced(x):
         ax = abs(x)
@@ -254,7 +256,7 @@ def test_acceptance_09_properness_verdicts():
             return x
         return math.copysign(2.0 * (ax - 1.0), x)
 
-    rep3 = properness_probe(spliced, 0.0)
+    rep3 = properness_probe(np.vectorize(spliced, otypes=[float]), 0.0)
     ok = (rep1.verdict == "finite"
           and rep2.verdict == "suspected_infinite"
           and rep2.counts[-1] >= 64

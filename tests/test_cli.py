@@ -204,6 +204,33 @@ def test_proper_subcommand(capsys):
     assert rep["results"]["verdict"] == "suspected_infinite"
 
 
+def test_proper_names_a_point_without_a_value(capsys):
+    code, rep, err = run(capsys, "proper", "--map", "log(x)", "--at", "-1")
+    assert code == 2 and rep is None
+    assert "ProbeError: f(-1.0) is not finite" in err
+
+
+@pytest.mark.parametrize("flags", [("--r0", "-0.5"), ("--r0", "0"),
+                                   ("--levels", "0"), ("--grid", "0")])
+def test_proper_rejects_bad_windows(capsys, flags):
+    code, rep, err = run(capsys, "proper", "--map", "x^2", *flags)
+    assert code == 1 and rep is None
+    assert err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"germs": {}, "tolerances": {"tol": 1e-8}}, "tolerances"),
+    ({"curves": {}, "out_dir": "out"}, "out_dir")])
+def test_scene_rejects_unknown_keys(capsys, tmp_path, data, key):
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(data))
+    code, rep, err = run(capsys, "analyze", "--scene", str(path), "--germ",
+                         "cuspidal_edge")
+    assert code == 1 and rep is None
+    assert err.startswith("scene error: ")
+    assert repr(key) in err
+
+
 def test_export(capsys, tmp_path):
     code, rep, _ = run(capsys, "export", "--germ", "cuspidal_edge",
                        "--out", str(tmp_path))

@@ -280,7 +280,6 @@ def test_tape_matches_tree_walk_on_floats(e, u, v):
     assert _outcome(ex.evaluate, e, b) == want
     m = ex.MapDef("m", ("u", "v"), [e])
     assert _outcome(lambda: m((u, v))[0]) == want
-    assert _outcome(ex.compile_expr(e, ("u", "v")), u, v) == want
 
 
 @_PROPERTY

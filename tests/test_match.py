@@ -127,14 +127,14 @@ def test_match_normal_forms():
 
 def test_properness_finite():
     fn = lambda x: x * math.exp(-x * x)
-    rep = properness_probe(fn, 0.5)
+    rep = properness_probe(np.vectorize(fn, otypes=[float]), 0.5)
     assert rep.verdict == "finite"
     assert len(set(rep.counts)) == 1 and rep.counts[0] <= 2
 
 
 def test_properness_accumulating():
     fn = lambda x: x * math.sin(1.0 / x) if x != 0.0 else 0.0
-    rep = properness_probe(fn, 0.0)
+    rep = properness_probe(np.vectorize(fn, otypes=[float]), 0.0)
     assert rep.verdict == "suspected_infinite"
     assert rep.counts[-1] >= 64
     assert all(b > a for a, b in zip(rep.counts, rep.counts[1:]))
@@ -149,7 +149,7 @@ def test_properness_plateau():
             return x
         return math.copysign(2.0 * (ax - 1.0), x)
 
-    rep = properness_probe(spliced, 0.0)
+    rep = properness_probe(np.vectorize(spliced, otypes=[float]), 0.0)
     assert rep.verdict == "suspected_infinite"
     assert all(c == 1 for c in rep.counts)
     assert rep.widths[-1] > 0.25 * 0.5
@@ -160,6 +160,120 @@ def test_properness_report_json():
     d = rep.to_json()
     assert d["verdict"] == "finite"
     assert len(d["component_counts"]) == len(d["radii"]) == 4
+
+
+def per_point_probe(fn, p, r0=0.5, levels=8, grid=4096):
+    """The per-point probe that `properness_probe` replaced: fn takes one
+    float, and is called once per grid node."""
+    from frontalforge.match import (PropernessReport, _count_runs,
+                                    _verdict)
+    fp = fn(p)
+    if not np.isfinite(fp):
+        fp = 0.5 * (float(fn(p + 1e-9)) + float(fn(p - 1e-9)))
+    radii, counts, widths = [], [], []
+    for k in range(levels):
+        xs = np.linspace(p - r0, p + r0, grid * (2 ** k) + 1)
+        vals = np.array([fn(x) for x in xs], dtype=float) - fp
+        eps = r0 * (2.0 ** -k) * 1e-3
+        cross = vals[:-1] * vals[1:] < 0
+        marked = np.abs(vals) <= eps
+        marked[:-1] |= cross
+        marked[1:] |= cross
+        comp, width = _count_runs(marked, xs)
+        radii.append(r0 * (2.0 ** -k))
+        counts.append(comp)
+        widths.append(width)
+    return PropernessReport(float(p), float(fp), radii, counts, widths,
+                            _verdict(counts, widths, r0))
+
+
+def float_path(src):
+    """src on the float path, one point at a time, with every evaluation
+    error read as NaN (the `proper` command's function before the batched
+    probe)."""
+    from frontalforge.exprlang import EvalDomainError
+    m = MapDef("proper", ("x",), [src])
+
+    def fn(x):
+        try:
+            return float(m((float(x),))[0])
+        except (ZeroDivisionError, ValueError, EvalDomainError,
+                OverflowError):
+            return math.nan
+
+    return m, fn
+
+
+PROBE_MAPS = [("x*sin(1/x)", 0.0), ("x^3", 0.0), ("x^2", 0.0),
+              ("sin(1/x)", 0.0), ("x^2*sin(1/x)", 0.0), ("sqrt(x)", 0.0),
+              ("x*exp(-x^2)", 0.5), ("1/x", 0.1), ("log(x)", 0.3),
+              ("tan(x)", 1.0)]
+
+
+@pytest.mark.parametrize("src, p", PROBE_MAPS)
+def test_batched_probe_equals_per_point_probe(src, p):
+    # five levels keep the per-point reference at 126,980 float calls
+    m, fn = float_path(src)
+    batched = properness_probe(lambda xs: m.eval_grid({"x": xs})[0], p,
+                               levels=5)
+    assert batched.to_json() == per_point_probe(fn, p, levels=5).to_json()
+
+
+def test_probe_calls_fn_once_per_level():
+    shapes = []
+
+    def fn(xs):
+        shapes.append(xs.shape)
+        return xs ** 3
+
+    rep = properness_probe(fn, 0.0, levels=3, grid=16)
+    assert shapes == [(3,), (17,), (33,), (65,)]
+    assert rep.counts == [1, 1, 1]
+
+
+def test_probe_reads_non_finite_values_as_nan():
+    # x^2 >= f(0) everywhere, and -inf beyond 0.3: as a value below f(0)
+    # it would mark a sign change at 0.3, as NaN it marks nothing
+    def fn(xs, beyond=-np.inf):
+        return np.where(xs > 0.3, beyond, xs * xs)
+
+    assert properness_probe(fn, 0.0, levels=3, grid=64).counts == [1, 1, 1]
+    finite = properness_probe(lambda xs: fn(xs, -1.0), 0.0, levels=3, grid=64)
+    assert finite.counts == [2, 2, 2]
+
+
+def test_probe_needs_a_value_at_p():
+    from frontalforge.match import ProbeError
+    m = MapDef("f", ("x",), ["log(x)"])
+    with pytest.raises(ProbeError, match=r"f\(-1\.0\) is not finite"):
+        properness_probe(lambda xs: m.eval_grid({"x": xs})[0], -1.0)
+    # 1/x has no value at 0, but its mean at 0 +- 1e-9 is 0
+    m = MapDef("f", ("x",), ["1/x"])
+    rep = properness_probe(lambda xs: m.eval_grid({"x": xs})[0], 0.0,
+                           levels=1)
+    assert rep.value == 0.0
+
+
+@pytest.mark.parametrize("kwargs", [{"r0": -0.5}, {"r0": 0.0},
+                                    {"r0": math.nan}, {"r0": math.inf},
+                                    {"levels": 0}, {"grid": 0}])
+def test_probe_rejects_bad_windows(kwargs):
+    calls = []
+    with pytest.raises(ValueError):
+        properness_probe(lambda xs: calls.append(xs) or xs, 0.0, **kwargs)
+    assert calls == []
+
+
+def test_sample_grid_is_an_array():
+    from frontalforge.match import _sample_grid
+    line = _sample_grid((Interval(-1.0, 1.0),), 5)
+    assert isinstance(line, np.ndarray) and line.shape == (5, 1)
+    assert np.array_equal(line[:, 0], np.linspace(-1.0, 1.0, 5))
+    dom = (Interval(-1.0, 1.0), Interval(0.0, 0.5))
+    square = _sample_grid(dom, 10)
+    assert isinstance(square, np.ndarray) and square.shape == (9, 2)
+    us, vs = dom[0].grid(3), dom[1].grid(3)
+    assert np.array_equal(square, [(u, v) for u in us for v in vs])
 
 
 # ------------------------------------------------------------- batched lifts

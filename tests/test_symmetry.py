@@ -11,7 +11,6 @@ from frontalforge.match import _sample_grid, closest_image_point
 from frontalforge.symmetry import (EXPECTED_CATALOG_LABELS,
                                    connecting_involution,
                                    detect_symmetries,
-                                   expected_catalog_labels,
                                    ms_symmetry_check, self_intersections,
                                    validate_findings, verify_c2)
 from frontalforge.symmetry import _image_tree, _shrunken_domain
@@ -62,8 +61,8 @@ def test_cuspidal_cross_cap_detects_rotation():
 
 
 def test_expected_catalog_labels():
-    assert expected_catalog_labels("swallowtail") == {"iii"}
-    assert expected_catalog_labels("cuspidal_cross_cap") == {"i", "ii",
+    assert EXPECTED_CATALOG_LABELS["swallowtail"] == {"iii"}
+    assert EXPECTED_CATALOG_LABELS["cuspidal_cross_cap"] == {"i", "ii",
                                                              "iv"}
     assert EXPECTED_CATALOG_LABELS["cuspidal_edge"] == {"i", "ii", "iv"}
 
@@ -431,3 +430,96 @@ def test_involution_polishes_the_losing_sign_on_corners_only(monkeypatch,
     # every 5th sample x (17 of them) and at the 6 orientation probes, in
     # one call (324 rows for each sign, then 68, 68 and 24 before)
     assert rows == [81 * 4, 2 * 4 * 4, 77 * 4, (17 + 6) * 4]
+
+
+# ------------------------------------------------- batched fixed-point checks
+
+def per_pair_verify_c2(germ, finding, locus, tol=1e-6, p=None):
+    """The per-pair loop that `verify_c2` replaced: psi and the float path
+    at one locus preimage at a time."""
+    p = np.asarray(germ.base if p is None else p, float)
+    fp = germ(tuple(p))
+    T = finding.isometry
+    report = {"vacuous": locus.empty, "image_fixed": True,
+              "f_psi_matches": True, "fixed_points_only_base": True}
+    if locus.empty:
+        return report
+    psi = connecting_involution(germ, T, tol=max(tol, 1e-6))["psi"]
+    cell = max(d.length for d in germ.domain) / 64.0
+    worst_fix = 0.0
+    for (q, qp), im in zip(locus.pairs, locus.images):
+        worst_fix = max(worst_fix, float(np.linalg.norm(T(im) - im)))
+        y = np.asarray(psi(np.asarray(q, float)))
+        if np.linalg.norm(germ(tuple(y)) - germ(q)) > 10 * tol:
+            report["f_psi_matches"] = False
+        if (np.linalg.norm(y - np.asarray(q)) < 1e-6
+                and np.linalg.norm(np.asarray(q) - p) > cell):
+            report["fixed_points_only_base"] = False
+    report["image_fixed"] = bool(worst_fix < 10 * tol)
+    report["image_fix_residual"] = worst_fix
+    if germ.sing_type == "cuspidal_cross_cap":
+        frame = distinguished_frame(germ, tuple(p))
+        off = max(abs(float((im - fp) @ frame.tangent)) for im in locus.images)
+        report["locus_in_Pi1"] = bool(off < 10 * tol)
+        report["Pi1_offset"] = off
+    return report
+
+
+@pytest.mark.parametrize("name", ["swallowtail", "cuspidal_cross_cap",
+                                  "ccr_example"])
+def test_verify_c2_equals_per_pair_loop(name):
+    germ = catalog(name)
+    locus = self_intersections(germ)
+    assert not locus.empty
+    for f in detect_symmetries(germ):
+        for tol in (1e-6, 1e-8):
+            rep = verify_c2(germ, f, locus, tol)
+            assert rep == per_pair_verify_c2(germ, f, locus, tol), f.label
+            assert all(type(v) in (bool, float) for v in rep.values())
+
+
+def test_verify_c2_polishes_the_locus_in_one_call(monkeypatch, tail_findings):
+    germ, findings = tail_findings
+    refl = next(f for f in findings if f.label == "iii")
+    locus = self_intersections(germ)
+    rows = solver_rows(monkeypatch)
+    connecting_involution(germ, refl.isometry)
+    alone = list(rows)
+    rows.clear()
+    verify_c2(germ, refl, locus)
+    assert rows == alone + [len(locus.pairs) * 4]
+
+
+def per_point_parity(a0, b0, b2, b3):
+    """The parity verdict of `ms_symmetry_check`, one float evaluation
+    per function and point."""
+    fns = [MapDef(s, ("u", "v"), [s]) for s in (a0, b0, b2, b3)]
+    us = np.linspace(-0.4, 0.4, 9)
+    vs = np.linspace(-0.3, 0.3, 7)
+
+    def f(k, u, v=0.0):
+        return float(fns[k]((float(u), float(v)))[0])
+
+    verdict = {
+        "a0_even": all(abs(f(0, u) - f(0, -u)) < 1e-8 for u in us),
+        "b0_even": all(abs(f(1, u) - f(1, -u)) < 1e-8 for u in us),
+        "b2_odd": all(abs(f(2, u) + f(2, -u)) < 1e-8 for u in us),
+        "b3_u_even": all(abs(f(3, u, v) - f(3, -u, v)) < 1e-8
+                         for u in us for v in vs),
+    }
+    verdict["all"] = all(verdict.values())
+    verdict["kappa_nu_nonzero"] = abs(f(1, 0.0)) > 1e-8
+    return verdict
+
+
+@pytest.mark.parametrize("coeffs", [
+    ("cos(u)", "1 + u^2", "u^3", "2 + u^2"),
+    ("cos(u)", "1 + u^2", "u^2", "2 + u^2"),
+    ("cos(u)", "0", "u^3", "2 + u^2"),
+    ("u^2", "1", "u", "1"),
+    ("sin(u)", "exp(u)", "u*cos(u)", "1 + u*v"),
+])
+def test_parity_verdict_equals_per_point_loop(coeffs):
+    verdict, _ = ms_symmetry_check(*coeffs)
+    assert verdict == per_point_parity(*coeffs)
+    assert all(type(v) is bool for v in verdict.values())
