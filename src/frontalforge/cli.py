@@ -49,36 +49,40 @@ class UsageError(Exception):
 
 class Scene:
     """Named curves and germs loaded from a JSON object with the keys
-    "curves" and "germs"; any other key is a SceneError."""
+    "curves" and "germs"; any other key is a SceneError.  Each SceneError
+    names the scene's path."""
 
     def __init__(self, data: dict, path: str = "<inline>"):
         self.path = path
         unknown = sorted(set(data) - {"curves", "germs"})
         if unknown:
-            raise SceneError(f"unknown scene keys {unknown}")
+            raise self._error(f"unknown scene keys {unknown}")
         self.curves = data.get("curves", {})
         self.germs = data.get("germs", {})
         names = list(self.curves) + list(self.germs)
         if len(set(names)) != len(names):
-            raise SceneError("scene names must be unique across curves "
-                             "and germs")
+            raise self._error("scene names must be unique across curves "
+                              "and germs")
         # compile everything eagerly so bad expressions fail at load time
         for name in self.curves:
             self.curve(name)
         for name in self.germs:
             self.germ(name)
 
+    def _error(self, msg: str) -> SceneError:
+        return SceneError(f"{self.path}: {msg}")
+
     def curve(self, name: str) -> SpaceCurve:
         try:
             spec = self.curves[name]
         except KeyError:
-            raise SceneError(f"unresolved curve reference '{name}'")
+            raise self._error(f"unresolved curve reference '{name}'")
         if "builtin" in spec:
             builders = {"circle": circle, "helix": helix}
             try:
                 builder = builders[spec["builtin"]]
             except KeyError:
-                raise SceneError(f"unknown builtin curve '{spec['builtin']}'")
+                raise self._error(f"unknown builtin curve '{spec['builtin']}'")
             return builder(**spec.get("params", {}))
         m = ex.MapDef(name, (spec.get("variable", "u"),),
                       spec["components"], spec.get("params"))
@@ -90,10 +94,10 @@ class Scene:
         except KeyError:
             if name in CATALOG_NAMES:
                 return catalog(name)
-            raise SceneError(f"unresolved germ reference '{name}'")
+            raise self._error(f"unresolved germ reference '{name}'")
         if "catalog" in spec:
             if spec["catalog"] not in CATALOG_NAMES:
-                raise SceneError(f"unknown catalog germ '{spec['catalog']}'")
+                raise self._error(f"unknown catalog germ '{spec['catalog']}'")
             return catalog(spec["catalog"], **spec.get("params", {}))
         if "normal_form" in spec:
             return EdgeNormalForm.from_json(spec["normal_form"])
@@ -114,9 +118,9 @@ def load_scene(path: str) -> Scene:
         with open(path) as fh:
             data = json.load(fh)
     except OSError as err:
-        raise SceneError(f"cannot read scene file: {err}")
+        raise SceneError(f"{path}: cannot read scene file: {err.strerror}")
     except json.JSONDecodeError as err:
-        raise SceneError(f"scene parse error at line {err.lineno}, "
+        raise SceneError(f"{path}: scene parse error at line {err.lineno}, "
                          f"column {err.colno}: {err.msg}")
     return Scene(data, path)
 

@@ -333,18 +333,23 @@ def connecting_map(f1, f2, tol: float = 1e-6,
                    n1: int = 256, n2: int = 8192) -> ConnectingMap:
     """Recover psi = L2^{-1} o L1 by lift-distance minimization.
 
-    f1 and f2 are each lifted once, at their samples.  The inclusion
-    test polishes the images of f1 against the image samples of f2, and
-    each lift sample of f1 is polished from the 4 nearest lift samples of
-    f2.  Since |nu1 - e nu2| = |e nu1 - nu2|, both normal signs e = +1, -1
+    f1 and f2 are each lifted once, at their samples, and each lift
+    sample of f1 is polished from the 4 nearest lift samples of f2.
+    Since |nu1 - e nu2| = |e nu1 - nu2|, both normal signs e = +1, -1
     polish against the one lift of f2, with (f1, e nu1) as the target.
     The sign is decided on the corner samples first: one polish covers
     them for both signs, and a sign whose worst corner residual exceeds
     tol is dropped, since its worst over all samples can only be larger.
     The other samples are polished only for the signs left standing, and
-    of these the sign with the smaller sup residual wins.  Raises on
-    inclusion failure, on a non-injective lift of f2, or when neither
-    sign meets the tolerance.
+    of these the sign with the smaller sup residual wins.
+
+    Raises LiftInjectivityError on a non-injective lift of f2 or psi.
+    When neither sign meets tol, the inclusion test polishes the images
+    of f1 against the image samples of f2 (`closest_image_point`) and
+    raises InclusionError on a gap of max(10 tol, 1e-4) or more,
+    ResidualError otherwise.  On success that test is not run: every
+    sample's image residual is then at most tol, which bounds its
+    distance to the image of f2.
     """
     D1 = _domain_of(f1)
     D2 = _domain_of(f2)
@@ -356,11 +361,6 @@ def connecting_map(f1, f2, tol: float = 1e-6,
 
     qs = _sample_grid(D1, n1)
     F1, nu1 = f1.lift_points(qs)
-    dist, _ = closest_image_point(f2, D2, F1, cKDTree(F2), xs2)
-    gap = float(np.max(dist, initial=0.0))
-    if not gap < max(tol * 10, 1e-4):
-        raise InclusionError(
-            f"image of f1 is not inside image of f2 (gap {gap:.3e})")
     lift2 = _lift(f2)
 
     def polish(rows, signs):
@@ -387,6 +387,11 @@ def connecting_map(f1, f2, tol: float = 1e-6,
         tried.append((max(res), e, x) + res)
     score, e, x, res_im, res_nu = min(tried, key=lambda t: t[0])
     if score > tol:
+        dist, _ = closest_image_point(f2, D2, F1, cKDTree(F2), xs2)
+        gap = float(np.max(dist, initial=0.0))
+        if not gap < max(tol * 10, 1e-4):
+            raise InclusionError(
+                f"image of f1 is not inside image of f2 (gap {gap:.3e})")
         where = " on the corner samples" if x is None else ""
         raise ResidualError(
             f"connecting map residual {score:.3e}{where} exceeds tol "

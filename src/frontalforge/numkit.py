@@ -320,12 +320,18 @@ def damped_gauss_newton(fn, target, x0, lo, hi, iters: int, h: float = 1e-6):
     when it accepts the step, so after a rejected step it keeps the
     Jacobian of its unchanged x.  A row keeps its best iterate; its
     damping starts at 1e-8, falls by 0.3 (floor 1e-12) after an improving
-    step and grows tenfold otherwise.  The row stops once its damping
-    exceeds 1e6, after `iters` steps, when its normal equations are
-    singular, or when its step (before clamping) no longer changes x in
-    any coordinate: more damping would only shorten that step.  Returns
-    (x, residual, iterations): per row the best point, |fn(x) - target|
-    there, and the steps taken.
+    step and grows tenfold otherwise.  After each step a row stops
+
+    - once its damping exceeds 1e6, or after `iters` steps;
+    - when its normal equations are singular;
+    - when its step (before clamping) no longer changes x in any
+      coordinate: more damping would only shorten that step;
+    - once its best residual is at most 4 eps max(1, |target row|_inf):
+      below that floor |fn(x) - target| is rounding error, which no step
+      can improve.
+
+    Returns (x, residual, iterations): per row the best point,
+    |fn(x) - target| there, and the steps taken.
     """
     x = np.array(x0, dtype=float)
     target = np.asarray(target, dtype=float)
@@ -333,6 +339,7 @@ def damped_gauss_newton(fn, target, x0, lo, hi, iters: int, h: float = 1e-6):
     y, J = _values_and_jacobian(fn, x, h)
     r = y - target
     best = np.linalg.norm(r, axis=1)
+    floor = 4 * EPS * np.maximum(1.0, np.max(np.abs(target), axis=1))
     lam = np.full(n, 1e-8)
     steps = np.zeros(n, dtype=int)
     live = np.arange(n)
@@ -357,7 +364,8 @@ def damped_gauss_newton(fn, target, x0, lo, hi, iters: int, h: float = 1e-6):
         lam[up] = np.maximum(lam[up] * 0.3, 1e-12)
         lam[live[~better]] *= 10.0
         moved = (xl + step != xl).any(axis=1)
-        live = live[ok & moved & (better | (lam[live] <= 1e6))]
+        live = live[ok & moved & (better | (lam[live] <= 1e6))
+                    & (best[live] > floor[live])]
     return x, best, steps
 
 

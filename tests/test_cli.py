@@ -231,6 +231,23 @@ def test_scene_rejects_unknown_keys(capsys, tmp_path, data, key):
     assert repr(key) in err
 
 
+@pytest.mark.parametrize("text, message", [
+    (json.dumps({"germs": {}, "tolerances": {}}), "unknown scene keys"),
+    (json.dumps({"germs": {"g": {"catalog": "nope"}}}),
+     "unknown catalog germ 'nope'"),
+    ('{"germs": ', "scene parse error at line 1"),
+    (None, "cannot read scene file"),
+], ids=["keys", "reference", "parse", "missing"])
+def test_scene_error_names_its_file(capsys, tmp_path, text, message):
+    path = tmp_path / "named_scene.json"
+    if text is not None:
+        path.write_text(text)
+    code, rep, err = run(capsys, "analyze", "--scene", str(path), "--germ",
+                         "cuspidal_edge")
+    assert code == 1 and rep is None
+    assert err.startswith(f"scene error: {path}: {message}")
+
+
 def test_export(capsys, tmp_path):
     code, rep, _ = run(capsys, "export", "--germ", "cuspidal_edge",
                        "--out", str(tmp_path))

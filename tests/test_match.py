@@ -605,3 +605,40 @@ def test_both_signs_failing_at_the_corners():
     reported = float(str(err.value).split()[3])
     assert 1e-20 < reported <= float("%.3e" % max(
         two_sign_connecting_map(f1, f2)[1:3]))
+
+
+# ------------------------------------------------------- inclusion failures
+
+@pytest.mark.parametrize("make, gap", [
+    (lambda: (plane("lifted", ("t^2", "t^3 + 0.1")),
+              plane("cusp", ("t^2", "t^3"))), "1.000e-01"),
+    (lambda: (catalog("cuspidal_edge"), catalog("swallowtail")), "7.091e-01"),
+], ids=["plane", "surface"])
+def test_inclusion_failure_names_the_gap(make, gap):
+    # no sign meets tol, and the image of f1 leaves that of f2
+    from frontalforge.match import InclusionError
+    f1, f2 = make()
+    with pytest.raises(InclusionError, match=f"gap {gap}"):
+        connecting_map(f1, f2)
+
+
+def test_successful_map_runs_no_inclusion_polish(monkeypatch):
+    # every image residual of a successful map is at most tol, which
+    # bounds its distance to the image of f2, so the polish is not run
+    import frontalforge.match as ffmatch
+    calls = []
+    closest = ffmatch.closest_image_point
+
+    def spy(*args, **kwargs):
+        calls.append(len(args[2]))
+        return closest(*args, **kwargs)
+
+    monkeypatch.setattr(ffmatch, "closest_image_point", spy)
+    cm = connecting_map(plane("f1", ("0.49*t^2", "0.343*t^3")),
+                        plane("f2", ("t^2", "t^3")))
+    assert cm.sign == 1 and calls == []
+    with pytest.raises(ffmatch.ResidualError):
+        connecting_map(plane("slow", ("t^6", "t^9")),
+                       plane("cusp", ("t^2", "t^3")), tol=1e-20)
+    # a failing one polishes its 256 image samples once
+    assert calls == [256]

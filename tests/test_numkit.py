@@ -94,15 +94,20 @@ def test_damped_gauss_newton_stops_once_the_step_is_lost():
     assert np.all(steps <= 4)
 
 
-def two_call_gauss_newton(fn, target, x0, lo, hi, iters, h=1e-6):
+def two_call_gauss_newton(fn, target, x0, lo, hi, iters, h=1e-6,
+                          rounding_floor=True):
     """The solver loop before each step became one call: per step, one
     call of fn on the 2d shifts of every live row's x, then one on the
-    trial points."""
-    from frontalforge.numkit import _solve_rows
+    trial points.  A row stops at the same rounding floor of its target,
+    or, with rounding_floor=False, runs on below it as it did before."""
+    from frontalforge.numkit import EPS, _solve_rows
     x = np.array(x0, dtype=float)
     n, d = x.shape
     r = fn(x) - target
     best = np.linalg.norm(r, axis=1)
+    floor = 4 * EPS * np.maximum(1.0, np.abs(target).max(axis=1))
+    if not rounding_floor:
+        floor[:] = -1.0
     lam = np.full(n, 1e-8)
     steps = np.zeros(n, dtype=int)
     live = np.arange(n)
@@ -132,8 +137,44 @@ def two_call_gauss_newton(fn, target, x0, lo, hi, iters, h=1e-6):
         lam[up] = np.maximum(lam[up] * 0.3, 1e-12)
         lam[live[~better]] *= 10.0
         moved = (xl + step != xl).any(axis=1)
-        live = live[ok & moved & (better | (lam[live] <= 1e6))]
+        live = live[ok & moved & (better | (lam[live] <= 1e6))
+                    & (best[live] > floor[live])]
     return x, best, steps
+
+
+def test_damped_gauss_newton_stops_at_the_rounding_floor():
+    # a linear residual R^2 -> R^3: rows whose targets lie on the image
+    # have exact binary solutions and stop after the step that reaches
+    # their floor 4 eps max(1, |target|_inf); rows whose targets lie off
+    # the image keep a residual far above it and take the same steps as
+    # without the floor
+    from frontalforge.numkit import EPS, damped_gauss_newton
+    A = np.array([[2.0, 1.0], [1.0, 3.0], [1.0, -1.0]])
+    off = np.cross(A[:, 0], A[:, 1])  # normal to the image
+    solutions = np.array([[0.5, -0.25], [1.0, 2.0], [-0.75, 0.125]] * 2)
+    target = solutions @ A.T
+    target[3:] += 0.5 * off
+    x0 = np.array([[3.0, 3.0], [0.0, 0.0], [-0.75, 0.0]] * 2)
+    args = (lambda X: X @ A.T, target, x0, np.full(2, -10.0),
+            np.full(2, 10.0))
+    x, res, steps = damped_gauss_newton(*args, 40)
+    floor = 4 * EPS * np.abs(target).max(axis=1)
+    before = two_call_gauss_newton(*args, 40, rounding_floor=False)
+
+    exact = slice(0, 3)
+    assert np.array_equal(x[exact], solutions[exact])
+    assert np.all(res[exact] <= floor[exact])
+    # one step fewer, and one step earlier the row was still above it
+    assert np.array_equal(steps[exact], before[2][exact] - 1)
+    for k in range(3):
+        _, res_k, _ = damped_gauss_newton(*args, int(steps[k]) - 1)
+        assert res_k[k] > floor[k]
+
+    above = slice(3, 6)
+    assert np.all(res[above] > 1e3 * floor[above])
+    assert np.array_equal(x[above], before[0][above])
+    assert np.array_equal(res[above], before[1][above])
+    assert np.array_equal(steps[above], before[2][above])
 
 
 def _curved(X):
