@@ -201,7 +201,8 @@ def _sample_grid(domain, n) -> np.ndarray:
     return np.stack(np.meshgrid(us, vs, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
-def closest_image_point(obj, domain, targets, tree, xs):
+def closest_image_point(obj, domain, targets, tree, xs, later=None,
+                        tol: float = 0.0):
     """Distance from each row of the (N, m) targets to the image of obj
     over domain, and the nearest point x found, as ((N,), (N, d)).
 
@@ -209,9 +210,15 @@ def closest_image_point(obj, domain, targets, tree, xs):
     lie nearest to it (a multi-sheeted image can strand a single seed on
     the wrong sheet), and the best of the 4 is kept.  All rows go through
     one damped Gauss-Newton on `obj.points`, the tape's grid path for
-    expression maps."""
+    expression maps.
+
+    With `later`, a list of G arrays of targets, the rows of targets fall
+    into G equal groups, and later[g] joins the same solve at the step
+    where every row of group g first has a seed within tol (`_polish`).
+    The rows of later follow those of targets in the result; those of a
+    group never admitted read distance inf and x NaN."""
     x, dist = _polish(obj.points, np.asarray(targets, dtype=float), tree, xs,
-                      domain, iters=30)
+                      domain, iters=30, later=later, tol=tol)
     return dist, x
 
 
@@ -232,18 +239,63 @@ def image_subset(f1, V1, f2, U2, tol: float,
     return worst < tol, worst
 
 
-def _polish(fn, targets, tree, xs, domain, iters: int):
+def _polish(fn, targets, tree, xs, domain, iters: int, later=None,
+            tol: float = 0.0, passes=None):
     """Minimize |fn(x) - target| for each row of targets, from the 4
     samples xs whose values fn(xs), held in tree, lie nearest to it (a
     multi-sheeted image can strand a single seed on the wrong sheet).
-    Returns each target's best (x, residual)."""
+    Returns each target's best (x, residual).
+
+    `later`, a list of G arrays of targets, stages the solve: the rows of
+    targets fall into G equal groups, and later[g] joins the running
+    solve (the solver's `admit`) at the step where every row of group g
+    has a seed with a residual below tol.  When the rows of targets have
+    all stopped, a group not admitted yet is admitted if passes(g, x)
+    holds for the best points x of its rows, and dropped otherwise or
+    without passes.  Solver rows evolve independently, so every row ends
+    as in a solve of its own.  The rows of later follow those of targets
+    in the result; those of a group never admitted read x NaN and
+    residual inf."""
     k = min(4, tree.n)
-    _, idx = tree.query(targets, k=k)
-    idx = np.asarray(idx).reshape(-1)
     lo = np.array([d.lo for d in domain])
     hi = np.array([d.hi for d in domain])
-    x, res, _ = damped_gauss_newton(fn, np.repeat(targets, k, axis=0),
-                                    xs[idx], lo, hi, iters)
+    later = later or []
+    at = np.cumsum([len(targets)] + [len(t) for t in later])
+    n0 = len(targets) * k              # the solver rows of targets
+    placed = [np.arange(len(targets))]  # result rows, in solver row order
+    undecided = list(range(len(later)))
+
+    def seeded(t):
+        _, idx = tree.query(t, k=k)
+        return np.repeat(t, k, axis=0), xs[np.asarray(idx).reshape(-1)]
+
+    def admit(x, res, live):
+        if not undecided:
+            return None
+        xb, rb = _best_seeds(x[:n0], res[:n0], k)
+        xb = xb.reshape(len(later), -1, xb.shape[1])
+        rb = rb.reshape(len(later), -1)
+        done = not (live < n0).any()
+        admitted = [g for g in undecided if (rb[g] < tol).all() or (
+            done and passes is not None and passes(g, xb[g]))]
+        undecided[:] = [] if done else [g for g in undecided
+                                        if g not in admitted]
+        placed.extend(at[g] + np.arange(len(later[g])) for g in admitted)
+        new = [seeded(later[g]) for g in admitted if len(later[g])]
+        return tuple(np.concatenate(a) for a in zip(*new)) if new else None
+
+    x, res, _ = damped_gauss_newton(fn, *seeded(targets), lo, hi, iters,
+                                    admit=admit if later else None)
+    out_x = np.full((at[-1], len(domain)), np.nan)
+    out_res = np.full(at[-1], np.inf)
+    rows = np.concatenate(placed)
+    out_x[rows], out_res[rows] = _best_seeds(x, res, k)
+    return out_x, out_res
+
+
+def _best_seeds(x, res, k: int):
+    """Per target, the best of its k consecutive solver rows: (x,
+    residual), a NaN residual counting as inf."""
     res = np.where(np.isnan(res), np.inf, res).reshape(-1, k)
     best = np.argmin(res, axis=1)
     rows = np.arange(len(res))
@@ -337,11 +389,14 @@ def connecting_map(f1, f2, tol: float = 1e-6,
     sample of f1 is polished from the 4 nearest lift samples of f2.
     Since |nu1 - e nu2| = |e nu1 - nu2|, both normal signs e = +1, -1
     polish against the one lift of f2, with (f1, e nu1) as the target.
-    The sign is decided on the corner samples first: one polish covers
-    them for both signs, and a sign whose worst corner residual exceeds
-    tol is dropped, since its worst over all samples can only be larger.
-    The other samples are polished only for the signs left standing, and
-    of these the sign with the smaller sup residual wins.
+    The sign is decided on the corner samples, in one staged polish
+    (`_polish`): the corners of both signs start it, and a sign's other
+    samples join it at the step where each of its corners has a seed
+    within tol, or, when no corner row runs any longer, if the sign's
+    worst corner image and normal residuals are at most tol.  A sign
+    whose corners miss tol is dropped, since its worst over all samples
+    can only be larger; of the signs left standing, the one with the
+    smaller sup residual wins.
 
     Raises LiftInjectivityError on a non-injective lift of f2 or psi.
     When neither sign meets tol, the inclusion test polishes the images
@@ -356,33 +411,42 @@ def connecting_map(f1, f2, tol: float = 1e-6,
 
     xs2 = _sample_grid(D2, n2)
     F2, nu2 = f2.lift_points(xs2)
-    tree = cKDTree(np.hstack([F2, nu2]))
+    tree = cKDTree(np.hstack([F2, nu2]), balanced_tree=False,
+                   compact_nodes=False)
     _check_lift_injective(xs2, tree, D2)
 
     qs = _sample_grid(D1, n1)
     F1, nu1 = f1.lift_points(qs)
     lift2 = _lift(f2)
 
-    def polish(rows, signs):
-        """psi at the samples `rows`, for each sign in one polish."""
-        targets = np.concatenate([np.hstack([F1[rows], e * nu1[rows]])
-                                  for e in signs])
-        x, _ = _polish(lift2, targets, tree, xs2, D2, iters=40)
-        return np.split(x, len(signs))
-
+    signs = (1, -1)
+    targets = [np.hstack([F1, e * nu1]) for e in signs]
     corner = _corners(len(qs), len(D1))
+    # the image and normal residuals of each sign's corners, for a sign
+    # not admitted while its corner rows ran
+    tested = {}
+
+    def passes(g, xc):
+        tested[g] = _lift_residuals(f2, F1[corner], nu1[corner], signs[g],
+                                    xc)
+        return max(tested[g]) <= tol
+
+    xall, _ = _polish(lift2, np.concatenate([t[corner] for t in targets]),
+                      tree, xs2, D2, iters=40,
+                      later=[t[~corner] for t in targets], tol=tol,
+                      passes=passes)
+    nc = int(corner.sum())
+    rest = np.split(xall[2 * nc:], 2)
     # (score, sign, psi samples, image and normal residuals); a sign
     # dropped at the corners keeps its corner score and no samples
     tried = []
-    for e, xc in zip((1, -1), polish(corner, (1, -1))):
-        res = _lift_residuals(f2, F1[corner], nu1[corner], e, xc)
-        if max(res) > tol:
-            tried.append((max(res), e, None) + res)
+    for g, e in enumerate(signs):
+        if g in tested and max(tested[g]) > tol:
+            tried.append((max(tested[g]), e, None) + tested[g])
             continue
         x = np.empty((len(qs), len(D2)))
-        x[corner] = xc
-        if not corner.all():
-            x[~corner] = polish(~corner, (e,))[0]
+        x[corner] = xall[g * nc:(g + 1) * nc]
+        x[~corner] = rest[g]
         res = _lift_residuals(f2, F1, nu1, e, x)
         tried.append((max(res), e, x) + res)
     score, e, x, res_im, res_nu = min(tried, key=lambda t: t[0])

@@ -64,7 +64,8 @@ def _image_tree(germ: SurfaceGerm):
     """The image of a 128 x 128 grid of germ's domain in a KD-tree, and
     the grid points."""
     xs = _sample_grid(germ.domain, 128 ** 2)
-    return cKDTree(germ.points(xs)), xs
+    return cKDTree(germ.points(xs), balanced_tree=False,
+                   compact_nodes=False), xs
 
 
 def _shrunken_domain(germ: SurfaceGerm, p):
@@ -78,15 +79,6 @@ def _shrunken_domain(germ: SurfaceGerm, p):
     return tuple(out)
 
 
-def _worst_residuals(germ: SurfaceGerm, isometries, F, tree, xs):
-    """Each isometry T's worst distance from the T-images of the probe
-    image points F to the image of germ, all rows in one polish."""
-    dist, _ = closest_image_point(
-        germ, germ.domain, np.concatenate([T(F) for T in isometries]),
-        tree, xs)
-    return dist.reshape(len(isometries), len(F)).max(axis=1)
-
-
 def detect_symmetries(germ: SurfaceGerm, p=None, tol: float = 1e-6,
                       n_probe: int = 121, extra_candidates: dict | None = None):
     """Frame-derived candidate isometries whose action maps the image of
@@ -95,12 +87,13 @@ def detect_symmetries(germ: SurfaceGerm, p=None, tol: float = 1e-6,
     extra_candidates ("brute" mode) adds user-supplied isometries, which
     are classified against the frame before testing.
 
-    Probe images are polished in two batches, on the grid path of the
-    germ's expression map (the frame needs its exact jets): first the
-    four corners of the probe grid, the probes farthest from p, for every
-    candidate; then the other probes, only for the candidates whose
-    corners all landed within tol.  A candidate's residual is the worst
-    over its probes.
+    Probe images are polished in one staged solve
+    (`closest_image_point`), on the grid path of the germ's expression
+    map (the frame needs its exact jets).  It starts with the four
+    corners of the probe grid, the probes farthest from p, for every
+    candidate; a candidate's other probes join it at the step where each
+    of its corners has a seed within tol, and never if its corners end
+    outside tol.  A candidate's residual is the worst over its probes.
     """
     p = tuple(germ.base) if p is None else tuple(float(c) for c in p)
     frame = distinguished_frame(germ, p)
@@ -112,11 +105,12 @@ def detect_symmetries(germ: SurfaceGerm, p=None, tol: float = 1e-6,
     Ts = list(candidates.values())
     F = germ.points(probes)
     corner = _corners(len(probes), 2)
-    worst = _worst_residuals(germ, Ts, F[corner], tree, xs)
-    standing = np.flatnonzero(worst < tol)
-    if standing.size and not corner.all():
-        worst[standing] = np.maximum(worst[standing], _worst_residuals(
-            germ, [Ts[i] for i in standing], F[~corner], tree, xs))
+    dist, _ = closest_image_point(
+        germ, germ.domain, np.concatenate([T(F[corner]) for T in Ts]), tree,
+        xs, later=[T(F[~corner]) for T in Ts], tol=tol)
+    n = len(Ts) * int(corner.sum())
+    worst = np.maximum(dist[:n].reshape(len(Ts), -1).max(axis=1),
+                       dist[n:].reshape(len(Ts), -1).max(axis=1, initial=0.0))
     findings = []
     for (label, T), w in zip(candidates.items(), worst.tolist()):
         if w < tol:

@@ -1,0 +1,48 @@
+"""The pair summary of tools/ab_pairs.py, on fixed numbers; no benchmark
+runs."""
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+
+def _ab_pairs():
+    path = Path(__file__).resolve().parents[1] / "tools" / "ab_pairs.py"
+    spec = importlib.util.spec_from_file_location("ab_pairs", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_summary_quartiles_wins_and_claim():
+    ab = _ab_pairs()
+    parent = [{"op_p50_s": v, "ops_per_s": 1 / v}
+              for v in (0.024, 0.023, 0.025, 0.024, 0.022,
+                        0.026, 0.024, 0.023, 0.025, 0.024)]
+    change = [{"op_p50_s": v, "ops_per_s": 1 / v}
+              for v in (0.018, 0.019, 0.018, 0.024, 0.017,
+                        0.018, 0.019, 0.018, 0.020, 0.018)]
+    s = ab.summarize(parent, change, higher_is_better=("ops_per_s",))
+    lat = s["op_p50_s"]
+    assert lat["parent"] == pytest.approx((0.02325, 0.024, 0.02475))
+    assert lat["change"] == pytest.approx((0.018, 0.018, 0.01900))
+    # pair 4 is a tie (0.024 against 0.024): it counts for neither side
+    assert (lat["wins"], lat["losses"], lat["pairs"]) == (9, 0, 10)
+    assert lat["claim"]
+    # the reciprocal is better higher: the same wins
+    assert (s["ops_per_s"]["wins"], s["ops_per_s"]["losses"]) == (9, 0)
+    assert s["ops_per_s"]["claim"]
+
+
+def test_summary_refuses_a_gain_inside_the_parent_spread():
+    ab = _ab_pairs()
+    parent = [{"op_p50_s": v} for v in (0.020, 0.030, 0.020, 0.030)]
+    change = [{"op_p50_s": v} for v in (0.019, 0.029, 0.019, 0.029)]
+    s = ab.summarize(parent, change)["op_p50_s"]
+    # the change wins every pair, but its median gain of 0.001 s is
+    # smaller than the parent's quartile distance of 0.01 s
+    assert s["wins"] == 4 and not s["claim"]
+    one = ab.summarize([{"m": 2.0}], [{"m": 3.0}])["m"]
+    assert one["parent"] == (2.0, 2.0, 2.0) and one["losses"] == 1
+    with pytest.raises(ValueError):
+        ab.summarize([{"m": 1.0}], [])

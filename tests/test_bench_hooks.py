@@ -49,21 +49,43 @@ def test_tracer_counts_a_batched_jet_once():
 
 
 def test_tracer_sees_both_detection_stages():
-    # the corner probes and the other probes are two closest-point calls;
-    # a stage that bypassed the traced entry point would vanish from the
-    # per-layer figures
-    from frontalforge import symmetry
+    # the corner probes and the other probes are two stages of one solve
+    # inside one closest-point call: both stages' rows must run within
+    # that traced span, or they would vanish from the per-layer figures
+    from frontalforge import match, symmetry
     from frontalforge.germ import catalog
     tracing = _tracing()
     tracer = tracing.Tracer()
     germ = catalog("swallowtail")
+    solve = match.damped_gauss_newton
+    stages = []
+
+    def within():
+        return tracer.names[tracer.name_id[tracer.stack[-1]]]
+
+    def spy(fn, target, x0, *args, admit=None, **kwargs):
+        stages.append((len(x0), within()))
+
+        def admitted(*state):
+            new = admit(*state)
+            if new is not None:
+                stages.append((len(new[1]), within()))
+            return new
+
+        return solve(fn, target, x0, *args, admit=admit and admitted,
+                     **kwargs)
+
     tracer.install()
+    match.damped_gauss_newton = spy
     try:
         symmetry.detect_symmetries(germ)
     finally:
+        match.damped_gauss_newton = solve
         tracer.uninstall()
     assert tracer.counts["symmetry.detect_symmetries.calls"] == 1
-    assert tracer.counts["match.closest_image_point.calls"] == 2
+    assert tracer.counts["match.closest_image_point.calls"] == 1
+    assert stages == [(4 * 4 * 4, "match.closest_image_point"),
+                      (117 * 4, "match.closest_image_point")]
 
 
 def test_tracer_pins_the_work_of_one_involution():

@@ -79,18 +79,24 @@ def test_damped_gauss_newton_rows_are_independent():
 
 
 def test_damped_gauss_newton_stops_once_the_step_is_lost():
-    # a linear residual with exact binary solutions: each row lands on its
-    # solution, after which the step no longer changes x and the row stops
-    # instead of raising its damping past the 1e6 bound
-    from frontalforge.numkit import damped_gauss_newton
-    A = np.array([[2.0, 1.0], [1.0, 3.0]])
+    # an inconsistent linear system R^2 -> R^3: each target lies 2^-30 off
+    # the image, normal to it, so each row lands on its exact binary
+    # least-squares solution, where J^T r = 0 and the step no longer
+    # changes x.  The residual stays far above the rounding floor, so the
+    # row stops by the lost-step rule, not by the floor, instead of
+    # raising its damping past the 1e6 bound (18 steps)
+    from frontalforge.numkit import EPS, damped_gauss_newton
+    A = np.array([[2.0, 1.0], [1.0, 3.0], [1.0, -1.0]])
+    off = 2.0 ** -30 * np.cross(A[:, 0], A[:, 1])
     solutions = np.array([[0.5, -0.25], [1.0, 2.0], [-0.75, 0.125]])
+    target = solutions @ A.T + off
     x0 = np.array([[3.0, 3.0], [0.0, 0.0], [-0.75, 0.0]])
-    x, res, steps = damped_gauss_newton(lambda X: X @ A.T, solutions @ A.T,
-                                        x0, np.full(2, -10.0),
-                                        np.full(2, 10.0), 40)
+    x, res, steps = damped_gauss_newton(lambda X: X @ A.T, target, x0,
+                                        np.full(2, -10.0), np.full(2, 10.0),
+                                        40)
     assert np.array_equal(x, solutions)
-    assert np.array_equal(res, np.zeros(3))
+    assert np.array_equal(res, np.full(3, np.linalg.norm(off)))
+    assert np.all(res > 1e3 * 4 * EPS * np.abs(target).max(axis=1))
     assert np.all(steps <= 4)
 
 
@@ -181,6 +187,39 @@ def _curved(X):
     u, v = X[:, 0], X[:, 1]
     return np.stack([u * u - v, np.sin(3 * u) * v, np.exp(0.5 * v) + u * v],
                     axis=1)
+
+
+@pytest.mark.parametrize("case", ["curved", "swallowtail"])
+def test_admitted_rows_end_as_in_a_call_of_their_own(case):
+    # rows that join a running solve through `admit` after step 2 and
+    # step 5 end with the x, residual and step count of a call of their
+    # own, and the rows the call started with are untouched by them; the
+    # step cap of 12 is per row, so the last rows may run to step 17
+    from frontalforge.germ import catalog
+    from frontalforge.numkit import damped_gauss_newton
+    fn = _curved if case == "curved" else catalog("swallowtail").points
+    rng = np.random.default_rng(11)
+    x0 = rng.uniform(-0.8, 0.8, (90, 2))
+    target = fn(rng.uniform(-0.8, 0.8, (90, 2)))
+    target[1::2] += rng.normal(0, 0.3, (45, 3))   # off the image
+    lo, hi = np.full(2, -1.0), np.full(2, 1.0)
+    blocks = {0: slice(0, 30), 2: slice(30, 60), 5: slice(60, 90)}
+    calls = []
+
+    def admit(x, res, live):
+        calls.append(len(x))
+        rows = blocks.get(len(calls))
+        return None if rows is None else (target[rows], x0[rows])
+
+    x, res, steps = damped_gauss_newton(fn, target[:30], x0[:30], lo, hi, 12,
+                                        admit=admit)
+    assert calls[:6] == [30, 30, 60, 60, 60, 90]
+    for rows in blocks.values():
+        alone = damped_gauss_newton(fn, target[rows], x0[rows], lo, hi, 12)
+        assert np.array_equal(x[rows], alone[0])
+        assert np.array_equal(res[rows], alone[1])
+        assert np.array_equal(steps[rows], alone[2])
+    assert steps[60:].max() == 12 and len(calls) > 12
 
 
 @pytest.mark.parametrize("case", ["curved", "swallowtail"])

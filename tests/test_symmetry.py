@@ -375,19 +375,55 @@ def solver_rows(monkeypatch):
     return rows
 
 
+def solver_stages(monkeypatch):
+    """Per solver call in match, its rows per stage: the rows it starts
+    with, then the rows of each admission (the solver's `admit`), and the
+    row-steps and fn evaluations it made."""
+    calls = []
+    solve = ffmatch.damped_gauss_newton
+
+    def counted(fn, target, x0, *args, admit=None, **kwargs):
+        call = {"rows": [len(x0)], "evals": 0}
+        calls.append(call)
+
+        def spy(*state):
+            new = admit(*state)
+            if new is not None:
+                call["rows"].append(len(new[1]))
+            return new
+
+        def evaluated(X):
+            call["evals"] += 1
+            return fn(X)
+
+        out = solve(evaluated, target, x0, *args, admit=admit and spy,
+                    **kwargs)
+        call["steps"] = int(out[2].sum())
+        return out
+
+    monkeypatch.setattr(ffmatch, "damped_gauss_newton", counted)
+    return calls
+
+
+def stage_rows(calls):
+    return [c["rows"] for c in calls]
+
+
 def test_detection_polishes_corners_first(monkeypatch):
-    rows = solver_rows(monkeypatch)
+    calls = solver_stages(monkeypatch)
     assert cases(detect_symmetries(catalog("swallowtail"))) == {"iii"}
-    # 4 candidates x 4 corners x 4 seeds, then the 117 other probes of
-    # the one candidate left standing (1,936 rows in one batch before)
-    assert rows == [4 * 4 * 4, 117 * 4]
+    # one solve: 4 candidates x 4 corners x 4 seeds, joined by the 117
+    # other probes of the one candidate whose corners came within tol
+    # (1,936 rows in one batch before)
+    assert stage_rows(calls) == [[4 * 4 * 4, 117 * 4]]
 
 
 def test_detection_on_corner_probes_only(monkeypatch):
     germ = catalog("cuspidal_edge")
-    rows = solver_rows(monkeypatch)
+    calls = solver_stages(monkeypatch)
     found = detect_symmetries(germ, n_probe=4)
-    assert rows == [4 * 4 * 4]
+    # every probe is a corner: the standing candidates admit no rows
+    assert stage_rows(calls) == [[4 * 4 * 4]]
     assert_same_findings(found, one_batch_detect(germ, n_probe=4))
 
 
@@ -396,15 +432,28 @@ def test_detection_residual_is_worst_over_both_stages(monkeypatch):
     # polish puts it there: corners at 5e-7, every other probe at 1e-8
     polished = []
 
-    def fake(germ, domain, targets, tree, xs):
-        polished.append(len(targets))
-        dist = 5e-7 if len(polished) == 1 else 1e-8
-        return np.full(len(targets), dist), None
+    def fake(germ, domain, targets, tree, xs, later=None, tol=0.0):
+        polished.append([len(targets)] + [len(t) for t in later])
+        return np.concatenate([np.full(len(targets), 5e-7)]
+                              + [np.full(len(t), 1e-8) for t in later]), None
 
     monkeypatch.setattr(ffsym, "closest_image_point", fake)
     found = detect_symmetries(catalog("cuspidal_edge"))
-    assert polished == [4 * 4, 4 * 117]
+    assert polished == [[4 * 4] + [117] * 4]
     assert [f.residual for f in found] == [5e-7] * 4
+
+
+@pytest.mark.parametrize("name", ["cuspidal_edge", "swallowtail",
+                                  "cuspidal_cross_cap", "ccr_example"])
+def test_detection_stages_overlap(monkeypatch, name):
+    # the other probes join the corner solve at the step their candidate
+    # is decided, instead of a second solve after the corners' 30 steps:
+    # one initial evaluation, 30 steps, one evaluation of the admitted
+    # rows and a few steps between (62 in two calls before)
+    calls = solver_stages(monkeypatch)
+    detect_symmetries(catalog(name))
+    assert len(calls) == 1 and len(calls[0]["rows"]) > 1
+    assert calls[0]["evals"] <= 36
 
 
 def test_connecting_map_decides_the_sign_on_the_corners(monkeypatch):
@@ -412,37 +461,29 @@ def test_connecting_map_decides_the_sign_on_the_corners(monkeypatch):
     f1, f2 = (ffmatch.PlaneMap(MapDef(n, ("t",), comps), Interval(-1.0, 1.0))
               for n, comps in (("f1", ["0.49*t^2", "0.343*t^3"]),
                                ("f2", ["t^2", "t^3"])))
-    rows = solver_rows(monkeypatch)
+    calls = solver_stages(monkeypatch)
     assert ffmatch.connecting_map(f1, f2).sign == 1
-    # both signs on the 2 ends of the 1-D sample grid, then the other 254
-    # samples for the one sign left standing (1,024 rows for each sign
-    # before); a successful map runs no image inclusion polish
-    assert rows == [2 * 2 * 4, 254 * 4]
+    # both signs on the 2 ends of the 1-D sample grid, joined by the other
+    # 254 samples of the one sign whose ends came within tol (1,024 rows
+    # for each sign before); a successful map runs no image inclusion
+    # polish
+    assert stage_rows(calls) == [[2 * 2 * 4, 254 * 4]]
 
 
 @pytest.mark.parametrize("name", ["cuspidal_edge", "swallowtail"])
 def test_involution_polishes_the_losing_sign_on_corners_only(monkeypatch,
                                                              name):
-    rows = solver_rows(monkeypatch)
+    calls = solver_stages(monkeypatch)
     connecting_involution(catalog(name), Isometry(np.diag([1.0, -1.0, 1.0])))
-    # both signs on the 4 corners of the 9 x 9 sample grid; the other 77
-    # samples for the standing sign; then psi at psi(x) for every 5th
-    # sample x (17 of them) and at the 6 orientation probes, in one call
-    # (324 rows for each sign, then 68, 68 and 24 before)
-    assert rows == [2 * 4 * 4, 77 * 4, (17 + 6) * 4]
-
-
-def solver_row_steps(monkeypatch):
-    steps = []
-    solve = ffmatch.damped_gauss_newton
-
-    def counted(*args, **kwargs):
-        out = solve(*args, **kwargs)
-        steps.append(int(out[2].sum()))
-        return out
-
-    monkeypatch.setattr(ffmatch, "damped_gauss_newton", counted)
-    return steps
+    # both signs on the 4 corners of the 9 x 9 sample grid, joined by the
+    # other 77 samples of the standing sign; then psi at psi(x) for every
+    # 5th sample x (17 of them) and at the 6 orientation probes, in a call
+    # of their own (324 rows for each sign, then 68, 68 and 24 before)
+    assert stage_rows(calls) == [[2 * 4 * 4, 77 * 4], [(17 + 6) * 4]]
+    # the standing sign's samples join the running corner solve: fewer
+    # solver evaluations than the 51 and 33 of a second call
+    assert sum(c["evals"] for c in calls) <= {"cuspidal_edge": 47,
+                                              "swallowtail": 29}[name]
 
 
 @pytest.mark.parametrize("case, before", [("plane", 12417),
@@ -453,7 +494,7 @@ def test_connecting_map_row_steps_are_halved(monkeypatch, case, before):
     # instead of rejecting steps until its damping passes 1e6, and a
     # successful map runs no image inclusion polish: at most half the
     # solver row-steps of both (2,600, 1,830 and 1,559 at this writing)
-    steps = solver_row_steps(monkeypatch)
+    calls = solver_stages(monkeypatch)
     if case == "plane":
         from frontalforge.numkit import Interval
         f1, f2 = (ffmatch.PlaneMap(MapDef(n, ("t",), c), Interval(-1.0, 1.0))
@@ -464,7 +505,9 @@ def test_connecting_map_row_steps_are_halved(monkeypatch, case, before):
         report = connecting_involution(catalog(case),
                                        Isometry(np.diag([1.0, -1.0, 1.0])))
         assert report["residual_image"] < 1e-15
-    assert sum(steps) <= before // 2
+    # the spy saw the staged solve, admitted rows included
+    assert len(calls[0]["rows"]) == 2
+    assert sum(c["steps"] for c in calls) <= before // 2
 
 
 # ------------------------------------------------- batched fixed-point checks
