@@ -1,4 +1,4 @@
-"""Space curves: Frenet data, arc-length reparametrization, planarity, symmetry."""
+"""Space curves: Frenet data and arc-length reparametrization."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -7,14 +7,12 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from . import exprlang as ex
-from .geom import Line, Plane, make_reflection, make_rotation180
 from .numkit import (EPS, Interval, NumkitError, QuadratureError,
                      damped_gauss_newton)
 
 __all__ = [
     "SpaceCurve", "FrenetSample", "frenet", "frenet_from_derivatives",
-    "arclength_param", "shift_param", "center_param", "curve_length",
-    "curve_plane", "curve_symmetry", "circle", "helix",
+    "arclength_param", "shift_param", "center_param", "circle", "helix",
     "spline_curve", "SplineMap", "CurveError",
     "VanishingSpeed", "VanishingCurvature",
 ]
@@ -128,6 +126,7 @@ def frenet(curve: SpaceCurve, u) -> FrenetSample:
 _PANELS = 512        # base panels of the arc-length table
 _MAX_DEPTH = 48      # halvings of a base panel
 _MAX_SPLITS = 4096   # panels that one refinement level may halve
+_ARC_TOL = 1e-12     # Gauss-Legendre rule agreement per base panel
 _GL16 = np.polynomial.legendre.leggauss(16)
 _GL8 = np.polynomial.legendre.leggauss(8)
 
@@ -138,20 +137,21 @@ class ReparamCurve:
 
     The arc length S(t) is tabulated over the 512 panels of the base
     domain by the 16-point Gauss-Legendre rule.  A panel where the 8-point
-    rule differs by more than `tol` is halved with `tol/2`, all of a level
-    at once.  All stations are solved in one `damped_gauss_newton` call.
+    rule differs by more than 1e-12 is halved with half that tolerance,
+    all of a level at once.  All stations are solved in one
+    `damped_gauss_newton` call.
     """
 
-    def __init__(self, base: SpaceCurve, tol: float = 1e-12):
+    def __init__(self, base: SpaceCurve):
         self.base = base
-        self.tol = tol
         edges = base.grid(_PANELS + 1)
         base.speed(edges)  # the Gauss nodes miss the panel ends
         a, b = edges[:-1], edges[1:]
         starts, lengths = [], []
         for depth in range(_MAX_DEPTH + 1):
             q = self._gauss(a, b, _GL16)
-            done = ((np.abs(q - self._gauss(a, b, _GL8)) <= tol * 0.5 ** depth)
+            done = ((np.abs(q - self._gauss(a, b, _GL8))
+                     <= _ARC_TOL * 0.5 ** depth)
                     | (b - a < 4 * EPS * np.maximum(1.0, abs(a) + abs(b))))
             starts.append(a[done])
             lengths.append(q[done])
@@ -160,8 +160,9 @@ class ReparamCurve:
                 break
             if depth == _MAX_DEPTH or a.size > _MAX_SPLITS:
                 raise QuadratureError(
-                    f"arc length did not converge to {tol}: {a.size} panels "
-                    f"left at depth {depth}, the first at t={a.min()}")
+                    f"arc length did not converge to {_ARC_TOL}: {a.size} "
+                    f"panels left at depth {depth}, the first at "
+                    f"t={a.min()}")
             m = 0.5 * (a + b)
             a, b = np.concatenate([a, m]), np.concatenate([m, b])
         starts = np.concatenate(starts)
@@ -193,8 +194,7 @@ class ReparamCurve:
         t, res, _ = damped_gauss_newton(
             arclength, ss[:, None], np.interp(ss, self.cum, self.nodes)[:, None],
             lo, hi, 60)
-        bound = np.maximum(max(self.tol, 1e-12),
-                           1e3 * EPS * np.maximum(1.0, np.abs(ss)))
+        bound = np.maximum(_ARC_TOL, 1e3 * EPS * np.maximum(1.0, np.abs(ss)))
         bad = np.flatnonzero(~(res <= bound))
         if bad.size:
             k = bad[0]
@@ -220,7 +220,7 @@ class ReparamCurve:
                         [:order + 1])
 
 
-def arclength_param(curve: SpaceCurve, tol: float = 1e-12) -> SpaceCurve:
+def arclength_param(curve: SpaceCurve) -> SpaceCurve:
     """Unit-speed reparametrization on [0, L]; result carries `.length`."""
     speeds = curve.speed(curve.grid(33))
     if np.min(speeds) < 1e-12:
@@ -237,7 +237,7 @@ def arclength_param(curve: SpaceCurve, tol: float = 1e-12) -> SpaceCurve:
                          curve.name + "_arclen")
         out.length = curve.domain.length * v0
         return out
-    rp = ReparamCurve(curve, tol)
+    rp = ReparamCurve(curve)
     out = SpaceCurve(rp, Interval(0.0, rp.length), curve.name + "_arclen")
     out.length = rp.length
     return out
@@ -273,49 +273,6 @@ def shift_param(curve: SpaceCurve, delta: float) -> SpaceCurve:
 def center_param(curve: SpaceCurve) -> SpaceCurve:
     """Shift the parameter so the domain is symmetric about 0."""
     return shift_param(curve, curve.domain.mid)
-
-
-def curve_length(curve: SpaceCurve, tol: float = 1e-12) -> float:
-    return ReparamCurve(curve, tol).length
-
-
-def curve_plane(curve: SpaceCurve, tol: float = 1e-8, samples: int = 128):
-    """Osculating plane if the curve is planar (max |tau| < tol), else None."""
-    fr = frenet(curve, curve.grid(samples + 2)[1:-1])
-    if np.max(np.abs(fr.tau)) >= tol:
-        return None
-    mid = samples // 2
-    return Plane(fr.point[mid], fr.b[mid])
-
-
-def curve_symmetry(curve: SpaceCurve, tol: float = 1e-8, samples: int = 512):
-    """Isometries exchanging the endpoints of the arc (parameter reversal).
-
-    The reversal u -> -u + c must map the parameter interval onto itself,
-    which pins c = lo + hi.  Returns a list of (Isometry, det) with the
-    (kappa, tau) profile match verified pointwise on the sampled arc.
-    """
-    lo, hi = curve.domain.lo, curve.domain.hi
-    fr = frenet(curve, np.linspace(lo, hi, samples))
-    kap, tau, pts = fr.kappa, fr.tau, fr.point
-    scale_k = max(1.0, float(np.max(np.abs(kap))))
-    scale_t = max(1.0, float(np.max(np.abs(tau))))
-    scale_p = max(1.0, float(np.max(np.abs(pts))))
-    if np.max(np.abs(kap - kap[::-1])) > tol * scale_k:
-        return []
-    mid = frenet(curve, 0.5 * (lo + hi))
-    found = []
-    for tsign, det in ((1.0, 1.0), (-1.0, -1.0)):
-        if np.max(np.abs(tau - tsign * tau[::-1])) > tol * scale_t:
-            continue
-        if det > 0:
-            iso = make_rotation180(Line(mid.point, mid.n))
-        else:
-            iso = make_reflection(Plane(mid.point, mid.e))
-        moved = iso(pts)
-        if np.max(np.abs(moved - pts[::-1])) <= max(tol, 50 * tol) * scale_p:
-            found.append((iso, int(det)))
-    return found
 
 
 class SplineMap:

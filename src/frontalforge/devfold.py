@@ -21,8 +21,8 @@ from .normalform import EdgeNormalForm, ScalarProfile
 from .numkit import Interval
 
 __all__ = [
-    "DevStrip", "CurvedFolding", "MeshGrid", "second_angle", "ruling",
-    "ist", "evaluate_strip", "gaussian_curvature", "strip_isomers",
+    "DevStrip", "CurvedFolding", "MeshGrid", "second_angle", "ist",
+    "evaluate_strip", "gaussian_curvature", "strip_isomers",
     "curved_folding", "strip_mesh", "folding_mesh", "write_obj",
     "write_profile_csv", "DevfoldError", "AngleRangeError",
 ]
@@ -91,18 +91,14 @@ class DevStrip:
 
 
 def _ruling(strip: DevStrip, fr, u) -> np.ndarray:
-    """The ruling at the stations u, given their Frenet data fr."""
+    """Unit ruling direction xi at the stations u, given their Frenet data
+    fr, shape (*shape(u), 3); it has a positive principal-normal component
+    under the strip invariants."""
     a = strip.alpha(u)
     b = second_angle(a, strip.alpha.deriv(u), fr.kappa, fr.tau)
     a, b = np.asarray(a)[..., None], np.asarray(b)[..., None]
     return np.cos(b) * fr.e + np.sin(b) * (np.cos(a) * fr.n
                                            + np.sin(a) * fr.b)
-
-
-def ruling(strip: DevStrip, u) -> np.ndarray:
-    """Unit ruling direction xi(u), shape (*shape(u), 3); it has a positive
-    principal-normal component under the strip invariants."""
-    return _ruling(strip, strip.frame(u), u)
 
 
 def evaluate_strip(strip: DevStrip, u, v) -> np.ndarray:
@@ -116,8 +112,9 @@ def evaluate_strip(strip: DevStrip, u, v) -> np.ndarray:
     return fr.point + v[..., None] * _ruling(strip, fr, u)
 
 
-def _check_alpha_range(us, th, tol: float = 1e-10):
-    bad = np.flatnonzero((np.abs(th) <= tol) | (np.abs(th) >= np.pi / 2 - tol))
+def _check_alpha_range(us, th):
+    bad = np.flatnonzero((np.abs(th) <= 1e-10)
+                         | (np.abs(th) >= np.pi / 2 - 1e-10))
     if bad.size:
         raise AngleRangeError(
             f"cuspidal angle {th[bad[0]]} at u={us[bad[0]]} leaves (0, pi/2) "
@@ -304,12 +301,13 @@ def write_obj(mesh: MeshGrid, path) -> None:
             fh.write("f %d %d %d %d\n" % tuple(i + 1 for i in quad))
 
 
-def write_profile_csv(strip: DevStrip, path, n: int = 129) -> None:
+def write_profile_csv(strip: DevStrip, path) -> None:
+    """u, alpha, beta, kappa and tau at the strip's 129 stations."""
     import csv
     with open(path, "w", newline="") as fh:
         w = csv.DictWriter(fh, fieldnames=["u", "alpha", "beta",
                                            "kappa", "tau"])
         w.writeheader()
-        prof = strip.profile(strip.stations(n))
-        for i in range(n):
+        prof = strip.profile(strip.stations(129))
+        for i in range(129):
             w.writerow({k: "%.12g" % prof[k][i] for k in w.fieldnames})

@@ -7,7 +7,7 @@ import numpy as np
 
 __all__ = [
     "Isometry", "Plane", "Line", "GermFrame", "make_reflection",
-    "make_rotation180", "classify_isometry", "LABEL_TO_CASE", "GeomError",
+    "make_rotation180", "LABEL_TO_CASE", "GeomError",
 ]
 
 I3 = np.eye(3)
@@ -33,10 +33,6 @@ class Plane:
     def __post_init__(self):
         object.__setattr__(self, "anchor", np.asarray(self.anchor, dtype=float))
         object.__setattr__(self, "normal", _unit(self.normal, "plane normal"))
-
-    def distance(self, points) -> np.ndarray:
-        pts = np.asarray(points, dtype=float)
-        return (pts - self.anchor) @ self.normal
 
 
 @dataclass(frozen=True)
@@ -73,9 +69,6 @@ class Isometry:
     def compose(self, other: "Isometry") -> "Isometry":
         """self after other: x -> self(other(x))."""
         return Isometry(self.Q @ other.Q, self.Q @ other.b + self.b)
-
-    def inverse(self) -> "Isometry":
-        return Isometry(self.Q.T, -self.Q.T @ self.b)
 
     @property
     def det(self) -> float:
@@ -177,19 +170,3 @@ LABEL_TO_CASE = {
     "refl_Pi2": "iii",
     "rot180_l2": "iv",
 }
-
-
-def classify_isometry(T: Isometry, frame: GermFrame) -> str:
-    """Name T relative to the frame: identity, the three reflections, the
-    co-normal half-turn, or 'other', matching matrices and translations
-    to 1e-8."""
-    tol = 1e-8
-    if (np.max(np.abs(T.Q - I3)) <= tol and np.max(np.abs(T.b)) <= tol):
-        return "identity"
-    if not T.fixes(frame.origin, tol):
-        return "other"
-    for label, cand in frame.candidate_isometries().items():
-        if (np.max(np.abs(T.Q - cand.Q)) <= tol
-                and np.max(np.abs(T.b - cand.b)) <= tol):
-            return label
-    return "other"

@@ -24,8 +24,8 @@ from .numkit import Interval, Jet, damped_gauss_newton
 __all__ = [
     "SurfaceGerm", "NormalField", "normal_field", "area_density",
     "singular_curve", "SingularSample", "SingularComponent",
-    "limiting_normal_curvature", "distinguished_frame",
-    "first_fundamental_form", "catalog", "CATALOG_NAMES", "GermError",
+    "limiting_normal_curvature", "distinguished_frame", "catalog",
+    "CATALOG_NAMES", "GermError",
     "NotAFrontal", "NotSingular", "DegenerateSingularity",
 ]
 
@@ -284,12 +284,13 @@ def _null_directions(j):
     return null, s
 
 
-def singular_curve(germ: SurfaceGerm, grid: int = 256, tol: float = 1e-12):
-    """Trace the zero set of the area density on the domain rectangle;
-    each component's samples are typed from one order-2 jet of f."""
+def singular_curve(germ: SurfaceGerm, tol: float = 1e-12):
+    """Trace the zero set of the area density on a 256 x 256 grid of the
+    domain rectangle; each component's samples are typed from one order-2
+    jet of f."""
     lam = area_density(germ)
-    U1 = germ.domain[0].grid(grid)
-    V1 = germ.domain[1].grid(grid)
+    U1 = germ.domain[0].grid(256)
+    V1 = germ.domain[1].grid(256)
     U, V = np.meshgrid(U1, V1, indexing="ij")
     L = lam.grid(U, V)
 
@@ -315,7 +316,7 @@ def singular_curve(germ: SurfaceGerm, grid: int = 256, tol: float = 1e-12):
     if not len(pts):
         return []
     # deduplicate on the grid scale, keeping the first point of each cell
-    h = np.array([U1[1] - U1[0], V1[1] - V1[0]]) if grid > 1 else np.ones(2)
+    h = np.array([U1[1] - U1[0], V1[1] - V1[0]])
     cells = np.round(pts / (0.5 * h)) + 0.0  # + 0.0 merges -0.0 into 0.0
     pts = pts[np.sort(np.unique(cells, axis=0, return_index=True)[1])]
 
@@ -379,11 +380,6 @@ def limiting_normal_curvature(germ: SurfaceGerm, p=None) -> float:
         raise DegenerateSingularity(
             "singular image is not regular at the base point (type II?)")
     return float(d2 @ nu[0]) / speed2
-
-
-def first_fundamental_form(germ: SurfaceGerm, p) -> tuple:
-    fu, fv = germ.partials_grid(*np.asarray(p, dtype=float))
-    return float(fu @ fu), float(fu @ fv), float(fv @ fv)
 
 
 def distinguished_frame(germ: SurfaceGerm, p=None) -> GermFrame:

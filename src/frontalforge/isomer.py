@@ -57,10 +57,10 @@ def _station_data(nf: EdgeNormalForm, n: int = 129):
     return us, fr.kappa, fr.tau, nf.theta(us)
 
 
-def admissible(nf: EdgeNormalForm, n: int = 129) -> tuple:
-    """(admissible, strict): max|kappa_s| < min kappa; strict adds
-    0 < min|kappa_s|."""
-    _, kap, _, th = _station_data(nf, n)
+def admissible(nf: EdgeNormalForm) -> tuple:
+    """(admissible, strict) over 129 stations: max|kappa_s| < min kappa;
+    strict adds 0 < min|kappa_s|."""
+    _, kap, _, th = _station_data(nf)
     return _admissible(kap, th)
 
 
@@ -73,15 +73,15 @@ def _admissible(kap, th) -> tuple:
     return adm, strict
 
 
-def dual(nf: EdgeNormalForm, n: int = 129, tol: float = 1e-12) -> EdgeNormalForm:
+def dual(nf: EdgeNormalForm) -> EdgeNormalForm:
     """Same crease, theta -> -theta.  Needs kappa_nu = kappa sin(theta)
-    without zeros."""
-    _, kap, _, th = _station_data(nf, n)
-    return _dual(nf, kap, th, tol)
+    above 1e-12 in size at all 129 stations."""
+    _, kap, _, th = _station_data(nf)
+    return _dual(nf, kap, th)
 
 
-def _dual(nf: EdgeNormalForm, kap, th, tol: float = 1e-12) -> EdgeNormalForm:
-    if np.min(np.abs(kap * np.sin(th))) <= tol:
+def _dual(nf: EdgeNormalForm, kap, th) -> EdgeNormalForm:
+    if np.min(np.abs(kap * np.sin(th))) <= 1e-12:
         raise IsomerError("dual undefined: limiting normal curvature has a zero")
     return EdgeNormalForm(nf.crease, nf.theta.negated(), nf.a, nf.b,
                           nf.halfwidth, nf.interval)
@@ -100,8 +100,8 @@ def _reverse_crease(crease: SpaceCurve) -> SpaceCurve:
     return SpaceCurve(_Reparam(crease, -1.0, 0.0), dom, crease.name + "_rev")
 
 
-def inverse(nf: EdgeNormalForm, n: int = 129) -> EdgeNormalForm:
-    adm, _ = admissible(nf, n)
+def inverse(nf: EdgeNormalForm) -> EdgeNormalForm:
+    adm, _ = admissible(nf)
     if not adm:
         raise NotAdmissible("inverse isomer requires an admissible edge")
     return _inverse(nf)
@@ -129,8 +129,8 @@ def _inverse(nf: EdgeNormalForm) -> EdgeNormalForm:
     return out
 
 
-def inverse_dual(nf: EdgeNormalForm, n: int = 129) -> EdgeNormalForm:
-    return inverse(dual(nf, n), n)
+def inverse_dual(nf: EdgeNormalForm) -> EdgeNormalForm:
+    return inverse(dual(nf))
 
 
 @dataclass
@@ -151,10 +151,11 @@ class IsomerSet:
                 out.append((name, m))
         return out
 
-    def report(self, n: int = 65) -> dict:
+    def report(self) -> dict:
+        """Each member's theta at 65 stations, and the admissibility."""
         profs = {}
         for name, m in self.members():
-            us = m.stations(n)
+            us = m.stations(65)
             profs[name] = {
                 "u": us.tolist(),
                 "theta": m.theta(us).tolist(),
@@ -183,18 +184,17 @@ def isomer_set(nf: EdgeNormalForm, n: int = 129) -> IsomerSet:
     return IsomerSet(nf, d, i, di, adm, strict, notes)
 
 
-def right_equivalence_classes(iso: IsomerSet, tol: float = 1e-8,
-                              n: int = 257) -> int:
+def right_equivalence_classes(iso: IsomerSet, tol: float = 1e-8) -> int:
     """Distinct members of {base, dual, inverse, inverse_dual}, identifying
-    two normal forms when their (kappa, tau, theta) station profiles agree
-    up to the reversal u -> -u (the station interval is symmetric, so the
-    shift of u -> +-u + c is pinned to zero)."""
+    two normal forms when their (kappa, tau, theta) profiles over 257
+    stations agree up to the reversal u -> -u (the station interval is
+    symmetric, so the shift of u -> +-u + c is pinned to zero)."""
     members = iso.members()
     if len(members) < 4:
         raise IsomerError("all four isomers must be defined for class counting")
     data = []
     for _, m in members:
-        data.append(_station_data(m, n)[1:])  # kappa, tau, theta
+        data.append(_station_data(m, 257)[1:])  # kappa, tau, theta
 
     def same(i, j):
         (k1, t1, h1), (k2, t2, h2) = data[i], data[j]

@@ -25,8 +25,7 @@ from .numkit import Interval, damped_gauss_newton
 
 __all__ = [
     "LiftSample", "ConnectingMap", "PropernessReport", "PlaneMap",
-    "legendrian_lift", "image_subset", "connecting_map",
-    "match_normal_forms", "properness_probe", "MatchError",
+    "legendrian_lift", "connecting_map", "properness_probe", "MatchError",
     "InclusionError", "LiftInjectivityError", "ResidualError", "ProbeError",
 ]
 
@@ -222,23 +221,6 @@ def closest_image_point(obj, domain, targets, tree, xs, later=None,
     return dist, x
 
 
-def image_subset(f1, V1, f2, U2, tol: float,
-                 n1: int = 1024, n2: int = 16384):
-    """True iff every sampled point of f1(V1) lies within tol of f2(U2).
-
-    Distance is nearest-neighbor seeded and Gauss-Newton polished, all
-    samples at once.  Returns (included, max one-sided distance).
-    """
-    V1 = _norm_domain(V1)
-    U2 = _norm_domain(U2)
-    xs2 = _sample_grid(U2, n2)
-    tree = cKDTree(f2.points(xs2))
-    targets = f1.points(_sample_grid(V1, n1))
-    dist, _ = closest_image_point(f2, U2, targets, tree, xs2)
-    worst = float(np.max(dist, initial=0.0))
-    return worst < tol, worst
-
-
 def _polish(fn, targets, tree, xs, domain, iters: int, later=None,
             tol: float = 0.0, passes=None):
     """Minimize |fn(x) - target| for each row of targets, from the 4
@@ -300,12 +282,6 @@ def _best_seeds(x, res, k: int):
     best = np.argmin(res, axis=1)
     rows = np.arange(len(res))
     return x.reshape(len(res), k, -1)[rows, best], res[rows, best]
-
-
-def _norm_domain(dom):
-    if isinstance(dom, Interval):
-        return (dom,)
-    return tuple(d if isinstance(d, Interval) else Interval(*d) for d in dom)
 
 
 # ------------------------------------------------------------ connecting map
@@ -491,44 +467,6 @@ def _check_psi_injective(qs, outs, domain):
             raise LiftInjectivityError(
                 "recovered psi identifies distant domain points "
                 f"{tuple(qs[i].tolist())} and {tuple(qs[j].tolist())}")
-
-
-# ------------------------------------------------------- normal form matching
-
-def match_normal_forms(nf1, nf2, tol: float = 1e-6, n: int = 33):
-    """Match two edge normal forms along the same crease image.
-
-    Returns (u_flip, e) such that f1(u, v) = f2(s(u), e*v) with s(u) = u or
-    the station reversal.  Raises on crease mismatch or when no sign fits.
-    """
-    us1 = nf1.interval.grid(n)
-    us2 = nf2.interval.grid(n)
-    c1 = nf1.crease(us1)
-    c2f = nf2.crease(us2)
-    c2r = c2f[::-1]
-    gap_f = float(np.max(np.linalg.norm(c1 - c2f, axis=1)))
-    gap_r = float(np.max(np.linalg.norm(c1 - c2r, axis=1)))
-    if min(gap_f, gap_r) > tol * 100:
-        raise MatchError(
-            f"crease images differ (forward gap {gap_f:.3e}, "
-            f"reversed gap {gap_r:.3e})")
-    u_flip = gap_r < gap_f
-    s = (nf2.interval.lo + nf2.interval.hi) - us1 if u_flip else us1
-
-    hw = min(nf1.halfwidth, nf2.halfwidth)
-    vs = np.linspace(-hw, hw, 9)
-    f1 = nf1.evaluate(us1[:, None], vs)
-    best = None
-    for e in (1, -1):
-        worst = float(np.max(np.linalg.norm(
-            f1 - nf2.evaluate(s[:, None], e * vs), axis=-1)))
-        if best is None or worst < best[0]:
-            best = (worst, e)
-    worst, e = best
-    if worst > tol:
-        raise ResidualError(
-            f"no sign matches the normal forms (best residual {worst:.3e})")
-    return u_flip, e
 
 
 # ----------------------------------------------------------- properness probe

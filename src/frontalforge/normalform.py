@@ -13,8 +13,6 @@ limiting normal curvature kappa_nu = kappa sin(theta).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.interpolate import CubicSpline, RectBivariateSpline
 
@@ -24,9 +22,9 @@ from .curve import (SpaceCurve, VanishingCurvature, frenet,
 from .numkit import Interval
 
 __all__ = [
-    "EdgeNormalForm", "SectionalCusp", "ScalarProfile", "SurfaceProfile",
-    "sectional_cusp", "to_normal_form", "from_normal_form",
-    "is_cuspidal_edge", "NormalFormError", "DegenerateCusp",
+    "EdgeNormalForm", "ScalarProfile", "SurfaceProfile", "to_normal_form",
+    "from_normal_form", "is_cuspidal_edge", "NormalFormError",
+    "DegenerateCusp",
 ]
 
 
@@ -273,12 +271,10 @@ class EdgeNormalForm:
                    float(data["halfwidth"]), Interval(*data["interval"]))
 
 
-def is_cuspidal_edge(nf: EdgeNormalForm, u: float | None = None,
-                     tol: float = 1e-8) -> bool:
-    """True when b(u, 0) never vanishes (genuine cuspidal edge, not just a
-    generalized one)."""
-    us = nf.stations(129) if u is None else u
-    return bool(np.all(np.abs(nf.b.along_edge(us)) > tol))
+def is_cuspidal_edge(nf: EdgeNormalForm) -> bool:
+    """True when |b(u, 0)| exceeds 1e-8 at all 129 stations (genuine
+    cuspidal edge, not just a generalized one)."""
+    return bool(np.all(np.abs(nf.b.along_edge(nf.stations(129))) > 1e-8))
 
 
 # -------------------------------------------------------------- construction
@@ -399,23 +395,6 @@ def _station(germ, u):
     return fr, sigma2, sigma3, theta, 0.5 * norm2, b0
 
 
-@dataclass
-class SectionalCusp:
-    """Planar section of a germ by the normal plane at one station."""
-
-    station: float
-    frame: object                # FrenetSample of the crease
-    v: np.ndarray                # section parameter samples
-    domain_u: np.ndarray         # A(v): solved station coordinate
-    sigma: np.ndarray            # section in (n, b) coordinates, shape (nv, 2)
-    w: np.ndarray                # half-arc-length at each sample
-    sigma2: np.ndarray           # sigma''(0)
-    sigma3: np.ndarray           # sigma'''(0)
-    theta: float
-    a0: float
-    b0: float
-
-
 def _solve_sections(germ, fr, vs, tol):
     """u = A(u0, v) with (f(u, v) - c(u0)) . e = 0 for every station u0 of
     the Frenet data fr (one station or S of them) and every v, by one
@@ -456,37 +435,17 @@ def _solve_sections(germ, fr, vs, tol):
     return U.reshape(-1, nv), sigma.reshape(-1, nv, 2)
 
 
-def sectional_cusp(germ, u0: float, nv: int = 65,
-                   halfwidth: float | None = None, tol: float = 1e-12) -> SectionalCusp:
-    _check_edge_chart(germ)
-    hw = halfwidth if halfwidth is not None else 0.98 * germ.domain[1].hi
-    fr, sigma2, sigma3, theta, a0, b0 = _station(germ, u0)
-    vs = np.linspace(-hw, hw, nv)
-    (us,), (sigma,) = _solve_sections(germ, fr, vs, tol)
-    # half-arc-length per sample via trapezoid of |d sigma / dv|
-    sp = CubicSpline(vs, sigma, axis=0)
-    dsp = sp.derivative()
-    dense = np.linspace(-hw, hw, 8 * nv + 1)
-    speeds = np.linalg.norm(dsp(dense), axis=1)
-    cum = np.concatenate([[0.0], np.cumsum(
-        0.5 * (speeds[1:] + speeds[:-1]) * np.diff(dense))])
-    cum_at = np.interp(vs, dense, cum)
-    zero = np.interp(0.0, dense, cum)
-    w = np.sign(vs) * np.sqrt(np.abs(cum_at - zero))
-    return SectionalCusp(u0, fr, vs, us, sigma, w, sigma2, sigma3,
-                         theta, a0, b0)
-
-
 def to_normal_form(germ, n_stations: int = 129, nv: int = 65,
-                   halfwidth: float | None = None,
                    tol: float = 1e-12) -> EdgeNormalForm:
     """Extract (crease, theta, a, b) from a germ singular along {v = 0}.
 
     Stations are equally spaced in the germ's own u.  One order-3 jet on
     the edge, over all stations, gives the crease frame, theta and the
     v = 0 values a0, b0.  One batched Newton solve then finds every
-    (station, v) sample of the normal-plane sections at once, and a and b
-    are read off the sections as arrays.
+    (station, v) sample of the normal-plane sections at once, with nv
+    values v in [-h, h] for h the upper end of the germ's v-domain (the
+    halfwidth of the result), and a and b are read off the sections as
+    arrays.
 
     theta, kappa_s, kappa_nu are parametrization invariants; a and b are
     reported in the germ's own transverse parameter (exact round trips with
@@ -499,7 +458,7 @@ def to_normal_form(germ, n_stations: int = 129, nv: int = 65,
             "its middle sample is v = 0")
     _check_edge_chart(germ)
     us = germ.domain[0].grid(n_stations)
-    hw = halfwidth if halfwidth is not None else germ.domain[1].hi
+    hw = germ.domain[1].hi
     vs = np.linspace(-hw, hw, nv)
 
     fr, _, _, thetas, a0, b0 = _station(germ, us)

@@ -19,9 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geom import LABEL_TO_CASE, Isometry, classify_isometry
-from .germ import (DegenerateSingularity, NotSingular, SurfaceGerm, catalog,
-                   distinguished_frame, limiting_normal_curvature)
+from .geom import LABEL_TO_CASE, Isometry
+from .germ import (DegenerateSingularity, NotSingular, SurfaceGerm,
+                   area_density, catalog, distinguished_frame,
+                   limiting_normal_curvature)
 from . import exprlang as ex
 from .match import (ConnectingMap, _corners, _sample_grid,
                     closest_image_point, connecting_map)
@@ -79,13 +80,10 @@ def _shrunken_domain(germ: SurfaceGerm, p):
     return tuple(out)
 
 
-def detect_symmetries(germ: SurfaceGerm, p=None, tol: float = 1e-6,
-                      n_probe: int = 121, extra_candidates: dict | None = None):
+def detect_symmetries(germ: SurfaceGerm, p=None, tol: float = 1e-6):
     """Frame-derived candidate isometries whose action maps the image of
-    a half-radius neighborhood of p back into the full image.
-
-    extra_candidates ("brute" mode) adds user-supplied isometries, which
-    are classified against the frame before testing.
+    a half-radius neighborhood of p back into the full image, tested on
+    an 11 x 11 grid of probes over that neighborhood.
 
     Probe images are polished in one staged solve
     (`closest_image_point`), on the grid path of the germ's expression
@@ -98,10 +96,8 @@ def detect_symmetries(germ: SurfaceGerm, p=None, tol: float = 1e-6,
     p = tuple(germ.base) if p is None else tuple(float(c) for c in p)
     frame = distinguished_frame(germ, p)
     tree, xs = _image_tree(germ)
-    probes = _sample_grid(_shrunken_domain(germ, p), n_probe)
-    candidates = dict(frame.candidate_isometries())
-    if extra_candidates:
-        candidates.update(extra_candidates)
+    probes = _sample_grid(_shrunken_domain(germ, p), 121)
+    candidates = frame.candidate_isometries()
     Ts = list(candidates.values())
     F = germ.points(probes)
     corner = _corners(len(probes), 2)
@@ -114,10 +110,7 @@ def detect_symmetries(germ: SurfaceGerm, p=None, tol: float = 1e-6,
     findings = []
     for (label, T), w in zip(candidates.items(), worst.tolist()):
         if w < tol:
-            case = LABEL_TO_CASE.get(label)
-            if case is None:
-                case = LABEL_TO_CASE.get(classify_isometry(T, frame), label)
-            findings.append(SymmetryFinding(T, case, label, w))
+            findings.append(SymmetryFinding(T, LABEL_TO_CASE[label], label, w))
     return findings
 
 
@@ -210,30 +203,31 @@ def connecting_involution(germ: SurfaceGerm, T: Isometry,
     Returns a report with the sampled psi, the involution residual
     sup|psi(psi(x)) - x| over every k-th sample x, the matching residuals,
     and orientation data (domain orientation and the direction of travel
-    along the singular curve at the base point).  psi(x) at a sample is
-    the polished sample of the connecting map, so the second application
-    of psi and the six orientation probes share one solver call.  psi is
-    sampled on a 9 x 9 grid, against 4096 lift samples of the germ.
+    along the singular curve at the base point, which psi fixes).  psi(x)
+    at a sample is the polished sample of the connecting map, so the
+    second application of psi and psi at the orientation point share one
+    solver call.  psi is sampled on a 9 x 9 grid, against 4096 lift
+    samples of the germ.
+
+    Both orientation data follow from the normal sign e of psi.  With
+    lambda the area density, f o psi = T o f gives lambda(psi(p))
+    det Dpsi(p) = e lambda(p), read at the regular point p0 = base +
+    (0.1, 0.1) clipped to the domain.  Differentiated at the fixed base
+    point, it makes Dpsi map the singular curve's tangent to
+    (det Dpsi)^2 / e times itself: psi keeps the curve's direction
+    exactly when e = +1.
     """
     g1 = _TransformedGerm(germ, T)
     cm = connecting_map(g1, germ, tol=tol, n1=81, n2=4096)
     k = max(1, len(cm.samples_in) // 16)
     X = cm.samples_in[::k]
-    # orientation of psi at a regular probe point, and travel along the
-    # singular curve {v = 0} near the base station
-    h = 1e-4
-    p0 = np.asarray(germ.base, float) + np.array([0.1, 0.1])
-    p0 = np.array([min(max(p0[i], germ.domain[i].lo + 2 * h),
-                       germ.domain[i].hi - 2 * h) for i in range(2)])
-    b = np.asarray(germ.base, float)
-    eu, ev = np.array([h, 0.0]), np.array([0.0, h])
-    probes = np.array([p0 + eu, p0 - eu, p0 + ev, p0 - ev, b + eu, b - eu])
-    P = cm(np.concatenate([cm.samples_out[::k], probes]))
-    inv_err = float(np.max(np.linalg.norm(P[:len(X)] - X, axis=1)))
-    P = P[len(X):]
-    J = np.column_stack([(P[0] - P[1]) / (2 * h), (P[2] - P[3]) / (2 * h)])
-    detJ = float(np.linalg.det(J))
-    du = (P[4][0] - P[5][0]) / (2 * h)
+    p0 = np.clip(np.asarray(germ.base, float) + 0.1,
+                 [d.lo for d in germ.domain], [d.hi for d in germ.domain])
+    P = cm(np.concatenate([cm.samples_out[::k], p0[None]]))
+    inv_err = float(np.max(np.linalg.norm(P[:-1] - X, axis=1)))
+    lam = area_density(germ).grid(np.array([p0[0], P[-1, 0]]),
+                                  np.array([p0[1], P[-1, 1]]))
+    detJ = float(cm.sign * lam[0] / lam[1])
     return {
         "psi": cm,
         "sign": cm.sign,
@@ -242,7 +236,8 @@ def connecting_involution(germ: SurfaceGerm, T: Isometry,
         "residual_normal": cm.residual_normal,
         "orientation": "preserving" if detJ > 0 else "reversing",
         "jacobian_det": detJ,
-        "singular_curve_direction": "preserved" if du > 0 else "reversed",
+        "singular_curve_direction": ("preserved" if cm.sign > 0
+                                     else "reversed"),
     }
 
 
@@ -279,22 +274,23 @@ def self_intersections(germ: SurfaceGerm,
     # image-space pairing radius: a bit beyond one image cell
     d_nn, _ = tree.query(pts[:: max(1, len(pts) // 512)], k=2)
     r = 1.5 * float(np.median(d_nn[:, 1]))
-    raw = np.array(sorted(tree.query_pairs(r)), dtype=int).reshape(-1, 2)
-    if len(raw):
-        far = (np.linalg.norm(xs[raw[:, 0]] - xs[raw[:, 1]], axis=1)
-               > sep_min)
-        raw = raw[far]
+    raw = tree.query_pairs(r, output_type="ndarray")
+    raw = raw[np.lexsort((raw[:, 1], raw[:, 0]))]
+    raw = raw[np.linalg.norm(xs[raw[:, 0]] - xs[raw[:, 1]], axis=1)
+              > sep_min]
     # one Gauss-Newton refinement per coarse cell pair, seeded with the
-    # closest image pair in that cell
+    # closest image pair in that cell; the pair's four cell indices,
+    # shifted to start at 0, are flattened in lexicographic order
     cell = 8.0 * spacing
-    ka = np.round(xs[raw[:, 0]] / cell)
-    kb = np.round(xs[raw[:, 1]] / cell)
+    ka = np.round(xs[raw[:, 0]] / cell).astype(np.int64)
+    kb = np.round(xs[raw[:, 1]] / cell).astype(np.int64)
     swap = ((ka[:, 0] > kb[:, 0])
             | ((ka[:, 0] == kb[:, 0]) & (ka[:, 1] > kb[:, 1])))
     keys = np.where(swap[:, None], np.hstack([kb, ka]), np.hstack([ka, kb]))
+    keys -= keys.min(axis=0, initial=0)
+    keys = np.ravel_multi_index(keys.T, keys.max(axis=0, initial=0) + 1)
     gap = np.linalg.norm(pts[raw[:, 0]] - pts[raw[:, 1]], axis=1)
-    _, first, group = np.unique(keys, axis=0, return_index=True,
-                                return_inverse=True)
+    _, first, group = np.unique(keys, return_index=True, return_inverse=True)
     order = np.lexsort((gap, group))
     best = order[np.diff(group[order], prepend=-1) != 0]
     seeds = raw[best[np.argsort(first)]]
@@ -307,17 +303,21 @@ def self_intersections(germ: SurfaceGerm,
 
     x, res, _ = damped_gauss_newton(gap_fn, np.zeros((len(seeds), 3)),
                                     xs[seeds].reshape(-1, 4), lo, hi, 25)
-    seen = {}
-    for q, qp, err in zip(x[:, :2], x[:, 2:], res):
-        if err > tol or np.linalg.norm(q - qp) < sep_min:
-            continue
-        if q[0] > qp[0] or (q[0] == qp[0] and q[1] > qp[1]):
-            q, qp = qp, q
-        key = (round(q[0] / spacing), round(q[1] / spacing))
-        if key not in seen:
-            seen[key] = (tuple(q), tuple(qp), germ(tuple(q)))
-    pairs = [(a, b) for a, b, _ in seen.values()]
-    images = np.array([im for _, _, im in seen.values()]).reshape(-1, 3)
+    # the converged pairs, each ordered lexicographically, and of those
+    # whose q rounds to the same grid node the first
+    q, qp = x[:, :2], x[:, 2:]
+    swap = ((q[:, 0] > qp[:, 0])
+            | ((q[:, 0] == qp[:, 0]) & (q[:, 1] > qp[:, 1])))[:, None]
+    q, qp = np.where(swap, qp, q), np.where(swap, q, qp)
+    bad = (res > tol) | (np.linalg.norm(q - qp, axis=1) < sep_min)
+    q, qp = q[~bad], qp[~bad]
+    first = np.sort(np.unique(np.round(q / spacing), axis=0,
+                              return_index=True)[1])
+    q, qp = q[first], qp[first]
+    pairs = list(zip(map(tuple, q.tolist()), map(tuple, qp.tolist())))
+    # the float path, point by point: the grid path can differ in the last
+    # bit (sw_example), and the images are reported
+    images = np.array([germ(a) for a, _ in pairs]).reshape(-1, 3)
     if len(images) > 1:
         # order into a polyline along the dominant image direction, with
         # the axis's sign fixed (largest-magnitude component positive) so

@@ -46,3 +46,32 @@ def test_summary_refuses_a_gain_inside_the_parent_spread():
     assert one["parent"] == (2.0, 2.0, 2.0) and one["losses"] == 1
     with pytest.raises(ValueError):
         ab.summarize([{"m": 1.0}], [])
+
+
+def _runs(values):
+    return [{"op_p50_s": v, "ops_per_s": 1 / v} for v in values]
+
+
+def test_verdict_worse_ok_and_unresolved():
+    ab = _ab_pairs()
+    higher = ("ops_per_s",)
+    # parent median 0.020 s, quartiles 0.020-0.02075: narrower than the
+    # bound of 0.25 x 0.020 = 0.005 s
+    parent = _runs((0.020, 0.021, 0.019, 0.020, 0.020, 0.021))
+    s = ab.summarize(parent, _runs([0.026] * 6), higher)
+    # 0.006 s slower is beyond the bound; 50 -> 38.5 ops/s is within the
+    # 12.5 ops/s that the same bound allows on the reciprocal
+    assert ab.verdict(s["op_p50_s"], 0.25) == "worse"
+    assert ab.verdict(s["ops_per_s"], 0.25) == "ok"
+    s = ab.summarize(parent, _runs([0.0205] * 6), higher)
+    assert ab.verdict(s["op_p50_s"], 0.25) == "ok"
+    # a parent spread of 0.0075 s (quartiles 0.01625-0.02375) exceeds the
+    # bound: a change inside it cannot be told from the parent ...
+    wide = _runs((0.015, 0.025, 0.015, 0.025, 0.020, 0.020))
+    s = ab.summarize(wide, _runs([0.019] * 6), higher)
+    assert ab.verdict(s["op_p50_s"], 0.25) == "unresolved"
+    # ... unless every run of the change is better than every parent run
+    s = ab.summarize(wide, _runs([0.014] * 6), higher)
+    assert s["op_p50_s"]["beats_all"]
+    assert ab.verdict(s["op_p50_s"], 0.25) == "ok"
+    assert ab.verdict(s["ops_per_s"], 0.25) == "ok"

@@ -180,6 +180,15 @@ def test_symmetry_mismatch_exit_code(capsys):
     assert "!= expected" in err
 
 
+def test_symmetry_of_a_germ_without_a_type_fails_validation(capsys):
+    # a --map germ has no singularity type, which no rule covers
+    code, rep, err = run(capsys, "symmetry", "--map", "v^2,v^3,u")
+    assert code == 3
+    assert rep["results"]["validation_failures"] == [
+        "unsupported singularity type None"]
+    assert "validation failure: unsupported singularity type None" in err
+
+
 def test_symmetry_ccr_with_involution(capsys):
     code, rep, _ = run(capsys, "symmetry", "--germ", "ccr_example",
                        "--with-involution")

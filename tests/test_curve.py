@@ -6,9 +6,8 @@ import pytest
 from frontalforge import curve as ffcurve
 from frontalforge import exprlang as ex
 from frontalforge.curve import (ReparamCurve, SpaceCurve, VanishingCurvature,
-                                arclength_param, center_param, circle,
-                                curve_length, curve_plane, curve_symmetry,
-                                frenet, helix, shift_param, spline_curve)
+                                arclength_param, center_param, circle, frenet,
+                                helix, shift_param, spline_curve)
 from frontalforge.numkit import Interval, NumkitError, QuadratureError
 
 
@@ -46,7 +45,7 @@ def test_arclength_parabola_oracle():
     m = ex.MapDef("par", ("t",), ("t", "t^2", "0"))
     c = SpaceCurve(m, Interval(0.0, 1.0), "par")
     exact = (2.0 * math.sqrt(5.0) + math.asinh(2.0)) / 4.0
-    assert curve_length(c) == pytest.approx(exact, abs=1e-10)
+    assert ReparamCurve(c).length == pytest.approx(exact, abs=1e-10)
     ca = arclength_param(c)
     assert ca.domain.length == pytest.approx(exact, abs=1e-10)
     for s in np.linspace(0.05, exact - 0.05, 7):
@@ -71,26 +70,6 @@ def test_shift_and_center_param():
     assert np.allclose(cs(0.0), arclength_param(c)(0.5))
 
 
-def test_curve_plane():
-    c = circle(1.0, 1.0)
-    pl = curve_plane(c)
-    assert pl is not None
-    assert abs(abs(pl.normal[2]) - 1.0) < 1e-8
-    assert curve_plane(helix(1.0, 1.0, 1.0)) is None
-
-
-def test_curve_symmetry_circle():
-    syms = curve_symmetry(circle(1.0, 1.0))
-    assert len(syms) >= 1
-    c = circle(1.0, 1.0)
-    for T, det in syms:
-        assert np.allclose(T.Q @ T.Q, np.eye(3), rtol=0, atol=1e-10)
-        assert np.allclose(T.Q @ T.b, -T.b, rtol=0, atol=1e-10)
-        assert det == pytest.approx(T.det)
-        # endpoints exchange
-        assert np.allclose(T(c(-1.0)), c(1.0), atol=1e-8)
-
-
 def test_spline_curve_matches_samples():
     base = helix(1.0, 1.0, 1.0)
     us = np.linspace(-1.0, 1.0, 33)
@@ -110,8 +89,8 @@ def test_curve_length_cusp_oracle():
     # the arc length of (t^2, t^3) on [0, 1] is (13^1.5 - 8)/27; the speed
     # vanishes at t = 0
     c = _curve("cusp", ("t^2", "t^3", "0"), 0.0, 1.0)
-    assert curve_length(c) == pytest.approx((13.0 ** 1.5 - 8.0) / 27.0,
-                                            rel=0, abs=1e-13)
+    assert ReparamCurve(c).length == pytest.approx(
+        (13.0 ** 1.5 - 8.0) / 27.0, rel=0, abs=1e-13)
 
 
 @pytest.mark.parametrize("eps,length", [(1e-6, 2.827229691618027),
@@ -122,18 +101,18 @@ def test_curve_length_near_kinks(eps, length):
     # sqrt(eps): the panels there are refined until both rules agree.
     # The reference lengths come from adaptive Simpson quadrature at 1e-12.
     c = _curve("kink", ("t", f"sqrt(t^2 + {eps})", "0"), -1.0, 1.0)
-    assert curve_length(c) == pytest.approx(length, rel=0, abs=1e-13)
+    assert ReparamCurve(c).length == pytest.approx(length, rel=0, abs=1e-13)
 
 
 def test_curve_length_fails_on_an_oscillating_speed():
     comps = ("t", "t^2*sin(1/t)", "0")
     # t = 0 is a panel end: the speed is evaluated there and raises
     with pytest.raises(ex.EvalDomainError, match="1/t"):
-        curve_length(_curve("osc", comps, -1.0, 1.0))
+        ReparamCurve(_curve("osc", comps, -1.0, 1.0))
     # elsewhere the oscillation near 0 never resolves: the panels to halve
     # outgrow the per-level cap
     with pytest.raises(QuadratureError, match="did not converge"):
-        curve_length(_curve("osc", comps, -1.0, 1.1))
+        ReparamCurve(_curve("osc", comps, -1.0, 1.1))
 
 
 def _wavy():

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from frontalforge.curve import circle, frenet, helix
-from frontalforge.devfold import (AngleRangeError, DevfoldError,
+from frontalforge.devfold import (AngleRangeError, DevfoldError, _ruling,
                                   curved_folding, folding_mesh,
-                                  gaussian_curvature, ist, ruling,
-                                  second_angle, strip_isomers, strip_mesh,
-                                  write_obj, write_profile_csv)
+                                  gaussian_curvature, ist, second_angle,
+                                  strip_isomers, strip_mesh, write_obj,
+                                  write_profile_csv)
 from frontalforge.isomer import NotAdmissible, dual
 from frontalforge.normalform import (EdgeNormalForm, ScalarProfile,
                                      SurfaceProfile)
@@ -55,12 +55,13 @@ def test_circle_ruling_oracle(circle_strip):
     for u in circle_strip.stations(9):
         fr = frenet(circle_strip.crease, u)
         expected = math.cos(0.3) * fr.n + math.sin(0.3) * fr.b
-        assert np.allclose(ruling(circle_strip, u), expected, atol=1e-12)
+        xi = _ruling(circle_strip, circle_strip.frame(u), u)
+        assert np.allclose(xi, expected, atol=1e-12)
 
 
 def test_ruling_unit_and_transversal(helix_strip):
     for u in helix_strip.stations(17):
-        xi = ruling(helix_strip, u)
+        xi = _ruling(helix_strip, helix_strip.frame(u), u)
         fr = frenet(helix_strip.crease, u)
         assert np.linalg.norm(xi) == pytest.approx(1.0, abs=1e-12)
         assert float(xi @ fr.n) > 0.0
@@ -138,10 +139,10 @@ def test_meshes_and_obj_export(circle_strip, tmp_path):
 
 def test_profile_csv(circle_strip, tmp_path):
     out = tmp_path / "profile.csv"
-    write_profile_csv(circle_strip, out, n=17)
+    write_profile_csv(circle_strip, out)
     lines = out.read_text().splitlines()
     assert lines[0].split(",") == ["u", "alpha", "beta", "kappa", "tau"]
-    assert len(lines) == 18
+    assert len(lines) == 130
     row = [float(x) for x in lines[8].split(",")]
     assert row[1] == pytest.approx(0.3, abs=1e-12)
     assert row[2] == pytest.approx(math.pi / 2, abs=1e-10)

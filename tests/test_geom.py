@@ -4,8 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frontalforge.geom import (GermFrame, Isometry, LABEL_TO_CASE, Line,
-                               Plane, classify_isometry, make_reflection,
-                               make_rotation180)
+                               Plane, make_reflection, make_rotation180)
 
 
 def frame():
@@ -36,7 +35,6 @@ def test_isometry_compose_inverse():
     TS = T.compose(S)
     p = np.array([0.3, -0.7, 1.1])
     assert np.allclose(TS(p), T(S(p)))
-    assert np.allclose(TS.compose(TS.inverse())(p), p)
 
 
 def _floats(lo, hi, n):
@@ -59,13 +57,6 @@ def _assert_same(S, T, tol=1e-12):
 @given(_isometries, _isometries, _isometries)
 def test_isometry_compose_is_associative(R, S, T):
     _assert_same(R.compose(S).compose(T), R.compose(S.compose(T)))
-
-
-@_LAWS
-@given(_isometries)
-def test_isometry_inverse_is_two_sided(T):
-    _assert_same(T.compose(T.inverse()), Isometry.identity())
-    _assert_same(T.inverse().compose(T), Isometry.identity())
 
 
 @_LAWS
@@ -95,18 +86,6 @@ def test_frame_candidates_are_involutions_fixing_origin():
         assert np.allclose(T.Q @ T.b, -T.b, rtol=0, atol=1e-10)
         assert T.fixes(fr.origin)
         assert label in LABEL_TO_CASE
-
-
-def test_classify_isometry():
-    fr = frame()
-    cands = fr.candidate_isometries()
-    for label, T in cands.items():
-        assert classify_isometry(T, fr) == label
-    ident = Isometry(np.eye(3), np.zeros(3))
-    assert classify_isometry(ident, fr) == "identity"
-    other = make_reflection(Plane((0.0, 0.0, 0.0),
-                                  np.array([1.0, 1.0, 0.0]) / np.sqrt(2)))
-    assert classify_isometry(other, fr) == "other"
 
 
 def test_cuspidal_edge_frame_matrices():

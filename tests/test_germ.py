@@ -8,7 +8,6 @@ from frontalforge.germ import (DegenerateSingularity, NormalField,
                                NotAFrontal, NotSingular, SurfaceGerm,
                                _lambda_gradient, area_density, catalog,
                                distinguished_frame,
-                               first_fundamental_form,
                                limiting_normal_curvature, normal_field,
                                singular_curve)
 
@@ -119,14 +118,6 @@ def test_distinguished_frame_rejects_regular_point():
     g = catalog("cuspidal_edge")
     with pytest.raises(NotSingular):
         distinguished_frame(g, (0.0, 0.5))
-
-
-def test_first_fundamental_form_degenerate_on_edge():
-    g = catalog("cuspidal_edge")
-    E, F, G = first_fundamental_form(g, (0.0, 0.0))
-    assert E == pytest.approx(1.0)
-    assert F == pytest.approx(0.0)
-    assert G == pytest.approx(0.0)
 
 
 def test_sw_example_normal_and_singular_set():

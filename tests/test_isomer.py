@@ -106,11 +106,11 @@ def test_isomer_set_and_classes(circle_edge):
     assert [name for name, _ in iso.members()] == \
         ["base", "dual", "inverse", "inverse_dual"]
     # rotational symmetry of the circle pairs base~inverse, dual~inverse_dual
-    assert right_equivalence_classes(iso, n=129) == 2
+    assert right_equivalence_classes(iso) == 2
 
 
 def test_isomer_set_report(circle_edge):
-    rep = isomer_set(circle_edge).report(n=17)
+    rep = isomer_set(circle_edge).report()
     assert set(rep["profiles"]) == {"base", "dual", "inverse",
                                     "inverse_dual"}
     assert rep["admissible"] and rep["strict"]

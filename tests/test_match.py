@@ -4,16 +4,11 @@ import numpy as np
 import pytest
 
 from closest_reference import one_point_closest
-from frontalforge.curve import circle
 from frontalforge.exprlang import MapDef
 from frontalforge.germ import catalog
-from frontalforge.isomer import inverse
-from frontalforge.match import (ConnectingMap, MatchError, PlaneMap,
-                                connecting_map, image_subset,
-                                legendrian_lift, match_normal_forms,
-                                properness_probe)
-from frontalforge.normalform import (EdgeNormalForm, ScalarProfile,
-                                     SurfaceProfile)
+from frontalforge.match import (ConnectingMap, LiftInjectivityError,
+                                MatchError, PlaneMap, connecting_map,
+                                legendrian_lift, properness_probe)
 from frontalforge.numkit import Interval
 
 
@@ -54,17 +49,6 @@ def test_lift_surface_germ():
                                                                 abs=1e-12)
 
 
-def test_image_subset(cusp):
-    ok, gap = image_subset(cusp, cusp.domain, cusp, cusp.domain, 1e-8)
-    assert ok and gap < 1e-10
-    half = Interval(-0.5, 0.5)
-    ok, _ = image_subset(cusp, half, cusp, cusp.domain, 1e-8)
-    assert ok
-    other = plane("cusp2", ("t^2", "t^3 + 0.2*t^4"))
-    ok, gap = image_subset(cusp, cusp.domain, other, other.domain, 1e-6)
-    assert not ok and gap > 1e-4
-
-
 def test_connecting_map_cubic(cusp):
     # same image traced as s = t^(1/3): psi(t) = t^3
     src = plane("slow", ("t^6", "t^9"))
@@ -100,29 +84,19 @@ def test_connecting_map_rejects_disjoint(cusp):
         connecting_map(cusp, far)
 
 
-def edge(crease, theta_value):
-    one = SurfaceProfile.constant(1.0)
-    return EdgeNormalForm(crease, ScalarProfile.constant(theta_value),
-                          one, one)
+def test_connecting_map_rejects_a_lift_collision():
+    # the fold (t^2, t^4) has f(-t) = f(t) and nu(-t) = nu(t)
+    with pytest.raises(LiftInjectivityError, match="lift collision"):
+        connecting_map(plane("cusp", ("t^2", "t^3"), (-0.5, 0.5)),
+                       plane("fold", ("t^2", "t^4"), (-0.5, 0.5)))
 
 
-def test_match_normal_forms():
-    nf = edge(circle(1.0, 1.5), 0.3)
-    assert match_normal_forms(nf, nf) == (False, 1)
-
-    flipped = EdgeNormalForm(nf.crease, nf.theta, nf.a,
-                             SurfaceProfile.constant(-1.0))
-    u_flip, e = match_normal_forms(nf, flipped)
-    assert (u_flip, e) == (False, -1)
-
-    one = SurfaceProfile.constant(1.0)
-    rev = EdgeNormalForm(inverse(nf).crease, ScalarProfile.constant(-0.3),
-                         one, one)
-    assert match_normal_forms(nf, rev) == (True, -1)
-
-    other = edge(circle(2.0, 1.5), 0.3)
-    with pytest.raises(MatchError):
-        match_normal_forms(nf, other)
+def test_connecting_map_rejects_a_psi_that_folds():
+    # psi(t) = t^2 maps t and -t to the same point
+    with pytest.raises(LiftInjectivityError,
+                       match="recovered psi identifies distant domain"):
+        connecting_map(plane("even", ("t^4", "t^6"), (-0.5, 0.5)),
+                       plane("cusp", ("t^2", "t^3"), (-0.5, 0.5)))
 
 
 def test_properness_finite():

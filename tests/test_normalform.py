@@ -10,8 +10,9 @@ from frontalforge.exprlang import MapDef
 from frontalforge.germ import SurfaceGerm, catalog
 from frontalforge.normalform import (EdgeNormalForm, NormalFormError,
                                      ScalarProfile, SurfaceProfile,
+                                     _solve_sections, _station,
                                      from_normal_form, is_cuspidal_edge,
-                                     sectional_cusp, to_normal_form)
+                                     to_normal_form)
 
 
 def make_nf(crease, theta):
@@ -46,14 +47,6 @@ def test_is_cuspidal_edge(circle_nf):
                             SurfaceProfile.constant(1.0),
                             SurfaceProfile.constant(0.0))
     assert not is_cuspidal_edge(zero_b)
-
-
-def test_sectional_cusp_reads_off_theta(circle_nf):
-    germ = from_normal_form(circle_nf)
-    sc = sectional_cusp(germ, 0.25)
-    assert sc.theta == pytest.approx(0.3, abs=1e-8)
-    assert sc.a0 == pytest.approx(1.0, abs=1e-8)
-    assert sc.b0 == pytest.approx(1.0, abs=1e-6)
 
 
 def test_round_trip_circle(circle_nf):
@@ -122,9 +115,10 @@ def test_section_solve_reports_non_convergence(circle_nf):
     # no Newton iterate meets |F| < 0, so the solve must fail loudly
     # instead of keeping its last iterate
     germ = from_normal_form(circle_nf)
+    fr = _station(germ, np.array([0.25]))[0]
     with pytest.raises(NormalFormError,
                        match=r"u0=0\.25, v=.* did not converge .*\|F\| ="):
-        sectional_cusp(germ, 0.25, nv=5, tol=0.0)
+        _solve_sections(germ, fr, np.linspace(-0.1, 0.1, 5), 0.0)
 
 
 def _signed(rng, lo, hi):
@@ -174,11 +168,13 @@ def test_to_normal_form_matches_per_sample_solve(make):
 @pytest.mark.parametrize("make", EXTRACTION_GERMS)
 def test_sectional_cusp_matches_per_sample_solve(make):
     germ = make()
+    vs = np.linspace(-0.98, 0.98, 17) * germ.domain[1].hi
     for u0 in (-0.5, 0.25):
-        sc = sectional_cusp(germ, u0, nv=17)
-        _, A, sigma = reference_sections(germ, [u0], sc.v)
-        np.testing.assert_allclose(sc.domain_u, A[0], rtol=0, atol=1e-10)
-        np.testing.assert_allclose(sc.sigma, sigma[0], rtol=0, atol=1e-10)
+        fr = _station(germ, np.array([u0]))[0]
+        (A,), (sigma,) = _solve_sections(germ, fr, vs, 1e-12)
+        _, A_ref, sigma_ref = reference_sections(germ, [u0], vs)
+        np.testing.assert_allclose(A, A_ref[0], rtol=0, atol=1e-10)
+        np.testing.assert_allclose(sigma, sigma_ref[0], rtol=0, atol=1e-10)
 
 
 def test_to_normal_form_takes_one_jet_per_station(monkeypatch, helix_nf):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,12 @@ from closest_reference import one_point_closest
 import frontalforge.match as ffmatch
 import frontalforge.symmetry as ffsym
 from frontalforge.exprlang import MapDef
-from frontalforge.geom import LABEL_TO_CASE, Isometry, classify_isometry
-from frontalforge.germ import catalog, distinguished_frame
+from frontalforge.geom import LABEL_TO_CASE, Isometry
+from frontalforge.germ import (SurfaceGerm, area_density, catalog,
+                               distinguished_frame)
 from frontalforge.match import _sample_grid, closest_image_point
 from frontalforge.symmetry import (EXPECTED_CATALOG_LABELS,
-                                   connecting_involution,
+                                   SymmetryFinding, connecting_involution,
                                    detect_symmetries,
                                    ms_symmetry_check, self_intersections,
                                    validate_findings, verify_c2)
@@ -67,6 +70,43 @@ def test_expected_catalog_labels():
     assert EXPECTED_CATALOG_LABELS["cuspidal_edge"] == {"i", "ii", "iv"}
 
 
+def frame_findings(germ, labels):
+    """Findings of the frame candidates whose cases are in labels, as the
+    detector would report them at the base point."""
+    frame = distinguished_frame(germ, tuple(germ.base))
+    return [SymmetryFinding(T, LABEL_TO_CASE[fl], fl, 0.0)
+            for fl, T in frame.candidate_isometries().items()
+            if LABEL_TO_CASE[fl] in labels]
+
+
+def _bare_edge():
+    g = catalog("cuspidal_edge")
+    return SurfaceGerm(g.map, g.domain, name="bare_edge")
+
+
+@pytest.mark.parametrize("make, labels, message, count", [
+    (lambda: catalog("cuspidal_edge"), {"iii"},
+     r"admits the conormal-plane reflection \(iii\)", 1),
+    # kappa_nu = 1 != 0
+    (lambda: catalog("ccr_example"), {"i", "ii", "iv"},
+     r"limiting normal curvature .* is nonzero, so only the normal-plane "
+     r"reflection \(ii\) is allowed; found \['i', 'ii', 'iv'\]", 1),
+    (lambda: catalog("swallowtail"), {"i"},
+     r"swallowtail findings must be exactly \{'iii'\} or empty; found "
+     r"\['i'\]", 1),
+    (_bare_edge, {"ii"}, r"unsupported singularity type None", 1),
+    # (i) after (ii) and (ii) after (i) are the half-turn (iv)
+    (lambda: catalog("cuspidal_edge"), {"i", "ii"},
+     r"symmetries not closed under composition: \((i|ii)\) after "
+     r"\((i|ii)\)", 2),
+], ids=["iii_on_edge", "kappa_nu", "swallowtail", "no_type", "closure"])
+def test_validate_findings_reports_each_rule(make, labels, message, count):
+    germ = make()
+    failures = validate_findings(germ, frame_findings(germ, labels))
+    assert len(failures) == count, failures
+    assert all(re.search(message, m) for m in failures), failures
+
+
 def test_edge_involution(edge_findings):
     germ, findings = edge_findings
     refl = next(f for f in findings if f.label == "ii")
@@ -89,6 +129,33 @@ def test_swallowtail_involution(tail_findings):
     for q in ((0.05, 0.1), (0.02, -0.15)):
         out = np.asarray(psi(q), dtype=float).ravel()
         assert np.allclose(out, (q[0], -q[1]), atol=1e-7)
+
+
+def curve_walk(germ, psi, s=1e-3):
+    """Whether psi keeps the direction of travel along the singular curve
+    at the base point: psi at base +- s t, for t the curve's unit tangent
+    (grad lambda by central differences, turned by 90 degrees)."""
+    b = np.asarray(germ.base, float)
+    h = 1e-6
+    lam = area_density(germ).grid(b[0] + np.array([h, -h, 0.0, 0.0]),
+                                  b[1] + np.array([0.0, 0.0, h, -h]))
+    t = np.array([lam[3] - lam[2], lam[0] - lam[1]])
+    t /= np.linalg.norm(t)
+    ahead, behind = psi(np.array([b + s * t, b - s * t]))
+    return "preserved" if (ahead - behind) @ t > 0 else "reversed"
+
+
+@pytest.mark.parametrize("name", ["cuspidal_edge", "swallowtail",
+                                  "cuspidal_cross_cap"])
+def test_involution_orientation_follows_the_normal_sign(name):
+    # psi is linear on these germs, (u, v) -> (+-u, +-v), so det Dpsi is
+    # +-1 exactly; at a swallowtail point the singular curve runs along v
+    germ = catalog(name)
+    for f in detect_symmetries(germ):
+        rep = connecting_involution(germ, f.isometry)
+        assert abs(abs(rep["jacobian_det"]) - 1.0) <= 1e-12, f.label
+        assert rep["singular_curve_direction"] == curve_walk(
+            germ, rep["psi"]), f.label
 
 
 def test_self_intersections_swallowtail():
@@ -256,10 +323,7 @@ def scalar_detect(germ, tol=1e-6):
             if worst > tol:
                 break
         if worst < tol:
-            case = LABEL_TO_CASE.get(label)
-            if case is None:
-                case = LABEL_TO_CASE.get(classify_isometry(T, frame), label)
-            out.append((label, case, T.Q, worst))
+            out.append((label, LABEL_TO_CASE[label], T.Q, worst))
     return out
 
 
@@ -324,20 +388,19 @@ def test_detect_symmetries_polishes_on_the_grid_path(monkeypatch):
     assert len(calls) < 200
 
 
-def one_batch_detect(germ, n_probe=121, extra_candidates=None, tol=1e-6):
+def one_batch_detect(germ, p=None, tol=1e-6):
     """`detect_symmetries` before its two stages, every candidate x probe x
     seed row in one polish: (frame label, case, Q, residual) per finding."""
-    p = tuple(germ.base)
+    p = tuple(germ.base) if p is None else p
     frame = distinguished_frame(germ, p)
     tree, xs = _image_tree(germ)
-    F = germ.points(np.array(_sample_grid(_shrunken_domain(germ, p), n_probe)))
-    cands = {**frame.candidate_isometries(), **(extra_candidates or {})}
+    F = germ.points(np.array(_sample_grid(_shrunken_domain(germ, p), 121)))
+    cands = frame.candidate_isometries()
     dist, _ = closest_image_point(germ, germ.domain, np.concatenate(
         [T(F) for T in cands.values()]), tree, xs)
     worst = dist.reshape(len(cands), len(F)).max(axis=1).tolist()
-    return [(label, LABEL_TO_CASE.get(label) or LABEL_TO_CASE.get(
-        classify_isometry(T, frame), label), T.Q, w)
-        for (label, T), w in zip(cands.items(), worst) if w < tol]
+    return [(label, LABEL_TO_CASE[label], T.Q, w)
+            for (label, T), w in zip(cands.items(), worst) if w < tol]
 
 
 def assert_same_findings(found, ref):
@@ -348,19 +411,16 @@ def assert_same_findings(found, ref):
         assert f.residual == res
 
 
-BRUTE = {"brute_x_flip": Isometry(np.diag([-1.0, 1.0, 1.0]))}
-
-
-@pytest.mark.parametrize("name, params, extra", [(n, None, None) for n in (
+# p None is the base point; (0.3, 0) is a cuspidal edge point off it
+@pytest.mark.parametrize("name, params, p", [(n, None, None) for n in (
     "cuspidal_edge", "swallowtail", "cuspidal_cross_cap", "ccr_example")]
     + [(n, p, None) for n, p in seeded_germs()]
-    + [("cuspidal_edge", None, BRUTE)])
-def test_staged_detection_equals_one_batch(name, params, extra):
+    + [("cuspidal_edge", None, (0.3, 0.0))])
+def test_staged_detection_equals_one_batch(name, params, p):
     # rows of the solver evolve independently, so deciding on the corner
     # probes first changes no verdict and no residual bit
     germ = catalog(name, **(params or {}))
-    assert_same_findings(detect_symmetries(germ, extra_candidates=extra),
-                         one_batch_detect(germ, extra_candidates=extra))
+    assert_same_findings(detect_symmetries(germ, p), one_batch_detect(germ, p))
 
 
 def solver_rows(monkeypatch):
@@ -419,12 +479,18 @@ def test_detection_polishes_corners_first(monkeypatch):
 
 
 def test_detection_on_corner_probes_only(monkeypatch):
+    # the staged polish when every sample is a corner, as in a connecting
+    # map on a 2 x 2 grid: the standing sign admits an empty group
     germ = catalog("cuspidal_edge")
     calls = solver_stages(monkeypatch)
-    found = detect_symmetries(germ, n_probe=4)
-    # every probe is a corner: the standing candidates admit no rows
-    assert stage_rows(calls) == [[4 * 4 * 4]]
-    assert_same_findings(found, one_batch_detect(germ, n_probe=4))
+    cm = ffmatch.connecting_map(ffsym._TransformedGerm(
+        germ, Isometry(np.diag([1.0, -1.0, 1.0]))), germ, n1=4, n2=4096)
+    assert stage_rows(calls) == [[2 * 4 * 4]]
+    # f(u, -v) = Q f(u, v) and nu(u, -v) = det(Q) Q nu(u, v) for
+    # Q = diag(1, -1, 1): e = +1
+    np.testing.assert_allclose(cm.samples_out, cm.samples_in * [1.0, -1.0],
+                               rtol=0, atol=1e-12)
+    assert cm.sign == 1
 
 
 def test_detection_residual_is_worst_over_both_stages(monkeypatch):
@@ -477,9 +543,9 @@ def test_involution_polishes_the_losing_sign_on_corners_only(monkeypatch,
     connecting_involution(catalog(name), Isometry(np.diag([1.0, -1.0, 1.0])))
     # both signs on the 4 corners of the 9 x 9 sample grid, joined by the
     # other 77 samples of the standing sign; then psi at psi(x) for every
-    # 5th sample x (17 of them) and at the 6 orientation probes, in a call
-    # of their own (324 rows for each sign, then 68, 68 and 24 before)
-    assert stage_rows(calls) == [[2 * 4 * 4, 77 * 4], [(17 + 6) * 4]]
+    # 5th sample x (17 of them) and at the orientation point, in a call of
+    # their own
+    assert stage_rows(calls) == [[2 * 4 * 4, 77 * 4], [(17 + 1) * 4]]
     # the standing sign's samples join the running corner solve: fewer
     # solver evaluations than the 51 and 33 of a second call
     assert sum(c["evals"] for c in calls) <= {"cuspidal_edge": 47,
