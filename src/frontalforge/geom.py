@@ -74,9 +74,6 @@ class Isometry:
     def det(self) -> float:
         return float(np.linalg.det(self.Q))
 
-    def fixes(self, point, tol: float = 1e-10) -> bool:
-        return float(np.max(np.abs(self(point) - np.asarray(point)))) <= tol
-
     def to_json(self):
         """12 reals: row-major Q then b."""
         return [float(x) for x in self.Q.reshape(-1)] + [float(x) for x in self.b]

@@ -215,7 +215,11 @@ def closest_image_point(obj, domain, targets, tree, xs, later=None,
     into G equal groups, and later[g] joins the same solve at the step
     where every row of group g first has a seed within tol (`_polish`).
     The rows of later follow those of targets in the result; those of a
-    group never admitted read distance inf and x NaN."""
+    group never admitted read distance inf and x NaN.  xs must then be a
+    `_sample_grid` of domain: a group with a row farther than the net
+    radius of the samples + 2 tol from its nearest sample image lies
+    farther than 2 tol from the image and is dropped before the solve,
+    its rows of targets reading that sample and its distance."""
     x, dist = _polish(obj.points, np.asarray(targets, dtype=float), tree, xs,
                       domain, iters=30, later=later, tol=tol)
     return dist, x
@@ -237,42 +241,86 @@ def _polish(fn, targets, tree, xs, domain, iters: int, later=None,
     without passes.  Solver rows evolve independently, so every row ends
     as in a solve of its own.  The rows of later follow those of targets
     in the result; those of a group never admitted read x NaN and
-    residual inf."""
+    residual inf.
+
+    A staged solve needs xs to be a `_sample_grid` of domain: every
+    point of the image then lies within the net radius delta of a sample
+    (`_net_radius`, twice the first-order bound).  A group is dropped at
+    seeding, before any of its rows enters the solver, when one of its
+    rows of targets lies farther than delta + 2 tol from its nearest
+    sample, and so farther than 2 tol from every point of the image: no
+    residual of that row can fall below tol, and no x can pass a test
+    that bounds its image and normal parts each by tol (together at most
+    sqrt(2) tol).  The group's rows of targets read their nearest sample
+    and its distance; passes, when given, is called on those samples
+    (it cannot hold), and its later rows read x NaN and residual inf.
+    When every group is dropped, the solver gets no row."""
     k = min(4, tree.n)
     lo = np.array([d.lo for d in domain])
     hi = np.array([d.hi for d in domain])
     later = later or []
     at = np.cumsum([len(targets)] + [len(t) for t in later])
-    n0 = len(targets) * k              # the solver rows of targets
-    placed = [np.arange(len(targets))]  # result rows, in solver row order
-    undecided = list(range(len(later)))
+    out_x = np.full((at[-1], len(domain)), np.nan)
+    out_res = np.full(at[-1], np.inf)
+    dist, idx = (np.reshape(a, (len(targets), k))
+                 for a in tree.query(targets, k=k))
+    groups = np.arange(len(later))  # the groups seeded into the solve
+    drop = np.zeros(len(targets), dtype=bool)
+    if later:
+        far = dist[:, 0] > _net_radius(tree, len(domain)) + 2 * tol
+        far = far.reshape(len(later), -1).any(axis=1)
+        groups = np.flatnonzero(~far)
+        drop = np.repeat(far, len(targets) // len(later))
+        gone = np.flatnonzero(drop)
+        out_x[gone], out_res[gone] = xs[idx[gone, 0]], dist[gone, 0]
+        if passes is not None:
+            near = np.split(xs[idx[:, 0]], len(later))
+            for g in np.flatnonzero(far):
+                passes(g, near[g])
+    kept = np.flatnonzero(~drop)       # the rows of targets in the solve
+    n0 = len(kept) * k                 # their solver rows
+    placed = [kept]                    # result rows, in solver row order
+    undecided = list(enumerate(groups))  # (position in the solve, group)
 
-    def seeded(t):
-        _, idx = tree.query(t, k=k)
-        return np.repeat(t, k, axis=0), xs[np.asarray(idx).reshape(-1)]
+    def seeded(t, i):
+        return np.repeat(t, k, axis=0), xs[np.reshape(i, -1)]
 
     def admit(x, res, live):
         if not undecided:
             return None
         xb, rb = _best_seeds(x[:n0], res[:n0], k)
-        xb = xb.reshape(len(later), -1, xb.shape[1])
-        rb = rb.reshape(len(later), -1)
+        xb = xb.reshape(len(groups), -1, xb.shape[1])
+        rb = rb.reshape(len(groups), -1)
         done = not (live < n0).any()
-        admitted = [g for g in undecided if (rb[g] < tol).all() or (
-            done and passes is not None and passes(g, xb[g]))]
-        undecided[:] = [] if done else [g for g in undecided
+        admitted = [g for j, g in undecided if (rb[j] < tol).all() or (
+            done and passes is not None and passes(g, xb[j]))]
+        undecided[:] = [] if done else [(j, g) for j, g in undecided
                                         if g not in admitted]
         placed.extend(at[g] + np.arange(len(later[g])) for g in admitted)
-        new = [seeded(later[g]) for g in admitted if len(later[g])]
+        new = [seeded(later[g], tree.query(later[g], k=k)[1])
+               for g in admitted if len(later[g])]
         return tuple(np.concatenate(a) for a in zip(*new)) if new else None
 
-    x, res, _ = damped_gauss_newton(fn, *seeded(targets), lo, hi, iters,
+    x, res, _ = damped_gauss_newton(fn, *seeded(targets[kept], idx[kept]),
+                                    lo, hi, iters,
                                     admit=admit if later else None)
-    out_x = np.full((at[-1], len(domain)), np.nan)
-    out_res = np.full(at[-1], np.inf)
     rows = np.concatenate(placed)
     out_x[rows], out_res[rows] = _best_seeds(x, res, k)
     return out_x, out_res
+
+
+def _net_radius(tree, dim: int) -> float:
+    """The net radius delta of the values of a `_sample_grid` over a
+    dim-dimensional domain, held in tree in sample order (`tree.data`
+    keeps it): the longest step between adjacent samples, summed over the
+    grid axes.  To first order every value of the map on the domain lies
+    within delta / 2 of a sample."""
+    m = tree.n if dim == 1 else math.isqrt(tree.n)
+    assert m ** dim == tree.n, "the samples are no _sample_grid"
+    net = tree.data.reshape((m,) * dim + (-1,))
+    steps = (np.diff(net, axis=a) for a in range(dim))
+    return float(sum(np.sqrt(np.max(np.einsum("...i,...i", d, d)))
+                     for d in steps))
 
 
 def _best_seeds(x, res, k: int):
@@ -281,7 +329,7 @@ def _best_seeds(x, res, k: int):
     res = np.where(np.isnan(res), np.inf, res).reshape(-1, k)
     best = np.argmin(res, axis=1)
     rows = np.arange(len(res))
-    return x.reshape(len(res), k, -1)[rows, best], res[rows, best]
+    return x.reshape(len(res), k, x.shape[1])[rows, best], res[rows, best]
 
 
 # ------------------------------------------------------------ connecting map
@@ -372,7 +420,11 @@ def connecting_map(f1, f2, tol: float = 1e-6,
     worst corner image and normal residuals are at most tol.  A sign
     whose corners miss tol is dropped, since its worst over all samples
     can only be larger; of the signs left standing, the one with the
-    smaller sup residual wins.
+    smaller sup residual wins.  A sign with a corner target farther than
+    the net radius of the lift samples + 2 tol from its nearest sample
+    is dropped before the solve: it lies farther than 2 tol from the
+    lift of f2, so neither rule could admit it.  Its corner residuals
+    are then read at the nearest lift samples.
 
     Raises LiftInjectivityError on a non-injective lift of f2 or psi.
     When neither sign meets tol, the inclusion test polishes the images

@@ -339,8 +339,11 @@ def damped_gauss_newton(fn, target, x0, lo, hi, iters: int, h: float = 1e-6,
     so each one ends as it would in a call of its own.
 
     Returns (x, residual, iterations): per row the best point,
-    |fn(x) - target| there, and the steps taken.
+    |fn(x) - target| there, and the steps taken; on no rows, three empty
+    arrays, without a call of fn.
     """
+    if not len(x0):
+        return np.array(x0, dtype=float), np.zeros(0), np.zeros(0, dtype=int)
     x, target, r, J, best, floor = _start(fn, target, x0, h)
     n, d = x.shape
     lam = np.full(n, 1e-8)

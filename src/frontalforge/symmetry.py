@@ -91,7 +91,11 @@ def detect_symmetries(germ: SurfaceGerm, p=None, tol: float = 1e-6):
     corners of the probe grid, the probes farthest from p, for every
     candidate; a candidate's other probes join it at the step where each
     of its corners has a seed within tol, and never if its corners end
-    outside tol.  A candidate's residual is the worst over its probes.
+    outside tol.  A candidate with a corner image farther than the net
+    radius of the image samples + 2 tol from its nearest sample lies
+    farther than 2 tol from the image and is dropped before the solve;
+    its residual is inf, as for every candidate never admitted.  A
+    candidate's residual is the worst over its probes.
     """
     p = tuple(germ.base) if p is None else tuple(float(c) for c in p)
     frame = distinguished_frame(germ, p)

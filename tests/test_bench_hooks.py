@@ -84,7 +84,8 @@ def test_tracer_sees_both_detection_stages():
         tracer.uninstall()
     assert tracer.counts["symmetry.detect_symmetries.calls"] == 1
     assert tracer.counts["match.closest_image_point.calls"] == 1
-    assert stages == [(4 * 4 * 4, "match.closest_image_point"),
+    # 2 of the 4 candidates are dropped at seeding (64 corner rows before)
+    assert stages == [(2 * 4 * 4, "match.closest_image_point"),
                       (117 * 4, "match.closest_image_point")]
 
 

@@ -84,7 +84,7 @@ def test_frame_candidates_are_involutions_fixing_origin():
     for label, T in fr.candidate_isometries().items():
         assert np.allclose(T.Q @ T.Q, np.eye(3), rtol=0, atol=1e-10)
         assert np.allclose(T.Q @ T.b, -T.b, rtol=0, atol=1e-10)
-        assert T.fixes(fr.origin)
+        assert np.max(np.abs(T(fr.origin) - fr.origin)) <= 1e-10
         assert label in LABEL_TO_CASE
 
 

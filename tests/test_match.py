@@ -616,3 +616,73 @@ def test_successful_map_runs_no_inclusion_polish(monkeypatch):
                        plane("cusp", ("t^2", "t^3")), tol=1e-20)
     # a failing one polishes its 256 image samples once
     assert calls == [256]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (plane("lifted", ("t^2", "t^3 + 0.1")),
+             plane("cusp", ("t^2", "t^3"))),
+    lambda: (catalog("cuspidal_edge"), catalog("swallowtail")),
+], ids=["plane", "surface"])
+def test_signs_dropped_at_seeding_run_no_lift_polish(monkeypatch, make):
+    # a corner of each sign lies farther than the net radius + 2 tol from
+    # every lift sample: the staged lift polish gets no row and evaluates
+    # nothing, and only the inclusion polish of the 256 samples runs
+    import frontalforge.match as ffmatch
+    from frontalforge.match import InclusionError
+    calls = []
+    solve = ffmatch.damped_gauss_newton
+
+    def counted(fn, target, x0, *args, **kwargs):
+        calls.append([len(x0), 0])
+
+        def evaluated(X):
+            calls[-1][1] += 1
+            return fn(X)
+
+        return solve(evaluated, target, x0, *args, **kwargs)
+
+    monkeypatch.setattr(ffmatch, "damped_gauss_newton", counted)
+    f1, f2 = make()
+    with pytest.raises(InclusionError):
+        connecting_map(f1, f2)
+    assert calls[0] == [0, 0]
+    assert len(calls) == 2 and calls[1][0] == 256 * 4
+
+
+# ---------------------------------------------------------------- net radius
+
+def sample_net(name, kind):
+    """The KD-tree of a sample net, the map it samples, and its domain: a
+    catalog germ's 4096 lift samples (as in `connecting_involution`) or
+    its 128 x 128 image samples (as in `detect_symmetries`), or the 2048
+    lift samples of a plane curve "t^2,t^m"."""
+    from scipy.spatial import cKDTree
+    from frontalforge.match import _domain_of, _sample_grid
+    from frontalforge.symmetry import _image_tree
+    if kind == "image":
+        germ = catalog(name)
+        return _image_tree(germ)[0], germ.points, germ.domain
+    obj = plane("c", name.split(",")) if "," in name else catalog(name)
+    domain = _domain_of(obj)
+    xs = _sample_grid(domain, 2048 if "," in name else 4096)
+    return (cKDTree(np.hstack(obj.lift_points(xs))),
+            lambda X: np.hstack(obj.lift_points(X)), domain)
+
+
+@pytest.mark.parametrize("name, kind", [
+    (name, kind) for name in ("cuspidal_edge", "swallowtail",
+                              "cuspidal_cross_cap", "ccr_example",
+                              "sw_example")
+    for kind in ("lift", "image")] + [("t^2,t^3", "lift"),
+                                      ("t^2,t^5", "lift")])
+def test_samples_lie_within_the_net_radius_of_the_image(name, kind):
+    # the staged polish drops a group whose target lies farther than the
+    # net radius delta + 2 tol from every sample; that is safe when every
+    # image point lies within delta of a sample (at most 0.50 delta on
+    # these nets at this writing)
+    from frontalforge.match import _net_radius
+    tree, fn, domain = sample_net(name, kind)
+    X = np.random.default_rng(0).uniform([d.lo for d in domain],
+                                         [d.hi for d in domain],
+                                         (20000, len(domain)))
+    assert tree.query(fn(X))[0].max() <= _net_radius(tree, len(domain))

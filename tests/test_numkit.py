@@ -183,6 +183,24 @@ def test_damped_gauss_newton_stops_at_the_rounding_floor():
     assert np.array_equal(steps[above], before[2][above])
 
 
+def test_damped_gauss_newton_on_no_rows():
+    # a staged polish whose groups are all dropped at seeding solves no
+    # row: three empty arrays, and fn is never called
+    from frontalforge.numkit import damped_gauss_newton
+    calls = []
+
+    def fn(X):
+        calls.append(len(X))
+        return X
+
+    x, res, steps = damped_gauss_newton(fn, np.zeros((0, 2)),
+                                        np.zeros((0, 2)), np.full(2, -1.0),
+                                        np.full(2, 1.0), 30,
+                                        admit=lambda *state: calls.append(0))
+    assert x.shape == (0, 2) and res.shape == (0,) and steps.shape == (0,)
+    assert calls == []
+
+
 def _curved(X):
     u, v = X[:, 0], X[:, 1]
     return np.stack([u * u - v, np.sin(3 * u) * v, np.exp(0.5 * v) + u * v],

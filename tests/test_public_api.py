@@ -1,7 +1,8 @@
 """Every public name of the program has a user: each name in a module's
-`__all__` is referenced in src/ outside its own definition, or in bench/
-(by import, attribute or the tracer's entry-point strings), or in the
-acceptance suite.  The sources are read with ast; nothing is imported."""
+`__all__`, and each public method of a class there, is referenced in src/
+outside its own definition, or in bench/ (by import, attribute or the
+tracer's entry-point strings), or in the acceptance suite.  The sources
+are read with ast; nothing is imported."""
 import ast
 import re
 from pathlib import Path
@@ -46,8 +47,9 @@ MODULES = {p.stem: _parse(p) for p in sorted(SRC.glob("*.py"))}
 PUBLIC = {m: _public(t) for m, t in MODULES.items()
           if any(_is_all(n) for n in t.body)}
 
-# (module, top-level definition or None) -> the names its code refers to;
-# the __all__ lists themselves are left out
+# (module, top-level definition or None) -> the names its code refers to,
+# a class's methods each under (module, "Class.method"); the __all__ lists
+# themselves are left out
 SRC_REFS = {}
 for _mod, _tree in MODULES.items():
     for _node in _tree.body:
@@ -55,21 +57,42 @@ for _mod, _tree in MODULES.items():
             continue
         _owner = getattr(_node, "name", None) if isinstance(
             _node, (ast.FunctionDef, ast.ClassDef)) else None
-        SRC_REFS.setdefault((_mod, _owner), set()).update(_names(_node))
+        _parts = [(_owner, _node)]
+        if isinstance(_node, ast.ClassDef):
+            _parts = [(f"{_owner}.{n.name}" if isinstance(n, ast.FunctionDef)
+                       else _owner, n)
+                      for n in ast.iter_child_nodes(_node)]
+        for _key, _part in _parts:
+            SRC_REFS.setdefault((_mod, _key), set()).update(_names(_part))
 
 OUTSIDE = set().union(
     *(_names(_parse(p)) for p in sorted((ROOT / "bench").glob("*.py"))),
     _names(_parse(ROOT / "tests" / "test_acceptance.py")))
 
 
-def _unused(module):
-    return [name for name in PUBLIC[module]
-            if name not in OUTSIDE
-            and not any(name in refs for (mod, owner), refs
+def _unused(module, names):
+    """The names, each "name" or "Class.method", that nothing outside
+    their own definition in module refers to."""
+    return [name for name in names
+            if name.rsplit(".", 1)[-1] not in OUTSIDE
+            and not any(name.rsplit(".", 1)[-1] in refs for (mod, owner), refs
                         in SRC_REFS.items()
-                        if (mod, owner) != (module, name))]
+                        if mod != module or owner is None
+                        or not (owner + ".").startswith(name + "."))]
+
+
+def _public_methods(module):
+    return [f"{node.name}.{n.name}" for node in MODULES[module].body
+            if isinstance(node, ast.ClassDef) and node.name in PUBLIC[module]
+            for n in node.body
+            if isinstance(n, ast.FunctionDef) and not n.name.startswith("_")]
 
 
 @pytest.mark.parametrize("module", sorted(PUBLIC))
 def test_every_public_name_has_a_user(module):
-    assert _unused(module) == []
+    assert _unused(module, PUBLIC[module]) == []
+
+
+@pytest.mark.parametrize("module", sorted(PUBLIC))
+def test_every_public_method_has_a_user(module):
+    assert _unused(module, _public_methods(module)) == []

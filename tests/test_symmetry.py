@@ -472,20 +472,23 @@ def stage_rows(calls):
 def test_detection_polishes_corners_first(monkeypatch):
     calls = solver_stages(monkeypatch)
     assert cases(detect_symmetries(catalog("swallowtail"))) == {"iii"}
-    # one solve: 4 candidates x 4 corners x 4 seeds, joined by the 117
-    # other probes of the one candidate whose corners came within tol
-    # (1,936 rows in one batch before)
-    assert stage_rows(calls) == [[4 * 4 * 4, 117 * 4]]
+    # one solve: 4 candidates, of which 2 have a corner farther than the
+    # net radius + 2 tol from every image sample and are dropped at
+    # seeding; the other 2 x 4 corners x 4 seeds, joined by the 117 other
+    # probes of the one candidate whose corners came within tol (1,936
+    # rows in one batch, then 64 corner rows, before)
+    assert stage_rows(calls) == [[2 * 4 * 4, 117 * 4]]
 
 
 def test_detection_on_corner_probes_only(monkeypatch):
     # the staged polish when every sample is a corner, as in a connecting
-    # map on a 2 x 2 grid: the standing sign admits an empty group
+    # map on a 2 x 2 grid: the losing sign is dropped at seeding, and the
+    # standing sign admits an empty group (2 x 4 x 4 corner rows before)
     germ = catalog("cuspidal_edge")
     calls = solver_stages(monkeypatch)
     cm = ffmatch.connecting_map(ffsym._TransformedGerm(
         germ, Isometry(np.diag([1.0, -1.0, 1.0]))), germ, n1=4, n2=4096)
-    assert stage_rows(calls) == [[2 * 4 * 4]]
+    assert stage_rows(calls) == [[1 * 4 * 4]]
     # f(u, -v) = Q f(u, v) and nu(u, -v) = det(Q) Q nu(u, v) for
     # Q = diag(1, -1, 1): e = +1
     np.testing.assert_allclose(cm.samples_out, cm.samples_in * [1.0, -1.0],
@@ -515,11 +518,12 @@ def test_detection_stages_overlap(monkeypatch, name):
     # the other probes join the corner solve at the step their candidate
     # is decided, instead of a second solve after the corners' 30 steps:
     # one initial evaluation, 30 steps, one evaluation of the admitted
-    # rows and a few steps between (62 in two calls before)
+    # rows and a few steps between (62 in two calls before); admitted
+    # rows that creep to their 30-step cap set the length
     calls = solver_stages(monkeypatch)
     detect_symmetries(catalog(name))
     assert len(calls) == 1 and len(calls[0]["rows"]) > 1
-    assert calls[0]["evals"] <= 36
+    assert calls[0]["evals"] <= 34
 
 
 def test_connecting_map_decides_the_sign_on_the_corners(monkeypatch):
@@ -529,11 +533,14 @@ def test_connecting_map_decides_the_sign_on_the_corners(monkeypatch):
                                ("f2", ["t^2", "t^3"])))
     calls = solver_stages(monkeypatch)
     assert ffmatch.connecting_map(f1, f2).sign == 1
-    # both signs on the 2 ends of the 1-D sample grid, joined by the other
-    # 254 samples of the one sign whose ends came within tol (1,024 rows
-    # for each sign before); a successful map runs no image inclusion
+    # the losing sign has an end farther than the net radius + 2 tol from
+    # every lift sample and is dropped at seeding; the 2 ends of the
+    # standing sign are joined by its other 254 samples once they come
+    # within tol (1,024 rows for each sign, then 2 x 2 x 4 end rows and
+    # 42 evaluations, before); a successful map runs no image inclusion
     # polish
-    assert stage_rows(calls) == [[2 * 2 * 4, 254 * 4]]
+    assert stage_rows(calls) == [[1 * 2 * 4, 254 * 4]]
+    assert calls[0]["evals"] <= 6
 
 
 @pytest.mark.parametrize("name", ["cuspidal_edge", "swallowtail"])
@@ -541,15 +548,16 @@ def test_involution_polishes_the_losing_sign_on_corners_only(monkeypatch,
                                                              name):
     calls = solver_stages(monkeypatch)
     connecting_involution(catalog(name), Isometry(np.diag([1.0, -1.0, 1.0])))
-    # both signs on the 4 corners of the 9 x 9 sample grid, joined by the
-    # other 77 samples of the standing sign; then psi at psi(x) for every
-    # 5th sample x (17 of them) and at the orientation point, in a call of
-    # their own
-    assert stage_rows(calls) == [[2 * 4 * 4, 77 * 4], [(17 + 1) * 4]]
-    # the standing sign's samples join the running corner solve: fewer
-    # solver evaluations than the 51 and 33 of a second call
-    assert sum(c["evals"] for c in calls) <= {"cuspidal_edge": 47,
-                                              "swallowtail": 29}[name]
+    # the losing sign has a corner of the 9 x 9 sample grid farther than
+    # the net radius + 2 tol from every lift sample and never enters the
+    # solve; the standing sign's 4 corners are joined by its other 77
+    # samples; then psi at psi(x) for every 5th sample x (17 of them) and
+    # at the orientation point, in a call of their own
+    assert stage_rows(calls) == [[1 * 4 * 4, 77 * 4], [(17 + 1) * 4]]
+    # the solve ends with the standing sign's rows: 47 and 29 evaluations
+    # while the losing corners ran to the step cap, 51 and 33 with a
+    # second call
+    assert sum(c["evals"] for c in calls) <= 12
 
 
 @pytest.mark.parametrize("case, before", [("plane", 12417),
