@@ -30,7 +30,7 @@ from .devfold import (_grid_mesh, curved_folding, folding_mesh,
                       gaussian_curvature, ist, strip_mesh, write_obj,
                       write_profile_csv)
 from .match import PlaneMap, connecting_map, properness_probe
-from .normalform import EdgeNormalForm, to_normal_form
+from .normalform import EdgeNormalForm, from_normal_form, to_normal_form
 from .numkit import Interval
 from .symmetry import (EXPECTED_CATALOG_LABELS, connecting_involution,
                        detect_symmetries, self_intersections,
@@ -49,8 +49,8 @@ class UsageError(Exception):
 
 class Scene:
     """Named curves and germs loaded from a JSON object with the keys
-    "curves" and "germs"; any other key is a SceneError.  Each SceneError
-    names the scene's path."""
+    "curves" and "germs"; any other key is a SceneError, and so is an
+    entry that fails to build.  Each SceneError names the scene's path."""
 
     def __init__(self, data: dict, path: str = "<inline>"):
         self.path = path
@@ -63,11 +63,20 @@ class Scene:
         if len(set(names)) != len(names):
             raise self._error("scene names must be unique across curves "
                               "and germs")
-        # compile everything eagerly so bad expressions fail at load time
-        for name in self.curves:
-            self.curve(name)
-        for name in self.germs:
-            self.germ(name)
+        # build everything eagerly so bad entries fail at load time, each
+        # as a SceneError naming the entry
+        for kind, build, entries in (("curve", self.curve, self.curves),
+                                     ("germ", self.germ, self.germs)):
+            for name in entries:
+                try:
+                    build(name)
+                except SceneError:
+                    raise
+                except KeyError as err:
+                    raise self._error(f"{kind} '{name}': missing key {err}")
+                except Exception as err:
+                    raise self._error(f"{kind} '{name}': "
+                                      f"{type(err).__name__}: {err}")
 
     def _error(self, msg: str) -> SceneError:
         return SceneError(f"{self.path}: {msg}")
@@ -147,6 +156,16 @@ def _resolve_germ(args, scene: Scene | None):
     raise UsageError("one of --germ or --map is required")
 
 
+def _resolve_surface(args, scene):
+    """The germ as a SurfaceGerm: a normal-form scene entry is realized
+    with `from_normal_form`, which raises NormalFormError on a sampled
+    one."""
+    obj, name = _resolve_germ(args, scene)
+    if isinstance(obj, EdgeNormalForm):
+        return from_normal_form(obj), name
+    return obj, name
+
+
 def _resolve_edge(args, scene):
     obj, name = _resolve_germ(args, scene)
     if isinstance(obj, EdgeNormalForm):
@@ -188,7 +207,7 @@ def _write_files(args, writers) -> list:
 # --------------------------------------------------------------- subcommands
 
 def cmd_analyze(args, scene):
-    germ, name = _resolve_germ(args, scene)
+    germ, name = _resolve_surface(args, scene)
     rep = _base_report(args, "analyze", germ=name)
     components = singular_curve(germ, tol=max(args.tol * 1e-6, 1e-14))
     flat = [s for comp in components for s in comp.samples]
@@ -302,7 +321,7 @@ def cmd_fold(args, scene):
 
 
 def cmd_symmetry(args, scene):
-    germ, name = _resolve_germ(args, scene)
+    germ, name = _resolve_surface(args, scene)
     rep = _base_report(args, "symmetry", germ=name)
     findings = detect_symmetries(germ, tol=args.tol)
     failures = validate_findings(germ, findings)

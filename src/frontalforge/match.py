@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -200,127 +201,116 @@ def _sample_grid(domain, n) -> np.ndarray:
     return np.stack(np.meshgrid(us, vs, indexing="ij"), axis=-1).reshape(-1, 2)
 
 
-def closest_image_point(obj, domain, targets, tree, xs, later=None,
+def closest_image_point(obj, domain, targets, tree, xs, corner=None,
                         tol: float = 0.0):
-    """Distance from each row of the (N, m) targets to the image of obj
-    over domain, and the nearest point x found, as ((N,), (N, d)).
-
-    Each row is polished from the 4 samples xs whose images, held in tree,
-    lie nearest to it (a multi-sheeted image can strand a single seed on
-    the wrong sheet), and the best of the 4 is kept.  All rows go through
-    one damped Gauss-Newton on `obj.points`, the tape's grid path for
-    expression maps.
-
-    With `later`, a list of G arrays of targets, the rows of targets fall
-    into G equal groups, and later[g] joins the same solve at the step
-    where every row of group g first has a seed within tol (`_polish`).
-    The rows of later follow those of targets in the result; those of a
-    group never admitted read distance inf and x NaN.  xs must then be a
-    `_sample_grid` of domain: a group with a row farther than the net
-    radius of the samples + 2 tol from its nearest sample image lies
-    farther than 2 tol from the image and is dropped before the solve,
-    its rows of targets reading that sample and its distance."""
+    """Distance from each target to the image of obj over domain, and the
+    nearest point x found: for G groups of n targets, (G, n, m), ((G, n),
+    (G, n, d)).  Each target is polished from the 4 samples xs whose
+    images, held in tree, lie nearest to it, in one damped Gauss-Newton on
+    `obj.points`, the tape's grid path for expression maps.  With
+    `corner`, a group that the sample net shows cannot reach tol is
+    dropped before the solve (`_polish`)."""
     x, dist = _polish(obj.points, np.asarray(targets, dtype=float), tree, xs,
-                      domain, iters=30, later=later, tol=tol)
+                      domain, iters=30, corner=corner, tol=tol)
     return dist, x
 
 
-def _polish(fn, targets, tree, xs, domain, iters: int, later=None,
-            tol: float = 0.0, passes=None):
-    """Minimize |fn(x) - target| for each row of targets, from the 4
-    samples xs whose values fn(xs), held in tree, lie nearest to it (a
-    multi-sheeted image can strand a single seed on the wrong sheet).
-    Returns each target's best (x, residual).
+def _polish(fn, targets, tree, xs, domain, iters: int, corner=None,
+            tol: float = 0.0):
+    """Minimize |fn(x) - target| for each of the n targets of G groups,
+    (G, n, m), from the 4 samples xs whose values fn(xs), held in tree,
+    lie nearest to it (a multi-sheeted image can strand a single seed on
+    the wrong sheet).  Returns each target's best (x, residual), as
+    (G, n, d) and (G, n).
 
-    `later`, a list of G arrays of targets, stages the solve: the rows of
-    targets fall into G equal groups, and later[g] joins the running
-    solve (the solver's `admit`) at the step where every row of group g
-    has a seed with a residual below tol.  When the rows of targets have
-    all stopped, a group not admitted yet is admitted if passes(g, x)
-    holds for the best points x of its rows, and dropped otherwise or
-    without passes.  Solver rows evolve independently, so every row ends
-    as in a solve of its own.  The rows of later follow those of targets
-    in the result; those of a group never admitted read x NaN and
-    residual inf.
-
-    A staged solve needs xs to be a `_sample_grid` of domain: every
-    point of the image then lies within the net radius delta of a sample
-    (`_net_radius`, twice the first-order bound).  A group is dropped at
-    seeding, before any of its rows enters the solver, when one of its
-    rows of targets lies farther than delta + 2 tol from its nearest
-    sample, and so farther than 2 tol from every point of the image: no
-    residual of that row can fall below tol, and no x can pass a test
-    that bounds its image and normal parts each by tol (together at most
-    sqrt(2) tol).  The group's rows of targets read their nearest sample
-    and its distance; passes, when given, is called on those samples
-    (it cannot hold), and its later rows read x NaN and residual inf.
-    When every group is dropped, the solver gets no row."""
+    With `corner`, a mask of a group's n targets, xs must be a
+    `_sample_grid` of domain: every value of fn on the domain then lies
+    within the net radius r(s) of some sample s (`_net_radii`, to first
+    order).  A group is dropped at seeding when one of its corner targets
+    lies farther than r(s) + 2 tol from every sample s, and so farther
+    than 2 tol from every value of fn: no residual of that target can
+    fall below tol, and no x can pass a test that bounds its image and
+    normal parts each by tol (together at most sqrt(2) tol).  The group's
+    corner targets read their nearest sample and its distance, its other
+    targets x NaN and residual inf.  Every kept group is polished whole,
+    in one solver call; solver rows evolve independently, so each target
+    ends as in a solve of its own.  When every group is dropped, the
+    solver gets no row."""
+    G, n, m = targets.shape
     k = min(4, tree.n)
+    corner = np.zeros(n, dtype=bool) if corner is None else corner
+    dist = np.empty((G, n, k))
+    idx = np.empty((G, n, k), dtype=int)
+    dist[:, corner], idx[:, corner] = (
+        np.reshape(a, (G, -1, k)) for a in tree.query(targets[:, corner], k=k))
+    keep = (_near_samples(tree, len(domain), targets[:, corner],
+                          dist[:, corner], idx[:, corner], 2 * tol)
+            if corner.any() else np.ones(G, dtype=bool))
+    rest = keep[:, None] & ~corner
+    if rest.any():
+        dist[rest], idx[rest] = (np.reshape(a, (-1, k))
+                                 for a in tree.query(targets[rest], k=k))
+    out_x = np.full((G, n, len(domain)), np.nan)
+    out_res = np.full((G, n), np.inf)
+    gone = ~keep[:, None] & corner
+    out_x[gone], out_res[gone] = xs[idx[gone, 0]], dist[gone, 0]
     lo = np.array([d.lo for d in domain])
     hi = np.array([d.hi for d in domain])
-    later = later or []
-    at = np.cumsum([len(targets)] + [len(t) for t in later])
-    out_x = np.full((at[-1], len(domain)), np.nan)
-    out_res = np.full(at[-1], np.inf)
-    dist, idx = (np.reshape(a, (len(targets), k))
-                 for a in tree.query(targets, k=k))
-    groups = np.arange(len(later))  # the groups seeded into the solve
-    drop = np.zeros(len(targets), dtype=bool)
-    if later:
-        far = dist[:, 0] > _net_radius(tree, len(domain)) + 2 * tol
-        far = far.reshape(len(later), -1).any(axis=1)
-        groups = np.flatnonzero(~far)
-        drop = np.repeat(far, len(targets) // len(later))
-        gone = np.flatnonzero(drop)
-        out_x[gone], out_res[gone] = xs[idx[gone, 0]], dist[gone, 0]
-        if passes is not None:
-            near = np.split(xs[idx[:, 0]], len(later))
-            for g in np.flatnonzero(far):
-                passes(g, near[g])
-    kept = np.flatnonzero(~drop)       # the rows of targets in the solve
-    n0 = len(kept) * k                 # their solver rows
-    placed = [kept]                    # result rows, in solver row order
-    undecided = list(enumerate(groups))  # (position in the solve, group)
-
-    def seeded(t, i):
-        return np.repeat(t, k, axis=0), xs[np.reshape(i, -1)]
-
-    def admit(x, res, live):
-        if not undecided:
-            return None
-        xb, rb = _best_seeds(x[:n0], res[:n0], k)
-        xb = xb.reshape(len(groups), -1, xb.shape[1])
-        rb = rb.reshape(len(groups), -1)
-        done = not (live < n0).any()
-        admitted = [g for j, g in undecided if (rb[j] < tol).all() or (
-            done and passes is not None and passes(g, xb[j]))]
-        undecided[:] = [] if done else [(j, g) for j, g in undecided
-                                        if g not in admitted]
-        placed.extend(at[g] + np.arange(len(later[g])) for g in admitted)
-        new = [seeded(later[g], tree.query(later[g], k=k)[1])
-               for g in admitted if len(later[g])]
-        return tuple(np.concatenate(a) for a in zip(*new)) if new else None
-
-    x, res, _ = damped_gauss_newton(fn, *seeded(targets[kept], idx[kept]),
-                                    lo, hi, iters,
-                                    admit=admit if later else None)
-    rows = np.concatenate(placed)
-    out_x[rows], out_res[rows] = _best_seeds(x, res, k)
+    x, res, _ = damped_gauss_newton(
+        fn, np.repeat(targets[keep].reshape(-1, m), k, axis=0),
+        xs[idx[keep].reshape(-1)], lo, hi, iters)
+    x, res = _best_seeds(x, res, k)
+    out_x[keep] = x.reshape(-1, n, len(domain))
+    out_res[keep] = res.reshape(-1, n)
     return out_x, out_res
 
 
-def _net_radius(tree, dim: int) -> float:
-    """The net radius delta of the values of a `_sample_grid` over a
+def _near_samples(tree, dim: int, targets, dist, idx, slack: float):
+    """Per group of targets, (G, c, m), whether each of its targets lies
+    within r(s) + slack of some sample s of the `_sample_grid` held in
+    tree (`_net_radii`).  dist and idx, (G, c, k), are the targets' k
+    nearest samples: a target is near when one of them is, and else only
+    a sample s with r(s) + slack at least its nearest distance can be.
+    A group's other targets are tried farthest first (they have the
+    fewest such samples), until one fails."""
+    r = _net_radii(tree, dim)
+    near = (dist <= r[idx] + slack).any(axis=-1)
+    keep = near.all(axis=1)
+
+    def reaches(t, d):
+        s = np.flatnonzero(r + slack >= d)
+        return np.any(np.linalg.norm(tree.data[s] - t, axis=1) <= r[s] + slack)
+
+    for g in np.flatnonzero(~keep):
+        rest = np.flatnonzero(~near[g])
+        rest = rest[np.argsort(-dist[g, rest, 0])]
+        keep[g] = all(reaches(targets[g, c], dist[g, c, 0]) for c in rest)
+    return keep
+
+
+def _net_radii(tree, dim: int) -> np.ndarray:
+    """The net radius r(s) of each sample s of a `_sample_grid` over a
     dim-dimensional domain, held in tree in sample order (`tree.data`
-    keeps it): the longest step between adjacent samples, summed over the
-    grid axes.  To first order every value of the map on the domain lies
-    within delta / 2 of a sample."""
+    keeps it): the largest, over the grid cells with s as a corner, of
+    the cell's longest step between adjacent samples, summed over the
+    grid axes.  To first order every value of the map on a cell lies
+    within that sum of each of the cell's corners."""
     m = tree.n if dim == 1 else math.isqrt(tree.n)
     assert m ** dim == tree.n, "the samples are no _sample_grid"
-    net = tree.data.reshape((m,) * dim + (-1,))
-    steps = (np.diff(net, axis=a) for a in range(dim))
-    return float(sum(np.sqrt(np.max(np.einsum("...i,...i", d, d)))
-                     for d in steps))
+    # one grid per coordinate, each contiguous
+    net = np.ascontiguousarray(tree.data.T).reshape((-1,) + (m,) * dim)
+    cell = 0.0
+    for a in range(dim):
+        step = np.sum(np.diff(net, axis=a + 1) ** 2, axis=0)
+        for b in set(range(dim)) - {a}:  # the longer of two edges along a
+            step = np.moveaxis(step, b, 0)
+            step = np.moveaxis(np.maximum(step[1:], step[:-1]), 0, b)
+        cell = cell + np.sqrt(step)
+    r = np.zeros((m,) * dim)
+    for shift in product((0, 1), repeat=dim):  # the cells around a sample
+        view = r[tuple(slice(j, m - 1 + j) for j in shift)]
+        np.maximum(view, cell, out=view)
+    return r.reshape(-1)
 
 
 def _best_seeds(x, res, k: int):
@@ -413,18 +403,14 @@ def connecting_map(f1, f2, tol: float = 1e-6,
     sample of f1 is polished from the 4 nearest lift samples of f2.
     Since |nu1 - e nu2| = |e nu1 - nu2|, both normal signs e = +1, -1
     polish against the one lift of f2, with (f1, e nu1) as the target.
-    The sign is decided on the corner samples, in one staged polish
-    (`_polish`): the corners of both signs start it, and a sign's other
-    samples join it at the step where each of its corners has a seed
-    within tol, or, when no corner row runs any longer, if the sign's
-    worst corner image and normal residuals are at most tol.  A sign
-    whose corners miss tol is dropped, since its worst over all samples
-    can only be larger; of the signs left standing, the one with the
-    smaller sup residual wins.  A sign with a corner target farther than
-    the net radius of the lift samples + 2 tol from its nearest sample
-    is dropped before the solve: it lies farther than 2 tol from the
-    lift of f2, so neither rule could admit it.  Its corner residuals
-    are then read at the nearest lift samples.
+    Both signs go into one polish (`_polish`), with the corner samples
+    deciding at seeding: a sign with a corner target that the lift
+    samples of f2 show to lie farther than 2 tol from that lift is
+    dropped before the solve, since no rule bounding its image and
+    normal residuals by tol could hold there; its score is read at the
+    nearest lift samples of its corners.  Every sign left standing is
+    polished on all samples, and the one with the smaller sup residual
+    wins.
 
     Raises LiftInjectivityError on a non-injective lift of f2 or psi.
     When neither sign meets tol, the inclusion test polishes the images
@@ -448,38 +434,20 @@ def connecting_map(f1, f2, tol: float = 1e-6,
     lift2 = _lift(f2)
 
     signs = (1, -1)
-    targets = [np.hstack([F1, e * nu1]) for e in signs]
-    corner = _corners(len(qs), len(D1))
-    # the image and normal residuals of each sign's corners, for a sign
-    # not admitted while its corner rows ran
-    tested = {}
-
-    def passes(g, xc):
-        tested[g] = _lift_residuals(f2, F1[corner], nu1[corner], signs[g],
-                                    xc)
-        return max(tested[g]) <= tol
-
-    xall, _ = _polish(lift2, np.concatenate([t[corner] for t in targets]),
-                      tree, xs2, D2, iters=40,
-                      later=[t[~corner] for t in targets], tol=tol,
-                      passes=passes)
-    nc = int(corner.sum())
-    rest = np.split(xall[2 * nc:], 2)
+    x, _ = _polish(lift2, np.stack([np.hstack([F1, e * nu1]) for e in signs]),
+                   tree, xs2, D2, iters=40,
+                   corner=_corners(len(qs), len(D1)), tol=tol)
     # (score, sign, psi samples, image and normal residuals); a sign
-    # dropped at the corners keeps its corner score and no samples
+    # dropped at seeding is scored on the nearest samples of its corners
+    # and keeps no psi samples
     tried = []
-    for g, e in enumerate(signs):
-        if g in tested and max(tested[g]) > tol:
-            tried.append((max(tested[g]), e, None) + tested[g])
-            continue
-        x = np.empty((len(qs), len(D2)))
-        x[corner] = xall[g * nc:(g + 1) * nc]
-        x[~corner] = rest[g]
-        res = _lift_residuals(f2, F1, nu1, e, x)
-        tried.append((max(res), e, x) + res)
+    for e, xe in zip(signs, x):
+        read = ~np.isnan(xe[:, 0])
+        res = _lift_residuals(f2, F1[read], nu1[read], e, xe[read])
+        tried.append((max(res), e, xe if read.all() else None) + res)
     score, e, x, res_im, res_nu = min(tried, key=lambda t: t[0])
     if score > tol:
-        dist, _ = closest_image_point(f2, D2, F1, cKDTree(F2), xs2)
+        dist, _ = closest_image_point(f2, D2, F1[None], cKDTree(F2), xs2)
         gap = float(np.max(dist, initial=0.0))
         if not gap < max(tol * 10, 1e-4):
             raise InclusionError(
@@ -492,8 +460,8 @@ def connecting_map(f1, f2, tol: float = 1e-6,
 
     def solver(X):
         F, nu = f1.lift_points(X)
-        return _polish(lift2, np.hstack([F, e * nu]), tree, xs2, D2,
-                       iters=40)[0]
+        return _polish(lift2, np.hstack([F, e * nu])[None], tree, xs2, D2,
+                       iters=40)[0][0]
 
     return ConnectingMap(qs, x, e, res_im, res_nu, solver)
 

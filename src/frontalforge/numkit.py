@@ -308,8 +308,7 @@ class Jet:
         return self.partials[tuple(alpha)]
 
 
-def damped_gauss_newton(fn, target, x0, lo, hi, iters: int, h: float = 1e-6,
-                        admit=None):
+def damped_gauss_newton(fn, target, x0, lo, hi, iters: int, h: float = 1e-6):
     """Damped Gauss-Newton (Levenberg-Marquardt) minimization of
     |fn(x) - target| for every row of x0 at once, clamped to the box
     [lo, hi].
@@ -323,7 +322,7 @@ def damped_gauss_newton(fn, target, x0, lo, hi, iters: int, h: float = 1e-6,
     damping starts at 1e-8, falls by 0.3 (floor 1e-12) after an improving
     step and grows tenfold otherwise.  After each step a row stops
 
-    - once its damping exceeds 1e6, or after its own `iters` steps;
+    - once its damping exceeds 1e6, or after `iters` steps;
     - when its normal equations are singular;
     - when its step (before clamping) no longer changes x in any
       coordinate: more damping would only shorten that step;
@@ -331,26 +330,27 @@ def damped_gauss_newton(fn, target, x0, lo, hi, iters: int, h: float = 1e-6,
       below that floor |fn(x) - target| is rounding error, which no step
       can improve.
 
-    `admit`, when given, lets rows join the running solve: after each
-    step it is called as admit(x, residual, live), with the best points
-    and residuals of all rows so far and the indices of the rows still
-    running, and returns None or a pair (target rows, x0 rows) to append.
-    New rows start with their own call of fn and count their own steps,
-    so each one ends as it would in a call of its own.
-
-    Returns (x, residual, iterations): per row the best point,
+    Rows evolve independently: each one ends as it would in a call of
+    its own.  Returns (x, residual, iterations): per row the best point,
     |fn(x) - target| there, and the steps taken; on no rows, three empty
     arrays, without a call of fn.
     """
-    if not len(x0):
-        return np.array(x0, dtype=float), np.zeros(0), np.zeros(0, dtype=int)
-    x, target, r, J, best, floor = _start(fn, target, x0, h)
+    x = np.array(x0, dtype=float)
+    if not len(x):
+        return x, np.zeros(0), np.zeros(0, dtype=int)
+    target = np.asarray(target, dtype=float)
+    y, J = _values_and_jacobian(fn, x, h)
+    r = y - target
+    best = np.linalg.norm(r, axis=1)
+    floor = 4 * EPS * np.maximum(1.0, np.max(np.abs(target), axis=1))
     n, d = x.shape
     lam = np.full(n, 1e-8)
     steps = np.zeros(n, dtype=int)
-    live = np.flatnonzero(steps < iters)
+    live = np.arange(n)
     eye = np.eye(d)
-    while live.size:
+    for _ in range(iters):
+        if not live.size:
+            break
         xl, Jl = x[live], J[live]
         Jt = Jl.transpose(0, 2, 1)
         A = Jt @ Jl + lam[live, None, None] * eye
@@ -369,30 +369,8 @@ def damped_gauss_newton(fn, target, x0, lo, hi, iters: int, h: float = 1e-6,
         lam[live[~better]] *= 10.0
         moved = (xl + step != xl).any(axis=1)
         live = live[ok & moved & (better | (lam[live] <= 1e6))
-                    & (best[live] > floor[live]) & (steps[live] < iters)]
-        new = None if admit is None else admit(x, best, live)
-        if new is not None and len(new[1]):
-            added = _start(fn, *new, h)
-            k = len(added[0])
-            live = np.concatenate([live, n + np.arange(k)])
-            x, target, r, J, best, floor = (
-                np.concatenate(a) for a in
-                zip((x, target, r, J, best, floor), added))
-            lam = np.concatenate([lam, np.full(k, 1e-8)])
-            steps = np.concatenate([steps, np.zeros(k, dtype=int)])
-            n += k
+                    & (best[live] > floor[live])]
     return x, best, steps
-
-
-def _start(fn, target, x0, h: float):
-    """The solver state of rows starting at x0: x, target, residual
-    vectors, Jacobians, residuals, and the rounding floors of the targets."""
-    x = np.array(x0, dtype=float)
-    target = np.asarray(target, dtype=float)
-    y, J = _values_and_jacobian(fn, x, h)
-    r = y - target
-    floor = 4 * EPS * np.maximum(1.0, np.max(np.abs(target), axis=1))
-    return x, target, r, J, np.linalg.norm(r, axis=1), floor
 
 
 def _values_and_jacobian(fn, x, h: float):

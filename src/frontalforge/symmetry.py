@@ -85,32 +85,24 @@ def detect_symmetries(germ: SurfaceGerm, p=None, tol: float = 1e-6):
     a half-radius neighborhood of p back into the full image, tested on
     an 11 x 11 grid of probes over that neighborhood.
 
-    Probe images are polished in one staged solve
-    (`closest_image_point`), on the grid path of the germ's expression
-    map (the frame needs its exact jets).  It starts with the four
-    corners of the probe grid, the probes farthest from p, for every
-    candidate; a candidate's other probes join it at the step where each
-    of its corners has a seed within tol, and never if its corners end
-    outside tol.  A candidate with a corner image farther than the net
-    radius of the image samples + 2 tol from its nearest sample lies
-    farther than 2 tol from the image and is dropped before the solve;
-    its residual is inf, as for every candidate never admitted.  A
-    candidate's residual is the worst over its probes.
+    Probe images are polished in one solve (`closest_image_point`), on
+    the grid path of the germ's expression map (the frame needs its exact
+    jets).  The four corners of the probe grid, the probes farthest from
+    p, decide at seeding: a candidate with a corner image that the image
+    samples show to lie farther than 2 tol from the image is dropped
+    before the solve, and its residual is inf.  Every other candidate is
+    polished on all its probes, and its residual is the worst over them.
     """
     p = tuple(germ.base) if p is None else tuple(float(c) for c in p)
     frame = distinguished_frame(germ, p)
     tree, xs = _image_tree(germ)
     probes = _sample_grid(_shrunken_domain(germ, p), 121)
     candidates = frame.candidate_isometries()
-    Ts = list(candidates.values())
     F = germ.points(probes)
-    corner = _corners(len(probes), 2)
     dist, _ = closest_image_point(
-        germ, germ.domain, np.concatenate([T(F[corner]) for T in Ts]), tree,
-        xs, later=[T(F[~corner]) for T in Ts], tol=tol)
-    n = len(Ts) * int(corner.sum())
-    worst = np.maximum(dist[:n].reshape(len(Ts), -1).max(axis=1),
-                       dist[n:].reshape(len(Ts), -1).max(axis=1, initial=0.0))
+        germ, germ.domain, np.stack([T(F) for T in candidates.values()]),
+        tree, xs, corner=_corners(len(probes), 2), tol=tol)
+    worst = dist.max(axis=1)
     findings = []
     for (label, T), w in zip(candidates.items(), worst.tolist()):
         if w < tol:

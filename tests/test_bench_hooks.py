@@ -48,32 +48,21 @@ def test_tracer_counts_a_batched_jet_once():
     assert tracer.counts["numkit.series_mul.calls"] > 0
 
 
-def test_tracer_sees_both_detection_stages():
-    # the corner probes and the other probes are two stages of one solve
-    # inside one closest-point call: both stages' rows must run within
-    # that traced span, or they would vanish from the per-layer figures
+def test_tracer_sees_the_detection_solve():
+    # every probe of every kept candidate is polished in one solve inside
+    # the one closest-point call: its rows must run within that traced
+    # span, or they would vanish from the per-layer figures
     from frontalforge import match, symmetry
     from frontalforge.germ import catalog
     tracing = _tracing()
     tracer = tracing.Tracer()
     germ = catalog("swallowtail")
     solve = match.damped_gauss_newton
-    stages = []
+    calls = []
 
-    def within():
-        return tracer.names[tracer.name_id[tracer.stack[-1]]]
-
-    def spy(fn, target, x0, *args, admit=None, **kwargs):
-        stages.append((len(x0), within()))
-
-        def admitted(*state):
-            new = admit(*state)
-            if new is not None:
-                stages.append((len(new[1]), within()))
-            return new
-
-        return solve(fn, target, x0, *args, admit=admit and admitted,
-                     **kwargs)
+    def spy(fn, target, x0, *args, **kwargs):
+        calls.append((len(x0), tracer.names[tracer.name_id[tracer.stack[-1]]]))
+        return solve(fn, target, x0, *args, **kwargs)
 
     tracer.install()
     match.damped_gauss_newton = spy
@@ -84,9 +73,9 @@ def test_tracer_sees_both_detection_stages():
         tracer.uninstall()
     assert tracer.counts["symmetry.detect_symmetries.calls"] == 1
     assert tracer.counts["match.closest_image_point.calls"] == 1
-    # 2 of the 4 candidates are dropped at seeding (64 corner rows before)
-    assert stages == [(2 * 4 * 4, "match.closest_image_point"),
-                      (117 * 4, "match.closest_image_point")]
+    # 3 of the 4 candidates are dropped at seeding; the 121 probes of the
+    # fourth, 4 seeds each (2 x 4 corner rows, then 117 x 4, before)
+    assert calls == [(121 * 4, "match.closest_image_point")]
 
 
 def test_tracer_pins_the_work_of_one_involution():

@@ -257,6 +257,67 @@ def test_scene_error_names_its_file(capsys, tmp_path, text, message):
     assert err.startswith(f"scene error: {path}: {message}")
 
 
+def helix_normal_form():
+    """The expression normal form of a helix crease with theta = 0.4 +
+    0.1 u and a = b = 1."""
+    from frontalforge.curve import helix
+    one = SurfaceProfile.constant(1.0)
+    return EdgeNormalForm(helix(1.0, 0.4, 1.2),
+                          ScalarProfile.from_expr("0.4 + 0.1*u"), one, one)
+
+
+@pytest.mark.parametrize("data, message", [
+    ({"germs": {"g": {"components": ["u", "v^2", "v^3+"]}}},
+     "germ 'g': ExprSyntaxError: "),
+    ({"germs": {"g": {"normal_form": {
+        k: v for k, v in helix_normal_form().to_json().items()
+        if k != "theta"}}}},
+     "germ 'g': missing key 'theta'"),
+    ({"curves": {"c": {"components": ["cos(u)", "sin(u)", "u"]}}},
+     "curve 'c': missing key 'domain'"),
+], ids=["syntax", "normal_form", "curve"])
+def test_scene_entry_errors_name_the_entry(capsys, tmp_path, data, message):
+    # entries are built at load time; a failure is a scene error, exit 1
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps(data))
+    code, rep, err = run(capsys, "analyze", "--scene", str(path), "--germ",
+                         "cuspidal_edge")
+    assert code == 1 and rep is None
+    assert err.startswith(f"scene error: {path}: {message}")
+
+
+@pytest.mark.parametrize("sub", ["analyze", "symmetry"])
+def test_germ_commands_realize_a_normal_form_entry(capsys, tmp_path, sub):
+    # analyze and symmetry need a surface germ: an expression normal form
+    # is realized with from_normal_form, and a sampled one fails naming
+    # its non-expression parts
+    from frontalforge.normalform import from_normal_form, to_normal_form
+    from frontalforge.symmetry import detect_symmetries
+    nf = helix_normal_form()
+    germ = from_normal_form(nf)
+    sampled = to_normal_form(germ, n_stations=17, nv=9)
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"germs": {
+        "helix_edge": {"normal_form": nf.to_json()},
+        "sampled": {"normal_form": sampled.to_json()}}}))
+    code, rep, _ = run(capsys, sub, "--scene", str(path), "--germ",
+                       "helix_edge")
+    assert code == 0
+    if sub == "analyze":
+        # kappa_nu = kappa sin(theta) at u = 0, with kappa = 1 / 1.16
+        assert rep["results"]["singular_components"] == 1
+        assert rep["results"]["limiting_normal_curvature"] == pytest.approx(
+            math.sin(0.4) / (1.0 + 0.4 ** 2), rel=1e-6)
+    else:
+        assert rep["results"]["labels"] == sorted(
+            f.label for f in detect_symmetries(germ))
+    code, rep, err = run(capsys, sub, "--scene", str(path), "--germ",
+                         "sampled")
+    assert code == 2 and rep is None
+    assert err == ("error: NormalFormError: a germ needs an expression "
+                   "normal form; not expressions: crease, theta, a, b\n")
+
+
 def test_export(capsys, tmp_path):
     code, rep, _ = run(capsys, "export", "--germ", "cuspidal_edge",
                        "--out", str(tmp_path))

@@ -184,8 +184,8 @@ def test_damped_gauss_newton_stops_at_the_rounding_floor():
 
 
 def test_damped_gauss_newton_on_no_rows():
-    # a staged polish whose groups are all dropped at seeding solves no
-    # row: three empty arrays, and fn is never called
+    # a polish whose groups are all dropped at seeding solves no row:
+    # three empty arrays, and fn is never called
     from frontalforge.numkit import damped_gauss_newton
     calls = []
 
@@ -195,8 +195,7 @@ def test_damped_gauss_newton_on_no_rows():
 
     x, res, steps = damped_gauss_newton(fn, np.zeros((0, 2)),
                                         np.zeros((0, 2)), np.full(2, -1.0),
-                                        np.full(2, 1.0), 30,
-                                        admit=lambda *state: calls.append(0))
+                                        np.full(2, 1.0), 30)
     assert x.shape == (0, 2) and res.shape == (0,) and steps.shape == (0,)
     assert calls == []
 
@@ -205,39 +204,6 @@ def _curved(X):
     u, v = X[:, 0], X[:, 1]
     return np.stack([u * u - v, np.sin(3 * u) * v, np.exp(0.5 * v) + u * v],
                     axis=1)
-
-
-@pytest.mark.parametrize("case", ["curved", "swallowtail"])
-def test_admitted_rows_end_as_in_a_call_of_their_own(case):
-    # rows that join a running solve through `admit` after step 2 and
-    # step 5 end with the x, residual and step count of a call of their
-    # own, and the rows the call started with are untouched by them; the
-    # step cap of 12 is per row, so the last rows may run to step 17
-    from frontalforge.germ import catalog
-    from frontalforge.numkit import damped_gauss_newton
-    fn = _curved if case == "curved" else catalog("swallowtail").points
-    rng = np.random.default_rng(11)
-    x0 = rng.uniform(-0.8, 0.8, (90, 2))
-    target = fn(rng.uniform(-0.8, 0.8, (90, 2)))
-    target[1::2] += rng.normal(0, 0.3, (45, 3))   # off the image
-    lo, hi = np.full(2, -1.0), np.full(2, 1.0)
-    blocks = {0: slice(0, 30), 2: slice(30, 60), 5: slice(60, 90)}
-    calls = []
-
-    def admit(x, res, live):
-        calls.append(len(x))
-        rows = blocks.get(len(calls))
-        return None if rows is None else (target[rows], x0[rows])
-
-    x, res, steps = damped_gauss_newton(fn, target[:30], x0[:30], lo, hi, 12,
-                                        admit=admit)
-    assert calls[:6] == [30, 30, 60, 60, 60, 90]
-    for rows in blocks.values():
-        alone = damped_gauss_newton(fn, target[rows], x0[rows], lo, hi, 12)
-        assert np.array_equal(x[rows], alone[0])
-        assert np.array_equal(res[rows], alone[1])
-        assert np.array_equal(steps[rows], alone[2])
-    assert steps[60:].max() == 12 and len(calls) > 12
 
 
 @pytest.mark.parametrize("case", ["curved", "swallowtail"])

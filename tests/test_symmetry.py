@@ -389,21 +389,22 @@ def test_detect_symmetries_polishes_on_the_grid_path(monkeypatch):
 
 
 def one_batch_detect(germ, p=None, tol=1e-6):
-    """`detect_symmetries` before its two stages, every candidate x probe x
-    seed row in one polish: (frame label, case, Q, residual) per finding."""
+    """`detect_symmetries` without its net drop, every candidate x probe x
+    seed row in one polish: (frame label, case, Q, residual) per
+    candidate."""
     p = tuple(germ.base) if p is None else p
     frame = distinguished_frame(germ, p)
     tree, xs = _image_tree(germ)
     F = germ.points(np.array(_sample_grid(_shrunken_domain(germ, p), 121)))
     cands = frame.candidate_isometries()
-    dist, _ = closest_image_point(germ, germ.domain, np.concatenate(
+    dist, _ = closest_image_point(germ, germ.domain, np.stack(
         [T(F) for T in cands.values()]), tree, xs)
-    worst = dist.reshape(len(cands), len(F)).max(axis=1).tolist()
     return [(label, LABEL_TO_CASE[label], T.Q, w)
-            for (label, T), w in zip(cands.items(), worst) if w < tol]
+            for (label, T), w in zip(cands.items(), dist.max(axis=1))]
 
 
-def assert_same_findings(found, ref):
+def assert_same_findings(found, ref, tol=1e-6):
+    ref = [r for r in ref if r[3] < tol]
     assert [(f.frame_label, f.label) for f in found] == \
         [(label, case) for label, case, _, _ in ref]
     for f, (_, _, Q, res) in zip(found, ref):
@@ -417,10 +418,50 @@ def assert_same_findings(found, ref):
     + [(n, p, None) for n, p in seeded_germs()]
     + [("cuspidal_edge", None, (0.3, 0.0))])
 def test_staged_detection_equals_one_batch(name, params, p):
-    # rows of the solver evolve independently, so deciding on the corner
-    # probes first changes no verdict and no residual bit
+    # rows of the solver evolve independently, so dropping candidates at
+    # seeding changes no verdict and no residual bit
     germ = catalog(name, **(params or {}))
     assert_same_findings(detect_symmetries(germ, p), one_batch_detect(germ, p))
+
+
+def bench_draws(monkeypatch):
+    """The benchmark's workloads module, for its parameter draws."""
+    import importlib
+    from pathlib import Path
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1]
+                                    / "bench"))
+    return importlib.import_module("workloads")
+
+
+@pytest.mark.parametrize("name", ["cuspidal_edge", "swallowtail",
+                                  "cuspidal_cross_cap", "ccr_example",
+                                  "sw_example", "ms_edge"])
+def test_net_drop_takes_every_non_finding(monkeypatch, name):
+    # a candidate dropped at seeding never reaches tol when polished on
+    # every probe, and every candidate that does not reach tol is dropped
+    # from its corners alone (one global net radius kept the swallowtail's
+    # refl_Pi1, and that of 3 of these 6 sw_example draws)
+    wl = bench_draws(monkeypatch)
+    rng = np.random.default_rng(7)
+    if name in ("sw_example", "ms_edge"):
+        draw = getattr(wl, "draw_" + name)
+        germs = [wl.catalog_germ(name, draw(rng)) for _ in range(6)]
+    else:
+        germs = [catalog(name)]
+    closest = ffsym.closest_image_point
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(closest(*args, **kwargs)[0])
+        return seen[-1], None
+
+    monkeypatch.setattr(ffsym, "closest_image_point", spy)
+    for germ in germs:
+        found = detect_symmetries(germ)
+        ref = one_batch_detect(germ)
+        dropped = np.isinf(seen.pop()).any(axis=1)
+        assert dropped.tolist() == [w >= 1e-6 for _, _, _, w in ref]
+        assert_same_findings(found, ref)
 
 
 def solver_rows(monkeypatch):
@@ -435,29 +476,21 @@ def solver_rows(monkeypatch):
     return rows
 
 
-def solver_stages(monkeypatch):
-    """Per solver call in match, its rows per stage: the rows it starts
-    with, then the rows of each admission (the solver's `admit`), and the
-    row-steps and fn evaluations it made."""
+def solver_calls(monkeypatch):
+    """Per solver call in match, its rows, and the fn evaluations and
+    row-steps it made."""
     calls = []
     solve = ffmatch.damped_gauss_newton
 
-    def counted(fn, target, x0, *args, admit=None, **kwargs):
-        call = {"rows": [len(x0)], "evals": 0}
+    def counted(fn, target, x0, *args, **kwargs):
+        call = {"rows": len(x0), "evals": 0}
         calls.append(call)
-
-        def spy(*state):
-            new = admit(*state)
-            if new is not None:
-                call["rows"].append(len(new[1]))
-            return new
 
         def evaluated(X):
             call["evals"] += 1
             return fn(X)
 
-        out = solve(evaluated, target, x0, *args, admit=admit and spy,
-                    **kwargs)
+        out = solve(evaluated, target, x0, *args, **kwargs)
         call["steps"] = int(out[2].sum())
         return out
 
@@ -465,30 +498,25 @@ def solver_stages(monkeypatch):
     return calls
 
 
-def stage_rows(calls):
-    return [c["rows"] for c in calls]
-
-
-def test_detection_polishes_corners_first(monkeypatch):
-    calls = solver_stages(monkeypatch)
+def test_detection_drops_losers_at_seeding(monkeypatch):
+    calls = solver_calls(monkeypatch)
     assert cases(detect_symmetries(catalog("swallowtail"))) == {"iii"}
-    # one solve: 4 candidates, of which 2 have a corner farther than the
-    # net radius + 2 tol from every image sample and are dropped at
-    # seeding; the other 2 x 4 corners x 4 seeds, joined by the 117 other
-    # probes of the one candidate whose corners came within tol (1,936
-    # rows in one batch, then 64 corner rows, before)
-    assert stage_rows(calls) == [[2 * 4 * 4, 117 * 4]]
+    # one solve: 3 of the 4 candidates have a corner that the image
+    # samples show to lie farther than 2 tol from the image, and never
+    # enter it; the fourth brings its 121 probes, 4 seeds each (2 x 4 x 4
+    # corner rows, then 117 x 4 admitted rows, before)
+    assert [c["rows"] for c in calls] == [121 * 4]
+    assert calls[0]["evals"] <= 31
 
 
 def test_detection_on_corner_probes_only(monkeypatch):
-    # the staged polish when every sample is a corner, as in a connecting
-    # map on a 2 x 2 grid: the losing sign is dropped at seeding, and the
-    # standing sign admits an empty group (2 x 4 x 4 corner rows before)
+    # the polish when every sample is a corner, as in a connecting map on
+    # a 2 x 2 grid: the losing sign is dropped at seeding
     germ = catalog("cuspidal_edge")
-    calls = solver_stages(monkeypatch)
+    calls = solver_calls(monkeypatch)
     cm = ffmatch.connecting_map(ffsym._TransformedGerm(
         germ, Isometry(np.diag([1.0, -1.0, 1.0]))), germ, n1=4, n2=4096)
-    assert stage_rows(calls) == [[1 * 4 * 4]]
+    assert [c["rows"] for c in calls] == [1 * 4 * 4]
     # f(u, -v) = Q f(u, v) and nu(u, -v) = det(Q) Q nu(u, v) for
     # Q = diag(1, -1, 1): e = +1
     np.testing.assert_allclose(cm.samples_out, cm.samples_in * [1.0, -1.0],
@@ -497,33 +525,32 @@ def test_detection_on_corner_probes_only(monkeypatch):
 
 
 def test_detection_residual_is_worst_over_both_stages(monkeypatch):
-    # on the catalog germs the worst probe is never a corner, so a fake
-    # polish puts it there: corners at 5e-7, every other probe at 1e-8
+    # a candidate's residual is the worst over its corner probes and its
+    # other probes; on the catalog germs the worst probe is never a
+    # corner, so a fake polish puts it there: corners at 5e-7, every
+    # other probe at 1e-8
     polished = []
 
-    def fake(germ, domain, targets, tree, xs, later=None, tol=0.0):
-        polished.append([len(targets)] + [len(t) for t in later])
-        return np.concatenate([np.full(len(targets), 5e-7)]
-                              + [np.full(len(t), 1e-8) for t in later]), None
+    def fake(germ, domain, targets, tree, xs, corner=None, tol=0.0):
+        polished.append((targets.shape, int(corner.sum())))
+        return np.where(corner, 5e-7, 1e-8) * np.ones(targets.shape[:2]), None
 
     monkeypatch.setattr(ffsym, "closest_image_point", fake)
     found = detect_symmetries(catalog("cuspidal_edge"))
-    assert polished == [[4 * 4] + [117] * 4]
+    assert polished == [((4, 121, 3), 4)]
     assert [f.residual for f in found] == [5e-7] * 4
 
 
 @pytest.mark.parametrize("name", ["cuspidal_edge", "swallowtail",
                                   "cuspidal_cross_cap", "ccr_example"])
 def test_detection_stages_overlap(monkeypatch, name):
-    # the other probes join the corner solve at the step their candidate
-    # is decided, instead of a second solve after the corners' 30 steps:
-    # one initial evaluation, 30 steps, one evaluation of the admitted
-    # rows and a few steps between (62 in two calls before); admitted
-    # rows that creep to their 30-step cap set the length
-    calls = solver_stages(monkeypatch)
+    # the corner probes and the other probes run in one solve from step
+    # 0: one initial evaluation and at most 30 steps (34 evaluations when
+    # the other probes joined the running solve once their candidate was
+    # decided, 62 in two calls before that)
+    calls = solver_calls(monkeypatch)
     detect_symmetries(catalog(name))
-    assert len(calls) == 1 and len(calls[0]["rows"]) > 1
-    assert calls[0]["evals"] <= 34
+    assert len(calls) == 1 and calls[0]["evals"] <= 31
 
 
 def test_connecting_map_decides_the_sign_on_the_corners(monkeypatch):
@@ -531,33 +558,29 @@ def test_connecting_map_decides_the_sign_on_the_corners(monkeypatch):
     f1, f2 = (ffmatch.PlaneMap(MapDef(n, ("t",), comps), Interval(-1.0, 1.0))
               for n, comps in (("f1", ["0.49*t^2", "0.343*t^3"]),
                                ("f2", ["t^2", "t^3"])))
-    calls = solver_stages(monkeypatch)
+    calls = solver_calls(monkeypatch)
     assert ffmatch.connecting_map(f1, f2).sign == 1
-    # the losing sign has an end farther than the net radius + 2 tol from
-    # every lift sample and is dropped at seeding; the 2 ends of the
-    # standing sign are joined by its other 254 samples once they come
-    # within tol (1,024 rows for each sign, then 2 x 2 x 4 end rows and
-    # 42 evaluations, before); a successful map runs no image inclusion
-    # polish
-    assert stage_rows(calls) == [[1 * 2 * 4, 254 * 4]]
-    assert calls[0]["evals"] <= 6
+    # the losing sign has an end that the lift samples show to lie
+    # farther than 2 tol from the lift of f2, and is dropped at seeding;
+    # the standing sign's 256 samples, 4 seeds each, are one solve (the
+    # 254 other samples joined its 2 x 4 end rows, in 6 evaluations,
+    # before); a successful map runs no image inclusion polish
+    assert [c["rows"] for c in calls] == [256 * 4]
+    assert calls[0]["evals"] <= 4
 
 
 @pytest.mark.parametrize("name", ["cuspidal_edge", "swallowtail"])
-def test_involution_polishes_the_losing_sign_on_corners_only(monkeypatch,
-                                                             name):
-    calls = solver_stages(monkeypatch)
+def test_involution_drops_the_losing_sign_at_seeding(monkeypatch, name):
+    calls = solver_calls(monkeypatch)
     connecting_involution(catalog(name), Isometry(np.diag([1.0, -1.0, 1.0])))
-    # the losing sign has a corner of the 9 x 9 sample grid farther than
-    # the net radius + 2 tol from every lift sample and never enters the
-    # solve; the standing sign's 4 corners are joined by its other 77
-    # samples; then psi at psi(x) for every 5th sample x (17 of them) and
-    # at the orientation point, in a call of their own
-    assert stage_rows(calls) == [[1 * 4 * 4, 77 * 4], [(17 + 1) * 4]]
-    # the solve ends with the standing sign's rows: 47 and 29 evaluations
-    # while the losing corners ran to the step cap, 51 and 33 with a
-    # second call
-    assert sum(c["evals"] for c in calls) <= 12
+    # the losing sign has a corner of the 9 x 9 sample grid that the lift
+    # samples show to lie farther than 2 tol from the lift, and never
+    # enters the solve; the standing sign's 81 samples are one solve; then
+    # psi at psi(x) for every 5th sample x (17 of them) and at the
+    # orientation point, in a call of their own
+    assert [c["rows"] for c in calls] == [81 * 4, (17 + 1) * 4]
+    # 12 evaluations when the 77 other samples joined the corner solve
+    assert sum(c["evals"] for c in calls) <= 10
 
 
 @pytest.mark.parametrize("case, before", [("plane", 12417),
@@ -568,19 +591,21 @@ def test_connecting_map_row_steps_are_halved(monkeypatch, case, before):
     # instead of rejecting steps until its damping passes 1e6, and a
     # successful map runs no image inclusion polish: at most half the
     # solver row-steps of both (2,600, 1,830 and 1,559 at this writing)
-    calls = solver_stages(monkeypatch)
+    calls = solver_calls(monkeypatch)
     if case == "plane":
         from frontalforge.numkit import Interval
         f1, f2 = (ffmatch.PlaneMap(MapDef(n, ("t",), c), Interval(-1.0, 1.0))
                   for n, c in (("f1", ["0.49*t^2", "0.343*t^3"]),
                                ("f2", ["t^2", "t^3"])))
         assert ffmatch.connecting_map(f1, f2).residual_image < 1e-15
+        n1 = 256
     else:
         report = connecting_involution(catalog(case),
                                        Isometry(np.diag([1.0, -1.0, 1.0])))
         assert report["residual_image"] < 1e-15
-    # the spy saw the staged solve, admitted rows included
-    assert len(calls[0]["rows"]) == 2
+        n1 = 81
+    # the spy saw the one lift polish of every sample of the standing sign
+    assert calls[0]["rows"] == n1 * 4
     assert sum(c["steps"] for c in calls) <= before // 2
 
 
