@@ -22,8 +22,7 @@ from . import __version__
 from . import exprlang as ex
 from .curve import SpaceCurve, circle, helix
 from .germ import (CATALOG_NAMES, GermError, SurfaceGerm, area_density,
-                   catalog, limiting_normal_curvature, normal_field,
-                   singular_curve)
+                   catalog, limiting_normal_curvature, singular_curve)
 from .isomer import (SymmetryPredicates, congruence_count, isomer_set,
                      right_equivalence_classes)
 from .devfold import (_grid_mesh, curved_folding, folding_mesh,
@@ -222,7 +221,7 @@ def cmd_analyze(args, scene):
         "types": sorted({s.sing_type for s in flat}),
         "limiting_normal_curvature": knu,
         "area_density_at_base": float(area_density(germ)(germ.base)),
-        "normal_at_base": [float(c) for c in normal_field(germ)(germ.base)],
+        "normal_at_base": [float(c) for c in germ.normal_field(germ.base)],
     }
 
     def write_csv(path):

@@ -737,14 +737,14 @@ class MapDef:
         return np.array([regs[i] for i in tape.outputs], dtype=float)
 
     def eval_jet(self, point, order: int = 3):
-        """The jet at one point (k,), partials (m,), or at the rows of an
-        (N, k) array, partials (N, m): one tape run on Taylor series.  A
-        row with a non-finite value is evaluated again as one point, so it
-        raises what the float path raises.  `Series` carries derivatives up
-        to order 3 only, so a higher order raises `ValueError`."""
+        """The jet of any order at one point (k,), partials (m,), or at
+        the rows of an (N, k) array, partials (N, m): one tape run on
+        Taylor series.  A row with a non-finite value is evaluated again as
+        one point, so it raises what the float path raises.  A negative
+        order raises `ValueError`."""
         from .numkit import Jet
-        if not 0 <= order <= 3:
-            raise ValueError(f"jet order {order} is not in 0..3")
+        if order < 0:
+            raise ValueError(f"jet order {order} is negative")
         pt = np.asarray(point, dtype=float)
         X = np.atleast_2d(pt)
         nvars = len(self.variables)

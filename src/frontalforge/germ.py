@@ -1,13 +1,12 @@
 """Surface germs in 3-space: normals, area density, singular sets, frames.
 
 A germ is an expression map (u, v) -> R^3 around a base point, so it has
-exact jets.  Frontal germs carry a unit normal along the map; for
-wave-front catalog entries an analytic (unnormalized) normal expression
-is attached, everything else goes through
-the exact directional limits of f_u x f_v, oriented at the base point.
-On the singular set, the gradient of the area density, the null directions
-and the limiting normal curvature all come from one order-2 jet of f and
-the unit normal.
+exact jets of any order.  Frontal germs carry a unit normal along the map:
+an analytic (unnormalized) normal expression on the wave-front catalog
+entries, else the limits of f_u x f_v continued from the base point, the
+one normal field that plane curves use too.  On the singular set, the
+gradient of the area density, the null directions and the limiting normal
+curvature all come from one order-2 jet of f and the unit normal.
 """
 from __future__ import annotations
 
@@ -22,7 +21,7 @@ from .geom import GermFrame
 from .numkit import Interval, Jet, damped_gauss_newton
 
 __all__ = [
-    "SurfaceGerm", "NormalField", "normal_field", "area_density",
+    "SurfaceGerm", "NormalField", "area_density",
     "singular_curve", "SingularSample", "SingularComponent",
     "limiting_normal_curvature", "distinguished_frame", "catalog",
     "CATALOG_NAMES", "GermError",
@@ -46,55 +45,57 @@ class DegenerateSingularity(GermError):
     pass
 
 
-class SurfaceGerm:
+class _Frontal:
+    """An expression map of d variables on a box, with a `NormalField`
+    and the derivative maps of f, one per variable."""
+
+    def __init__(self, map_, domain, base, normal_map, name: str):
+        self.map, self.domain, self.base, self.name = map_, domain, base, name
+        self.normal_map = normal_map  # unnormalized normal, may be None
+        self._partials = [map_.diff(x) for x in map_.variables]
+
+    def points(self, X) -> np.ndarray:
+        """f on the rows of an (N, d) array (or (N,) on a curve), as (N, m),
+        from the map's checked grid evaluation `MapDef.values`."""
+        X = np.asarray(X, dtype=float).reshape(-1, len(self.map.variables))
+        return self.map.values(dict(zip(self.map.variables, X.T))).T.copy()
+
+    def lift_points(self, X):
+        """(f, nu) on the rows of an (N, d) array, each (N, m)."""
+        return self.points(X), self.normal_field.points(X)
+
+    @cached_property
+    def normal_field(self) -> "NormalField":
+        """The unit normal field, built on first use."""
+        return NormalField(self)
+
+    def partials_grid(self, *arrays):
+        """(f_u, f_v), or (c',) on a curve, over broadcastable arrays."""
+        env = dict(zip(self.map.variables, arrays))
+        return tuple(d.eval_grid(env) for d in self._partials)
+
+    def jet(self, point, order: int = 3) -> Jet:
+        return self.map.eval_jet(point, order)
+
+
+class SurfaceGerm(_Frontal):
     def __init__(self, map_, domain, base=(0.0, 0.0), normal_map=None,
                  name: str = "germ", sing_type: str | None = None):
         if not isinstance(map_, ex.MapDef):
             raise GermError(f"germ '{name}' needs an expression map, "
                             f"not {type(map_).__name__}")
-        self.map = map_
-        self.domain = (Interval(*domain[0]) if not isinstance(domain[0], Interval)
-                       else domain[0],
-                       Interval(*domain[1]) if not isinstance(domain[1], Interval)
-                       else domain[1])
-        self.base = (float(base[0]), float(base[1]))
         if not (normal_map is None or isinstance(normal_map, ex.MapDef)):
             raise GermError(f"the normal map of '{name}' must be an "
                             "expression map or None")
-        self.normal_map = normal_map  # unnormalized normal, may be None
-        self.name = name
+        super().__init__(map_, tuple(d if isinstance(d, Interval)
+                                     else Interval(*d) for d in domain),
+                         (float(base[0]), float(base[1])), normal_map, name)
         self.sing_type = sing_type
-        u, v = map_.variables
-        self._du = map_.diff(u)
-        self._dv = map_.diff(v)
 
     def __call__(self, point) -> np.ndarray:
         return np.asarray(self.map(point), dtype=float)
 
-    def points(self, X) -> np.ndarray:
-        """f on the rows of an (N, 2) array, as (N, 3), from the map's
-        checked grid evaluation `MapDef.values`."""
-        X = np.asarray(X, dtype=float)
-        u, v = self.map.variables
-        return self.map.values({u: X[:, 0], v: X[:, 1]}).T.copy()
-
-    def lift_points(self, X):
-        """(f, nu) on the rows of an (N, 2) array, each (N, 3)."""
-        return self.points(X), self.normal_field.points(X)
-
-    @cached_property
-    def normal_field(self) -> "NormalField":
-        """The germ's unit normal field, built on first use."""
-        return NormalField(self)
-
-    def jet(self, point, order: int = 3) -> Jet:
-        return self.map.eval_jet(point, order)
-
-    def partials_grid(self, U, V):
-        """(f_u, f_v) stacked over broadcastable grids."""
-        u, v = self.map.variables
-        arrays = {u: U, v: V}
-        return self._du.eval_grid(arrays), self._dv.eval_grid(arrays)
+    jet = _Frontal.jet  # its own name, which bench/tracing.py rebinds
 
     def grid(self, nu: int, nv: int):
         return self.domain[0].grid(nu), self.domain[1].grid(nv)
@@ -103,120 +104,243 @@ class SurfaceGerm:
 # --------------------------------------------------------------- normal field
 
 class NormalField:
-    """Continuous unit normal of a frontal germ.
+    """Continuous unit normal of a frontal of one or two variables: a
+    `SurfaceGerm`, or a plane curve (`match.PlaneMap`).
 
-    The analytic normal, when the germ has one, is normalized as it is.
-    Otherwise the normal is f_u x f_v normalized, extended across the
-    singular set by its exact directional limits, and oriented by its
-    value at the base point: a normal whose dot product with that
-    reference is negative is flipped.  This assumes the normal stays
-    within 90 degrees of its base value on the domain.
+    An analytic normal, when the frontal has one, is normalized as it is.
+    Otherwise the raw normal, the rotated c' of a curve or f_u x f_v of a
+    surface, is normalized (`_unit`), or replaced by its limit where it
+    vanishes (`_limit`), and takes the sign of its continuation from the
+    nearest node of a grid oriented by continuation from the base point
+    (`_orient`, `_continue`).
     """
 
-    def __init__(self, germ: SurfaceGerm):
-        self.germ = germ
-        if germ.normal_map is None:
-            # a normal must exist at the base point; it orients all others
-            self._ref = self._limit_normal(np.array([germ.base]))[0]
+    _NODES = {1: 513, 2: 65}  # nodes per axis of the orientation grid
+    _DIRECTIONS = {1: np.ones((1, 1)), 2: np.array([  # probe directions
+        (1.0, 0.0), (0.0, 1.0), (0.7071067811865476, 0.7071067811865476),
+        (0.7071067811865476, -0.7071067811865476)])}
+
+    def __init__(self, frontal):
+        self.frontal = frontal
+        self.dim = len(frontal.map.variables)
+        if frontal.normal_map is None:
+            self._orient()
 
     def __call__(self, point) -> np.ndarray:
         """The unit normal at one point: the one-row case of `points`."""
-        return self.points(np.reshape(point, (1, 2)))[0]
+        return self.points(np.reshape(point, (1, self.dim)))[0]
 
     def points(self, X) -> np.ndarray:
-        """The unit normal on the rows of an (N, 2) array, as (N, 3), on
-        the tape's grid path: the analytic normal from `MapDef.values`,
-        where a row shorter than 1e-13 raises `NotAFrontal`; or f_u x f_v
-        from `partials_grid`, where the rows that are non-finite or at most
-        1e-7 times the squared scale of f_u and f_v take its exact limit,
-        all in one `_limit_normal` call."""
-        X = np.asarray(X, dtype=float)
-        g, U, V = self.germ, X[:, 0], X[:, 1]
+        """The unit normal on the rows of an (N, d) array, as (N, m), on
+        the tape's grid path.  An analytic normal shorter than 1e-13 raises
+        `NotAFrontal`; a row with no raw normal takes its node's normal."""
+        X = np.asarray(X, dtype=float).reshape(-1, self.dim)
+        g = self.frontal
         if g.normal_map is not None:
-            u, v = g.normal_map.variables
-            raw = g.normal_map.values({u: U, v: V}).T
+            raw = g.normal_map.values(dict(zip(g.normal_map.variables, X.T))).T
             n = np.linalg.norm(raw, axis=1)
             bad = np.flatnonzero(~(n >= 1e-13))
             if bad.size:
                 raise NotAFrontal(f"analytic normal of '{g.name}' vanishes "
                                   f"at {tuple(X[bad[0]].tolist())}")
             return raw / n[:, None]
-        fu, fv = g.partials_grid(U, V)
-        raw = np.cross(fu, fv, axis=0).T
-        n = np.linalg.norm(raw, axis=1)
-        scale = np.maximum(np.linalg.norm([fu, fv], axis=1).max(axis=0), 1e-300)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            out = raw / n[:, None]
-        redo = ~(n > 1e-7 * scale ** 2) | ~np.isfinite(out).all(axis=1)
+        out, floor = self._unit(X)
+        redo = np.isnan(out[:, 0])
         if redo.any():
-            out[redo] = self._limit_normal(X[redo])
-        out[out @ self._ref < 0] *= -1.0
+            out[redo] = self._limit(X[redo], floor[redo])
+        near = tuple(map(_nearest, self._axes, X.T))
+        ref = self._nus[near]
+        out = np.where(np.isnan(out[:, :1]), ref, out)
+        node = np.column_stack([a[i] for a, i in zip(self._axes, near)])
+        s = self._continue(node, X, ref, out, self._fast[near])
+        return out * s[:, None]
+
+    def _unit(self, X) -> tuple:
+        """The raw unit normal, up to sign, on the rows of X, from
+        `partials_grid`, and each row's floor, 1e-7 times the d-th power
+        of its longest first partial.  A row where the raw normal is
+        non-finite or at most its floor is NaN (`points` takes its limit
+        there)."""
+        parts = [p.T for p in self.frontal.partials_grid(*X.T)]
+        raw = _raw_normal(parts)
+        n = np.linalg.norm(raw, axis=1)
+        sq = [np.einsum("ij,ij->i", p, p) for p in parts]
+        floor = 1e-7 * np.maximum(sq[0], sq[-1]) ** (0.5 * self.dim)
+        return np.divide(raw, n[:, None], out=np.full_like(raw, np.nan),
+                         where=((n > floor) & (n < np.inf))[:, None]), floor
+
+    def _limit(self, P, floor) -> np.ndarray:
+        """The unit limits of the raw normal, up to sign, at the rows of P:
+        along each probe direction e, its first Taylor coefficient along
+        p + t e above the row's floor, from one order-3 jet, then one
+        order-9 jet for the rows where no direction has one (NaN where
+        none has one then).  The directions must agree up to sign, or
+        `NotAFrontal` names the first row where they do not."""
+        D = self._DIRECTIONS[self.dim]
+        out = np.full((len(P), self.dim + 1), np.nan)
+        rows = np.arange(len(P))
+        for order in (3, 9):
+            C = _raw_coefficients(self.frontal.jet(P[rows], order), D, order)
+            n = np.linalg.norm(C, axis=-1)
+            above = n > floor[rows, None]
+            found = above.any(axis=0)
+            r, dirs = np.ogrid[:len(rows), :len(D)]
+            first = above.argmax(axis=0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                est = C[first, r, dirs] / n[first, r, dirs][..., None]
+            ref = est[r[:, 0], found.argmax(axis=1)]
+            flip = np.where(np.einsum("ndk,nk->nd", est, ref) < 0, -1.0, 1.0)
+            dist = np.linalg.norm(flip[..., None] * est - ref[:, None], axis=-1)
+            gap = np.where(found, dist, -np.inf).max(axis=1)  # -inf: none
+            bad = np.flatnonzero(gap > 1e-6)
+            if bad.size:
+                raise NotAFrontal(
+                    f"'{self.frontal.name}' has no single-valued normal at "
+                    f"{tuple(P[rows[bad[0]]].tolist())} (directional limits "
+                    f"disagree by {gap[bad[0]]:.2e})")
+            out[rows[gap >= 0]] = ref[gap >= 0]
+            rows = rows[gap < 0]
+            if not rows.size:
+                break
         return out
 
-    def grid(self, U, V) -> np.ndarray:
-        """The unit normal over broadcastable grids, shape (3, ...)."""
-        U, V = np.broadcast_arrays(np.asarray(U, float), np.asarray(V, float))
-        nu = self.points(np.column_stack([U.ravel(), V.ravel()]))
-        return nu.T.reshape((3,) + U.shape)
+    def _continue(self, A, B, NA, NB, check) -> np.ndarray:
+        """The sign s, one per segment from row A[i] to row B[i], that makes
+        s NB[i] the continuation of the unit normal NA[i] along it.  A
+        segment not in `check` whose normals are within 30 degrees up to
+        sign takes the sign of their dot product.  The others are cut into
+        k = 2, 4, ..., 64 equal steps (a cut with no raw normal keeps the
+        one before it) until every step is within 30 degrees up to sign,
+        and take the product of the steps' signs, or raise `NotAFrontal`."""
+        dot = np.sum(NA * NB, axis=1)
+        s = np.where(dot < 0, -1.0, 1.0)
+        todo, k = np.flatnonzero(check | ~(np.abs(dot) >= _COS30)), 2
+        while todo.size:
+            if k > 64:
+                raise NotAFrontal(
+                    f"'{self.frontal.name}' has no continuous normal from "
+                    f"{tuple(A[todo[0]].tolist())} to "
+                    f"{tuple(B[todo[0]].tolist())} (it turns by more than 30 "
+                    "degrees within 1/64 of the segment)")
+            t = np.arange(1, k)[:, None] / k
+            P = A[todo, None] + t * (B - A)[todo, None]
+            N = self._unit(P.reshape(-1, self.dim))[0].reshape(
+                len(todo), k - 1, -1)
+            N = np.concatenate([NA[todo, None], N, NB[todo, None]], axis=1)
+            none = np.isnan(N[..., 0])
+            if none.any():
+                last = np.maximum.accumulate(
+                    np.where(none, 0, np.arange(k + 1)), axis=1)
+                N = np.take_along_axis(N, last[..., None], axis=1)
+            d = np.sum(N[:, 1:] * N[:, :-1], axis=-1)
+            done = (np.abs(d) >= _COS30).all(axis=1)
+            s[todo[done]] = np.where(d[done] < 0, -1.0, 1.0).prod(axis=1)
+            todo, k = todo[~done], 2 * k
+        return s
 
-    # -- generic extension ---------------------------------------------------
-
-    _DIRECTIONS = np.array([(1.0, 0.0), (0.0, 1.0),
-                            (0.7071067811865476, 0.7071067811865476),
-                            (0.7071067811865476, -0.7071067811865476)])
-
-    def _limit_normal(self, P) -> np.ndarray:
-        """The unit limits of f_u x f_v, up to sign, at the rows p of an
-        (N, 2) array, as (N, 3), from one order-3 jet.  Along each probe
-        direction d it is the first Taylor coefficient of f_u x f_v along
-        p + t d (orders 0 to 2) longer than 1e-7 times the squared scale
-        of f_u and f_v; the directions that have one must agree up to
-        sign, or `NotAFrontal` names the first row where they do not."""
-        j = self.germ.jet(P, 3)
-        scale = np.linalg.norm([j.partial(1, 0), j.partial(0, 1)], axis=2)
-        floor = 1e-7 * np.maximum(scale.max(axis=0), 1e-300) ** 2
-        C = _cross_coefficients(j, self._DIRECTIONS)
-        n = np.linalg.norm(C, axis=-1)
-        above = n > floor[:, None]
-        found = above.any(axis=0)
-        rows, dirs = np.ogrid[:len(P), :len(self._DIRECTIONS)]
-        order = above.argmax(axis=0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            estimates = C[order, rows, dirs] / n[order, rows, dirs][..., None]
-        ref = estimates[rows[:, 0], found.argmax(axis=1)]
-        flip = np.where(np.einsum("ndk,nk->nd", estimates, ref) < 0, -1.0, 1.0)
-        dist = np.linalg.norm(flip[..., None] * estimates - ref[:, None], axis=-1)
-        gap = np.where(found, dist, -np.inf).max(axis=1)  # -inf: no direction
-        bad = np.flatnonzero((gap > 1e-6) | (gap < 0))
-        if bad.size:
-            name, at, gap = self.germ.name, tuple(P[bad[0]].tolist()), gap[bad[0]]
+    def _orient(self) -> None:
+        """The oriented normals `_nus` on the grid of nodes `_axes`: the raw
+        unit normals (the limit at the base node where it has none; at
+        another node with none, that of the nearest node with one),
+        continued along the first axis on the lowest line and then along
+        the other axis.  An edge takes the sign of the two steps through
+        its midpoint (the nodes and the midpoints take one `_unit` call);
+        a fast edge, with a step that turns by more than 30 degrees up to
+        sign, takes it from `_continue`, and `_fast` marks its nodes.  The
+        other edges must then join agreeing normals, or `NotAFrontal`
+        names the cell the normal does not close around.  The base node,
+        the one nearest the base point, keeps its own normal."""
+        g, m = self.frontal, self._NODES[self.dim]
+        self._axes = [d.grid(m) for d in
+                      (g.domain if self.dim == 2 else (g.domain,))]
+        nodes = np.stack(np.meshgrid(*self._axes, indexing="ij"), axis=-1)
+        nodes = nodes.reshape(m, -1, self.dim)  # (m, 1, 1) on a curve
+        edges = ((np.s_[:-1], np.s_[1:]),
+                 (np.s_[:, :-1], np.s_[:, 1:]))[:self.dim]
+        rows = [Y.reshape(-1, self.dim) for Y in
+                [nodes] + [0.5 * (nodes[a] + nodes[b]) for a, b in edges]]
+        N, floor = self._unit(np.concatenate(rows))
+        N, *mids = np.split(N, np.cumsum([len(r) for r in rows[:-1]]))
+        base = tuple(map(_nearest, self._axes, g.base))
+        k = np.ravel_multi_index(base, (m,) * self.dim)
+        if np.isnan(N[k, 0]):
+            N[k] = self._limit(rows[0][k:k + 1], floor[k:k + 1])[0]
+        none = np.isnan(N[:, 0])
+        if none.all():
+            raise NotAFrontal(f"'{g.name}' has no normal on its domain")
+        if none.any():  # from the nearest node with one
+            from scipy.spatial import cKDTree
+            X = rows[0]
+            N[none] = N[~none][cKDTree(X[~none]).query(X[none])[1]]
+        N = N.reshape(m, -1, N.shape[1])  # (m, 1, 2) on a curve
+        self._fast, signs = np.zeros(N.shape[:2], dtype=bool), []
+        for (a, b), M in zip(edges, mids):
+            A, B, NA, NB = (Y[c].reshape(-1, Y.shape[2]) for Y in (nodes, N)
+                            for c in (a, b))
+            M = np.where(np.isnan(M), NA, M)  # a midpoint with none
+            d1, d2 = np.sum(NA * M, axis=1), np.sum(M * NB, axis=1)
+            s = np.where(d1 * d2 < 0, -1.0, 1.0)
+            fast = ~(np.minimum(np.abs(d1), np.abs(d2)) >= _COS30)
+            if fast.any():
+                s[fast] = self._continue(A[fast], B[fast], NA[fast], NB[fast],
+                                         True)
+            signs.append(s.reshape(N[a].shape[:2]))
+            self._fast[a] |= fast.reshape(N[a].shape[:2])
+            self._fast[b] |= fast.reshape(N[a].shape[:2])
+        du, dv = signs + [np.ones((m, 0))] * (2 - self.dim)
+        sign = np.cumprod(np.r_[1.0, du[:, 0]])[:, None] * np.cumprod(
+            np.hstack([np.ones((m, 1)), dv]), axis=1)
+        bad = np.argwhere(du * sign[1:] * sign[:-1] < 0)
+        if len(bad):
+            (i, j), (us, vs) = bad[0], self._axes
             raise NotAFrontal(
-                f"normal of '{name}' undefined near {at}" if gap < 0 else
-                f"'{name}' has no single-valued normal at {at} "
-                f"(directional limits disagree by {gap:.2e})")
-        return ref
+                f"'{g.name}' has no continuous normal around the cell "
+                f"[{us[i]:.6g}, {us[i + 1]:.6g}] x [{vs[j - 1]:.6g}, {vs[j]:.6g}]")
+        self._fast = self._fast.reshape((m,) * self.dim)
+        sign = sign.reshape(self._fast.shape)
+        self._nus = (sign * sign[base])[..., None] * N.reshape(sign.shape + (-1,))
+
+_COS30 = 0.8660254037844387  # the widest step `_continue` reads as it is
 
 
-def _cross_coefficients(j: Jet, D) -> np.ndarray:
-    """Taylor coefficients of orders 0 to 2 of f_u x f_v along p + t d for
-    each row d of D, at each of the N points of an order-3 jet of f, shape
-    (3, N, len(D), 3)."""
-    def along(k, a, b):
-        # k-th Taylor coefficient of the partial (a, b) of f along p + t d
-        W = [math.comb(k, i) * D[:, 0] ** i * D[:, 1] ** (k - i)
-             for i in range(k + 1)]
-        P = [j.partial(a + i, b + k - i) for i in range(k + 1)]
+def _raw_normal(parts) -> np.ndarray:
+    """The raw normal from the first partials of f, each (..., m): the
+    rotated c' of a curve, f_u x f_v of a surface."""
+    if len(parts) == 1:
+        return np.stack([-parts[0][..., 1], parts[0][..., 0]], axis=-1)
+    return np.cross(parts[0], parts[1])
+
+
+def _raw_coefficients(j: Jet, D, K: int) -> np.ndarray:
+    """Taylor coefficients of orders 0 to K - 1 of the raw normal along
+    p + t e for each row e of D, at the N points of an order-K jet of f,
+    shape (K, N, len(D), m).  The raw normal is multilinear in the first
+    partials: its coefficient of order k sums it over their coefficients
+    whose orders add up to k."""
+    dim = j.nvars
+
+    def splits(k):  # the multi-indices of order k, first entry ascending
+        return [(i, k - i) for i in range(k + 1)] if dim == 2 else [(k,)]
+
+    def along(k, unit):
+        # k-th Taylor coefficient of the first partial `unit` along p + t e
+        betas = splits(k)
+        W = [math.prod([math.factorial(k) // math.prod(map(math.factorial, b))]
+                       + [D[:, a] ** p for a, p in enumerate(b)]) for b in betas]
+        P = [j.partial(tuple(map(sum, zip(b, unit)))) for b in betas]
         return np.einsum("id,inx->ndx", W, P) / math.factorial(k)
 
-    fu = [along(k, 1, 0) for k in range(3)]
-    fv = [along(k, 0, 1) for k in range(3)]
-    pairs = [(i, k - i) for k in range(3) for i in range(k + 1)]
-    X = np.cross([fu[i] for i, _ in pairs], [fv[i] for _, i in pairs])
-    return np.array([X[0], X[1] + X[2], X[3] + X[4] + X[5]])
+    parts = [[along(k, e) for k in range(K)] for e in np.eye(dim, dtype=int)]
+    terms = [[_raw_normal([parts[a][i] for a, i in enumerate(s)])
+              for s in splits(k)] for k in range(K)]
+    return np.array([sum(t[1:], t[0]) for t in terms])
 
 
-def normal_field(germ: SurfaceGerm) -> NormalField:
-    return germ.normal_field
+def _nearest(axis: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Index of the node of a sorted axis nearest to each x (the lower
+    one on a tie)."""
+    j = np.searchsorted(axis[1:-1], x) + 1
+    return j - (np.abs(axis[j - 1] - x) <= np.abs(axis[j] - x))
 
 
 # --------------------------------------------------------------- area density
@@ -228,8 +352,10 @@ def area_density(germ: SurfaceGerm):
     nf = germ.normal_field
 
     def grid(U, V):
-        fu, fv = germ.partials_grid(U, V)
-        return np.sum(np.cross(fu, fv, axis=0) * nf.grid(U, V), axis=0)
+        U, V = np.broadcast_arrays(np.asarray(U, float), np.asarray(V, float))
+        fu, fv = germ.partials_grid(U.ravel(), V.ravel())
+        nu = nf.points(np.column_stack([U.ravel(), V.ravel()]))
+        return np.sum(np.cross(fu, fv, axis=0).T * nu, axis=1).reshape(U.shape)
 
     def lam(point):
         U, V = np.asarray(point, dtype=float).reshape(2, 1)

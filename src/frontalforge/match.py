@@ -22,6 +22,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from . import exprlang as ex
+from .germ import _Frontal
 from .numkit import Interval, damped_gauss_newton
 
 __all__ = [
@@ -58,108 +59,22 @@ class LiftSample:
     nu: np.ndarray
 
 
-# exact derivatives stay directionally accurate down to underflow
-_RAW_TOL = 1e-12
-
-
-class PlaneMap:
+class PlaneMap(_Frontal):
     """One-variable expression map into the plane, with a continuous unit
-    normal.
-
-    The normal is the 90-degree rotation of the tangent, extended through
-    cusps: the raw rotated derivative is divided by its vanishing order and
-    re-aligned for sign continuity along a cached grid of 513 nodes.
+    normal: its `NormalField`, the 90-degree rotation of the tangent,
+    extended through cusps and anchored at the right end of the domain.
     """
 
     def __init__(self, map_, domain: Interval, name: str = "plane_map"):
         if not isinstance(map_, ex.MapDef):
             raise MatchError(f"plane map '{name}' needs an expression map, "
                              f"not {type(map_).__name__}")
-        self.map = map_
-        self.domain = domain if isinstance(domain, Interval) else Interval(*domain)
-        self.name = name
-        # c', c'', ...: each order is derived once, when a cusp first
-        # needs it
-        self._dmaps = [map_.diff(map_.variables[0])]
-        self._ts = self.domain.grid(513)
-        self._nus = self._continuous_normals(self._ts)
+        domain = domain if isinstance(domain, Interval) else Interval(*domain)
+        super().__init__(map_, domain, (domain.hi,), None, name)
 
     def __call__(self, t) -> np.ndarray:
         t = float(t) if np.isscalar(t) or np.ndim(t) == 0 else float(t[0])
         return np.asarray(self.map((t,)), dtype=float)
-
-    def points(self, ts) -> np.ndarray:
-        """The curve at each of the N parameters in ts (shape (N,) or
-        (N, 1)), as (N, 2), from the map's checked grid evaluation
-        `MapDef.values`."""
-        ts = np.asarray(ts, dtype=float).reshape(-1)
-        return self.map.values({self.map.variables[0]: ts}).T.copy()
-
-    def lift_points(self, ts):
-        """(f, nu) at each of the N parameters in ts, each (N, 2); nu is
-        re-aligned with the normal at the nearest cached grid node."""
-        ts = np.asarray(ts, dtype=float).reshape(-1)
-        F = self.points(ts)
-        nus = self._raw_normals(ts)
-        ref = self._nus[self._nearest_node(ts)]
-        missing = np.isnan(nus[:, 0])
-        nus[missing] = ref[missing]
-        nus[np.sum(nus * ref, axis=1) < 0] *= -1.0
-        return F, nus
-
-    def _nearest_node(self, ts) -> np.ndarray:
-        """Index of the cached grid node nearest to each t (the lower one
-        on a tie)."""
-        j = np.clip(np.searchsorted(self._ts, ts), 1, len(self._ts) - 1)
-        lower = np.abs(self._ts[j - 1] - ts) <= np.abs(self._ts[j] - ts)
-        return j - lower
-
-    def _raw_normal(self, t: float):
-        # the rotated tangent; at a cusp, the rotated first nonvanishing
-        # Taylor coefficient of the curve, up to the ninth
-        for k in range(9):
-            if k == len(self._dmaps):
-                self._dmaps.append(self._dmaps[-1].diff(self.map.variables[0]))
-            d = np.asarray(self._dmaps[k]((t,)), dtype=float)
-            raw = np.array([-d[1], d[0]])
-            if np.linalg.norm(raw) > (_RAW_TOL if k == 0 else 1e-9):
-                return raw / np.linalg.norm(raw)
-        return None
-
-    def _raw_normals(self, ts) -> np.ndarray:
-        """Rotated unit tangents at ts, (N, 2), NaN where none exists.  The
-        derivative runs on the grid path; where it is at most the raw
-        tolerance (a cusp) or non-finite, the point goes through
-        `_raw_normal`."""
-        d = self._dmaps[0].eval_grid({self.map.variables[0]: ts})
-        raw = np.stack([-d[1], d[0]], axis=1)
-        n = np.linalg.norm(raw, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            raw /= n[:, None]
-        for i in np.flatnonzero(~(n > _RAW_TOL)):
-            nu = self._raw_normal(float(ts[i]))
-            raw[i] = np.nan if nu is None else nu
-        return raw
-
-    def _continuous_normals(self, ts) -> np.ndarray:
-        raw = self._raw_normals(ts)
-        valid = np.flatnonzero(~np.isnan(raw[:, 0]))
-        if not valid.size:
-            raise MatchError(f"no continuous normal for '{self.name}'")
-        # flip each valid node's normal to agree with the one before it
-        sign, signs = 1.0, [1.0]
-        for dot in np.sum(raw[valid[1:]] * raw[valid[:-1]], axis=1).tolist():
-            sign = -1.0 if sign * dot < 0 else 1.0
-            signs.append(sign)
-        nus = np.full((len(ts), 2), np.nan)
-        nus[valid] = raw[valid] * np.array(signs)[:, None]
-        # fill degenerate nodes from the nearest valid neighbor (the normal
-        # extends continuously through cusps)
-        for i in np.flatnonzero(np.isnan(nus[:, 0])):
-            nus[i] = nus[valid[np.argmin(np.abs(valid - i))]]
-        # anchor the global sign at the right end: there the normal agrees
-        # with the 90-degree rotation of the actual tangent
-        return -nus if signs[-1] < 0 else nus
 
 
 def legendrian_lift(obj):
@@ -334,15 +249,23 @@ class ConnectingMap:
     sign: int
     residual_image: float
     residual_normal: float
-    solver: object = field(repr=False, default=None)
+    solver: object = field(repr=False, default=None)  # X -> (psi, residuals)
+    tol: float = 1e-6
 
     def __call__(self, x):
-        """psi at one point, or at each row of an (N, d) array."""
+        """psi at one point, or at each row of an (N, d) array, polished
+        like the samples: `ResidualError` names the first point whose
+        image or normal residual exceeds the map's tol (`solver` returns
+        psi with the image and normal residuals of each row, unchecked)."""
         X = np.asarray(x, dtype=float)
-        if X.ndim == 2:
-            return self.solver(X)
         d = self.samples_in.shape[1]
-        return self.solver(np.atleast_1d(X)[:d].reshape(1, d))[0]
+        rows = X if X.ndim == 2 else np.atleast_1d(X)[:d].reshape(1, d)
+        y, im, nr = self.solver(rows)
+        for k in np.flatnonzero(~(np.maximum(im, nr) <= self.tol))[:1]:
+            raise ResidualError(
+                f"psi at {tuple(rows[k].tolist())} misses tol {self.tol:.1e} "
+                f"(image residual {im[k]:.3e}, normal residual {nr[k]:.3e})")
+        return y if X.ndim == 2 else y[0]
 
     def to_json(self) -> dict:
         return {
@@ -388,11 +311,11 @@ def _corners(n: int, dim: int) -> np.ndarray:
 
 
 def _lift_residuals(f2, F1, nu1, e: int, x):
-    """The worst image and normal residuals of psi = x against the lift
-    (F1, nu1): sup|F1 - f2(x)| and sup|nu1 - e * nu2(x)|."""
+    """The image and normal residuals of psi = x against the lift
+    (F1, nu1), per row: |F1 - f2(x)| and |nu1 - e * nu2(x)|."""
     G, mu = f2.lift_points(x)
-    return (float(np.max(np.linalg.norm(F1 - G, axis=1))),
-            float(np.max(np.linalg.norm(nu1 - e * mu, axis=1))))
+    return (np.linalg.norm(F1 - G, axis=1),
+            np.linalg.norm(nu1 - e * mu, axis=1))
 
 
 def connecting_map(f1, f2, tol: float = 1e-6,
@@ -443,7 +366,8 @@ def connecting_map(f1, f2, tol: float = 1e-6,
     tried = []
     for e, xe in zip(signs, x):
         read = ~np.isnan(xe[:, 0])
-        res = _lift_residuals(f2, F1[read], nu1[read], e, xe[read])
+        res = tuple(float(np.max(r)) for r in
+                    _lift_residuals(f2, F1[read], nu1[read], e, xe[read]))
         tried.append((max(res), e, xe if read.all() else None) + res)
     score, e, x, res_im, res_nu = min(tried, key=lambda t: t[0])
     if score > tol:
@@ -460,10 +384,11 @@ def connecting_map(f1, f2, tol: float = 1e-6,
 
     def solver(X):
         F, nu = f1.lift_points(X)
-        return _polish(lift2, np.hstack([F, e * nu])[None], tree, xs2, D2,
-                       iters=40)[0][0]
+        y = _polish(lift2, np.hstack([F, e * nu])[None], tree, xs2, D2,
+                    iters=40)[0][0]
+        return (y,) + _lift_residuals(f2, F, nu, e, y)
 
-    return ConnectingMap(qs, x, e, res_im, res_nu, solver)
+    return ConnectingMap(qs, x, e, res_im, res_nu, solver, tol)
 
 
 def _check_lift_injective(xs, tree, domain):

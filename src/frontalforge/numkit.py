@@ -1,8 +1,9 @@
 """Numerical kernels: truncated Taylor jets and a damped Gauss-Newton solver.
 
-Jets are truncated multivariate Taylor expansions (order <= 3, at most two
-variables in practice), taken exactly by forward propagation on the
-expression tape in `MapDef.eval_jet`.
+Jets are truncated multivariate Taylor expansions of any order (at most
+two variables in practice), taken exactly by forward propagation on the
+expression tape in `MapDef.eval_jet`, with a derivative rule of any order
+for each function.
 """
 from __future__ import annotations
 
@@ -181,13 +182,13 @@ class Series:
     def compose(self, derivs) -> "Series":
         """Apply a univariate function given its derivatives at each
         point's constant term: derivs[k] is the k-th derivative, a float
-        or one value per point; those past the series order go unused."""
+        or one value per point, for k = 0 to at least the series order."""
         n = self._new(self.c.copy())
         n.c[0] = 0.0
         c = np.zeros_like(self.c)
         c[0] = derivs[0]
         term, fact = n, 1.0
-        for k in range(1, min(len(derivs), self.order + 1)):
+        for k in range(1, self.order + 1):
             if k > 1:
                 term = term * n
             fact *= k
@@ -246,37 +247,52 @@ class Series:
         # a point at zero without a nilpotent part has the square root 0
         x0 = np.where(zero, 1.0, x0)
         r = np.sqrt(x0)
-        out = self.compose([r, 0.5 / r, -0.25 / (x0 * r), 0.375 / (x0 * x0 * r)])
+        # the k-th derivative is (1/2)(1/2 - 1)...(1/2 - k + 1) r / x0^k
+        out = self.compose([r] + [
+            math.prod(0.5 - i for i in range(k)) / (x0 ** (k - 1) * r)
+            for k in range(1, self.order + 1)])
         out.c[:, zero] = 0.0
         return out
 
     def exp(self):
-        return self.compose([np.exp(self.const)] * 4)
+        return self.compose([np.exp(self.const)] * (self.order + 1))
 
     def log(self):
         x0 = self.const
         if (x0 <= 0.0).any():
             raise DomainViolation("log of a nonpositive quantity")
-        return self.compose([np.log(x0), 1.0 / x0, -1.0 / x0 ** 2, 2.0 / x0 ** 3])
+        return self.compose([np.log(x0)] + [
+            (-1) ** (k - 1) * math.factorial(k - 1) / x0 ** k
+            for k in range(1, self.order + 1)])
 
     def sin(self):
         s, c = np.sin(self.const), np.cos(self.const)
-        return self.compose([s, c, -s, -c])
+        return self.compose([s, c, -s, -c] * (self.order // 4 + 1))
 
     def cos(self):
         s, c = np.sin(self.const), np.cos(self.const)
-        return self.compose([c, -s, -c, s])
+        return self.compose([c, -s, -c, s] * (self.order // 4 + 1))
 
     def tan(self):
+        # the k-th derivative is P_k(t), P_0 = t, P_k = (1 + t^2) P_(k-1)',
+        # each P_k a list of integer coefficients, lowest first
         t = np.tan(self.const)
-        u = 1.0 + t * t
-        return self.compose([t, u, 2 * t * u, u * (2 + 6 * t * t)])
+        d, p = [t], [0, 1]
+        for _ in range(self.order):
+            p = [i * c for i, c in enumerate(p)][1:]
+            y = p[-1]  # Horner's rule
+            for c in p[-2::-1]:
+                y = y * t + c
+            d.append((1.0 + t * t) * y)
+            p = [a + b for a, b in zip(p + [0, 0], [0, 0] + p)]
+        return self.compose(d)
 
     def atan(self):
+        # the k-th derivative is (-1)^(k-1) (k-1)! Im (x - i)^(-k)
         x0 = self.const
-        q = 1.0 + x0 * x0
-        return self.compose([np.arctan(x0), 1.0 / q, -2.0 * x0 / q ** 2,
-                             (6 * x0 * x0 - 2) / q ** 3])
+        return self.compose([np.arctan(x0)] + [
+            (-1) ** (k - 1) * math.factorial(k - 1) * ((x0 - 1j) ** -k).imag
+            for k in range(1, self.order + 1)])
 
 
 class Jet:

@@ -347,7 +347,7 @@ def verify_c2(germ: SurfaceGerm, finding: SymmetryFinding,
         return report
     psi = connecting_involution(germ, T, tol=max(tol, 1e-6))["psi"]
     q = np.array(locus.pairs)[:, 0]
-    y = psi(q)
+    y = psi.solver(q)[0]  # a wrong-sheet landing is scored, not raised
     cell = max(d.length for d in germ.domain) / 64.0
     ims = locus.images
     worst_fix = float(np.max(np.linalg.norm(T(ims) - ims, axis=1)))

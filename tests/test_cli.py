@@ -206,6 +206,20 @@ def test_match_subcommand(capsys, monkeypatch, tmp_path):
     assert rep["files"] == [] and not any(tmp_path.iterdir())
 
 
+def test_match_past_a_ninth_order_cusp(capsys):
+    # f1 = (t^10, t^15) has no derivative below the tenth at its cusp, so
+    # the normal there is its nearest node's; every sample of psi = t^5
+    # comes out exact
+    code, rep, _ = run(capsys, "match", "--f1", "t^10,t^15",
+                       "--f2", "t^2,t^3")
+    assert code == 0
+    samples = rep["results"]["samples"]
+    t = np.array([s["x"][0] for s in samples])
+    np.testing.assert_allclose([s["psi"][0] for s in samples], t ** 5,
+                               rtol=0, atol=1e-12)
+    assert rep["results"]["residual_normal"] < 1e-12
+
+
 def test_proper_subcommand(capsys):
     code, rep, _ = run(capsys, "proper", "--map", "x*sin(1/x)",
                        "--at", "0.0")

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from frontalforge import germ as germ_module
+from frontalforge.exprlang import MapDef
 from frontalforge.germ import (DegenerateSingularity, NormalField,
                                NotAFrontal, NotSingular, SurfaceGerm,
                                _lambda_gradient, area_density, catalog,
                                distinguished_frame,
-                               limiting_normal_curvature, normal_field,
-                               singular_curve)
+                               limiting_normal_curvature, singular_curve)
 
 
 def test_catalog_names_resolve():
@@ -28,7 +28,7 @@ def test_germ_rejects_a_map_that_is_not_an_expression():
 
 def test_cuspidal_edge_normal_and_density():
     g = catalog("cuspidal_edge")
-    nu = normal_field(g)
+    nu = g.normal_field
     # unnormalized normal is (-3v, 2, 0)
     assert np.allclose(nu((0.0, 0.0)), [0.0, 1.0, 0.0], atol=1e-12)
     got = nu((0.0, 1.0))
@@ -42,7 +42,7 @@ def test_cuspidal_edge_normal_and_density():
 def test_cross_cap_is_not_frontal():
     g = catalog("cross_cap")
     with pytest.raises(NotAFrontal):
-        normal_field(g)((0.0, 0.0))
+        g.normal_field((0.0, 0.0))
 
 
 def test_singular_curve_of_edge_is_v_axis():
@@ -122,7 +122,7 @@ def test_distinguished_frame_rejects_regular_point():
 
 def test_sw_example_normal_and_singular_set():
     g = catalog("sw_example", b=1.0, c=1.0)
-    nu = normal_field(g)
+    nu = g.normal_field
     assert np.allclose(np.abs(nu((0.0, 0.0))), [0.0, 0.0, 1.0], atol=1e-12)
     comps = singular_curve(g)
     flat = [s for c in comps for s in c.samples]
@@ -138,7 +138,7 @@ def test_ms_edge_requires_nonzero_b3():
 def test_normal_field_orthogonal_to_partials():
     for name in ("swallowtail", "cuspidal_cross_cap", "ccr_example"):
         g = catalog(name)
-        nu = normal_field(g)
+        nu = g.normal_field
         for p in ((0.3, 0.2), (-0.4, 0.1), (0.0, 0.0)):
             j = g.jet(p, 1)
             n = nu(p)
@@ -155,8 +155,8 @@ def bare_cuspidal_edge():
 
 def test_generic_normal_has_one_global_sign():
     # f_u x f_v = v (-3v, 2, 0) flips with v; the oriented normal does not
-    bare = normal_field(bare_cuspidal_edge())
-    exact = normal_field(catalog("cuspidal_edge"))
+    bare = bare_cuspidal_edge().normal_field
+    exact = catalog("cuspidal_edge").normal_field
     X = np.array([(u, v) for u in (-0.5, 0.3)
                   for v in (-0.5, -1e-3, 0.0, 1e-3, 0.5)])
     for got in (np.array([bare(tuple(x)) for x in X]), bare.points(X)):
@@ -166,7 +166,7 @@ def test_generic_normal_has_one_global_sign():
 
 
 def test_generic_normal_points_match_per_point(monkeypatch):
-    nf = normal_field(bare_cuspidal_edge())
+    nf = bare_cuspidal_edge().normal_field
     U, V = np.meshgrid(np.linspace(-1, 1, 9), np.linspace(-1, 1, 9),
                        indexing="ij")
     X = np.column_stack([U.ravel(), V.ravel()])
@@ -221,8 +221,8 @@ def test_generic_normal_is_exact_on_the_singular_curve(name):
     # a bare copy has no analytic normal, so its normal is the limit of
     # f_u x f_v; it is oriented at the base point, the analytic one is not
     g = catalog(name)
-    exact, bare = normal_field(g), normal_field(
-        SurfaceGerm(g.map, g.domain, name="bare_" + name))
+    exact = g.normal_field
+    bare = SurfaceGerm(g.map, g.domain, name="bare_" + name).normal_field
     sign = np.sign(exact(g.base) @ bare(g.base))
     lam = area_density(g)
     for s in np.linspace(-0.4, 0.4, 9):
@@ -233,7 +233,7 @@ def test_generic_normal_is_exact_on_the_singular_curve(name):
 
 
 def test_singular_normal_takes_one_order_3_jet(monkeypatch):
-    nf = normal_field(bare_cuspidal_edge())
+    nf = bare_cuspidal_edge().normal_field
     orders = []
     jet = SurfaceGerm.jet
 
@@ -262,5 +262,91 @@ def test_germ_builds_one_normal_field(monkeypatch):
     area_density(g)((0.0, 0.5))
     limiting_normal_curvature(g)
     distinguished_frame(g)
-    assert normal_field(g) is g.normal_field
     assert built == [g]
+
+
+# a cuspidal edge along the unit circle, f = ((1 + v^3) cos u,
+# (1 + v^3) sin u, v^2), whose normal turns by more than 90 degrees
+# along u: f_u x f_v = v (1 + v^3) (2 cos u, 2 sin u, -3 v)
+RING = ("(1 + v^3)*cos(u)", "(1 + v^3)*sin(u)", "v^2")
+RING_NORMAL = ("2*cos(u)", "2*sin(u)", "-3*v")
+
+
+def ring(shift, analytic, domain=((-2.0, 2.0), (-0.5, 0.5))):
+    def at(comps):
+        return MapDef("ring", ("u", "v"),
+                      [c.replace("u", f"(u + {shift})") for c in comps])
+    return SurfaceGerm(at(RING), domain, name="ring",
+                       normal_map=at(RING_NORMAL) if analytic else None)
+
+
+@pytest.mark.parametrize("analytic", [True, False])
+def test_ring_pair_recovers_the_shift(analytic):
+    # f o (u + 0.3, v) against f: the bare normal is continued along u,
+    # so it does not flip where it turns past 90 degrees from its base
+    # value, and the pair is right equivalent with or without the
+    # analytic normals
+    from frontalforge.match import connecting_map
+    f1 = ring(0.3, analytic, ((-2.2, 1.6), (-0.5, 0.5)))
+    cm = connecting_map(f1, ring(0.0, analytic))
+    assert cm.sign == 1
+    np.testing.assert_allclose(cm.samples_out, cm.samples_in + (0.3, 0.0),
+                               rtol=0, atol=1e-12)
+    bare = ring(0.0, False).normal_field
+    X = np.array([(u, v) for u in (-2.0, -1.0, 0.0, 1.5, 2.0)
+                  for v in (-0.3, 0.0, 0.2)])
+    np.testing.assert_allclose(bare.points(X),
+                               ring(0.0, True).normal_field.points(X),
+                               rtol=0, atol=1e-14)
+
+
+def test_bare_ring_singular_curve_matches_the_analytic_one():
+    counts = [sum(len(c.samples) for c in singular_curve(ring(0.0, a)))
+              for a in (True, False)]
+    assert counts[0] == counts[1] == 256
+
+
+def test_normal_of_a_flat_frontal_comes_from_a_higher_order():
+    # (u, v^4, v^6): f_u x f_v = v^3 (0, -6 v^2, 4) vanishes to order 3
+    # on v = 0, past what an order-3 jet shows
+    g = SurfaceGerm(MapDef("flat", ("u", "v"), ["u", "v^4", "v^6"]),
+                    ((-1, 1), (-1, 1)))
+    nu = g.normal_field
+    np.testing.assert_array_equal(nu((0.0, 0.0)), [0.0, 0.0, 1.0])
+    np.testing.assert_allclose(nu((0.3, 0.5)),
+                               np.array([0.0, -1.5, 4.0]) / math.sqrt(18.25),
+                               rtol=0, atol=1e-15)
+
+
+def test_cross_cap_normal_has_no_limit_at_its_singular_point():
+    # no node of the grid is the singular point (0, 0): the normal turns
+    # once around it, so the signs close around every cell, but its
+    # directional limits there disagree
+    g = catalog("cross_cap")
+    g = SurfaceGerm(g.map, ((-1, 1.1), (-1, 1.1)), base=(0.5, 0.5))
+    nu = g.normal_field
+    with pytest.raises(NotAFrontal, match="directional limits disagree"):
+        nu((0.0, 0.0))
+
+
+def test_normal_turning_fast_between_nodes_keeps_its_sign():
+    # (u, v, cos 20u): f_u x f_v = (20 sin 20u, 0, 1) turns by up to 160
+    # degrees between nodes 1/32 apart
+    g = SurfaceGerm(MapDef("wavy", ("u", "v"), ["u", "v", "cos(20*u)"]),
+                    ((-1, 1), (-1, 1)))
+    X = np.vstack([np.random.default_rng(3).uniform(-1, 1, (2000, 2)),
+                   np.column_stack([np.linspace(-1, 1, 4001), np.zeros(4001)])])
+    s = 20.0 * np.sin(20.0 * X[:, 0])
+    exact = np.column_stack([s, 0.0 * s, np.ones_like(s)])
+    np.testing.assert_allclose(g.normal_field.points(X),
+                               exact / np.linalg.norm(exact, axis=1)[:, None],
+                               rtol=0, atol=1e-14)
+
+
+def test_normal_turning_faster_than_the_grid_resolves_raises():
+    # (u, v, cos 2000u) turns by more than 30 degrees within 1/64 of a
+    # grid edge: no sign is guessed
+    g = SurfaceGerm(MapDef("rough", ("u", "v"), ["u", "v", "cos(2000*u)"]),
+                    ((-1, 1), (-1, 1)))
+    with pytest.raises(NotAFrontal, match="turns by more than 30 degrees"):
+        g.normal_field

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from closest_reference import one_point_closest
+from plane_normal_reference import DiffChainNormal
 from frontalforge.exprlang import MapDef
 from frontalforge.germ import catalog
 from frontalforge.match import (ConnectingMap, LiftInjectivityError,
@@ -238,6 +239,17 @@ def test_probe_rejects_bad_windows(kwargs):
     assert calls == []
 
 
+def test_psi_call_names_the_point_it_misses(cusp):
+    from frontalforge.match import ResidualError
+    psi = connecting_map(plane("slow", ("t^6", "t^9")), cusp)
+    np.testing.assert_allclose(psi(np.array([[0.5], [-0.2]]))[:, 0],
+                               [0.125, -0.008], rtol=0, atol=1e-12)
+    # f1(1.2) lies off the image of f2 on [-1, 1]
+    with pytest.raises(ResidualError, match=r"psi at \(1\.2,\) misses tol "
+                                            r"1\.0e-06 \(image residual"):
+        psi(np.array([[0.5], [1.2]]))
+
+
 def test_sample_grid_is_an_array():
     from frontalforge.match import _sample_grid
     line = _sample_grid((Interval(-1.0, 1.0),), 5)
@@ -251,17 +263,6 @@ def test_sample_grid_is_an_array():
 
 
 # ------------------------------------------------------------- batched lifts
-
-def scalar_plane_normal(pm, t):
-    """The per-point PlaneMap normal the batched lift replaces: the jet's
-    rotated tangent (or the cusp fallback), aligned with the nearest
-    cached node found by a full distance scan."""
-    i = int(np.argmin(np.abs(pm._ts - t)))
-    nu = pm._raw_normal(float(t))
-    if nu is None:
-        return pm._nus[i].copy()
-    return -nu if nu @ pm._nus[i] < 0 else nu
-
 
 def involution_germ(name, diag):
     from frontalforge.geom import Isometry
@@ -303,42 +304,47 @@ def test_lift_points_match_per_point_lift(make):
                                atol=1e-15)
 
 
+def chain_agreement(pm, ref, ts):
+    """The field's lift normals at ts against the derivative chain: equal
+    to the last place where the chain reads c' itself.  Where it takes a
+    later derivative at a cusp, that derivative's direction is only near
+    the normal, and the field gives the rotated c' exactly, with the
+    chain's sign; at a zero of c' both take a limit or a node's normal."""
+    _, nu = pm.lift_points(ts)
+    want = np.array([ref(t) for t in ts])
+    chain = np.array([ref.cusp_rule(t) for t in ts])
+    np.testing.assert_allclose(nu[~chain], want[~chain], rtol=0, atol=1e-15)
+    d = np.array([ref.dmaps[0]((float(t),)) for t in ts[chain]])
+    rot = np.column_stack([-d[:, 1], d[:, 0]])
+    n = np.linalg.norm(rot, axis=1)
+    exact = np.where(n[:, None] > 0, rot / np.where(n > 0, n, 1.0)[:, None],
+                     want[chain])
+    exact *= np.sign(np.sum(exact * want[chain], axis=1))[:, None]
+    np.testing.assert_allclose(nu[chain], exact, rtol=0, atol=1e-11)
+    np.testing.assert_allclose(nu[chain][n > 0], exact[n > 0], rtol=0,
+                               atol=1e-15)
+
+
 @pytest.mark.parametrize("comps", [("t^2", "t^3"), ("t^6", "t^9"),
                                    ("t^2", "t^3 + 0.2*t^4")])
 def test_plane_lift_points_match_per_point_normal(comps):
     pm = plane("pm", comps)
+    ref = DiffChainNormal(pm.map, pm.domain)
     ts = np.concatenate([[0.0, -1.0, 1.0, 1e-9],
                          np.random.default_rng(5).uniform(-1, 1, 60),
-                         pm._ts[::37], 0.5 * (pm._ts[:-1] + pm._ts[1:])[::41]])
+                         ref.ts[::37], 0.5 * (ref.ts[:-1] + ref.ts[1:])[::41]])
     F, nu = pm.lift_points(ts)
     lift = legendrian_lift(pm)
     samples = [lift(t) for t in ts]
     assert np.array_equal(F, [s.fx for s in samples])
     assert np.array_equal(nu, [s.nu for s in samples])
     np.testing.assert_allclose(F, [pm(t) for t in ts], rtol=0, atol=1e-15)
-    np.testing.assert_allclose(nu, [scalar_plane_normal(pm, t) for t in ts],
-                               rtol=0, atol=1e-15)
-    # the cusp fallback at t = 0 gives the upward normal
+    chain_agreement(pm, ref, ts)
+    # the limit at the cusp t = 0 gives the upward normal
     assert np.allclose(nu[0], (0.0, 1.0), atol=1e-15)
 
 
-class FreshDerivativePlaneMap(PlaneMap):
-    """A PlaneMap whose cusp normal derives its map again at every call,
-    as it did before the derivative chain was kept on the map."""
-
-    def _raw_normal(self, t):
-        dm = self._dmaps[0]
-        for k in range(9):
-            if k:
-                dm = dm.diff(self.map.variables[0])
-            d = np.asarray(dm((t,)), dtype=float)
-            raw = np.array([-d[1], d[0]])
-            if np.linalg.norm(raw) > (1e-12 if k == 0 else 1e-9):
-                return raw / np.linalg.norm(raw)
-        return None
-
-
-def test_plane_map_derives_each_order_once(monkeypatch):
+def test_plane_map_derives_only_c_prime(monkeypatch):
     derived = []
     diff = MapDef.diff
 
@@ -351,24 +357,22 @@ def test_plane_map_derives_each_order_once(monkeypatch):
     ts = np.array([0.0, -0.5, 0.0, 0.25])
     pm.lift_points(ts)
     pm.lift_points(ts)
-    # the cusp at t = 0 needs every order up to the ninth, once each
-    assert len(derived) == 9
-    assert len(set(derived)) == len(derived)
+    # a cusp takes its limit from jets, and the one at t = 0, which has
+    # none below the tenth order, its nearest node's normal
+    assert derived == ["flat"]
 
 
 @pytest.mark.parametrize("psi", ["(0.7*t)", "(-0.6*t)", "(t+0.2*t^3)",
                                  "(t^3)", "(t^5)"])
 @pytest.mark.parametrize("m", [3, 5])
 def test_plane_lifts_equal_fresh_derivations(psi, m):
-    # the benchmark's plane pairs: f2 = (t^2, t^m), f1 = f2 o psi
+    # the benchmark's plane pairs: f2 = (t^2, t^m), f1 = f2 o psi; the
+    # oriented nodes and the lifts agree with the derivative chain
     for comps in ((f"{psi}^2", f"{psi}^{m}"), ("t^2", f"t^{m}")):
-        md = MapDef("f", ("t",), comps, {})
-        kept = PlaneMap(md, Interval(-1.0, 1.0))
-        fresh = FreshDerivativePlaneMap(md, Interval(-1.0, 1.0))
-        assert np.array_equal(kept._nus, fresh._nus)
-        ts = np.concatenate([Interval(-1.0, 1.0).grid(64), [0.0]])
-        for a, b in zip(kept.lift_points(ts), fresh.lift_points(ts)):
-            assert np.array_equal(a, b)
+        pm = plane("f", comps)
+        ref = DiffChainNormal(pm.map, pm.domain)
+        chain_agreement(pm, ref, ref.ts)
+        chain_agreement(pm, ref, np.concatenate([pm.domain.grid(64), [0.0]]))
 
 
 def one_point_polish(lift, domain, target, e, x0, iters=40):
