@@ -406,6 +406,9 @@ def _visit(e, c: _Compilation) -> int:
             i = c.slots.setdefault(e.name, len(c.slots))
             c.first_use[i] = len(c.code)
             t = c.intern(key, 0, i)
+    elif (isinstance(e, Bin) and e.op == "^" and isinstance(e.right, Num)
+          and float(e.right.value).is_integer() and e.right.value >= 2):
+        t = _visit_power(e, c)  # an integer numeral exponent
     else:
         if isinstance(e, Bin):
             key = (e.op, _visit(e.left, c), _visit(e.right, c))
@@ -418,12 +421,33 @@ def _visit(e, c: _Compilation) -> int:
             key = (e.fn, _visit(e.arg, c), -1)
         else:
             raise TypeError(f"not an expression node: {e!r}")
-        t = c.by_key.get(key)
-        if t is None:
-            t = c.intern(key, 2, len(c.code))
-            c.code.append(key)
-            c.nodes.append(e)
+        t = _instruction(key, e, c)
     c.by_id[id(e)] = t
+    return t
+
+
+def _visit_power(e, c: _Compilation) -> int:
+    """The temporary holding the integer power e, compiled to products by
+    repeated squaring in the order of `Series.__pow__`, so the float, grid
+    and Series paths multiply alike; each product keeps e as its node."""
+    base, n, out = _visit(e.left, c), int(e.right.value), None
+    while True:
+        if n & 1:
+            out = base if out is None else _instruction(("*", base, out), e, c)
+        n >>= 1
+        if not n:
+            return out
+        base = _instruction(("*", base, base), e, c)
+
+
+def _instruction(key, e, c: _Compilation) -> int:
+    """The temporary of the instruction `key`, appended with node e
+    unless a structurally equal one exists."""
+    t = c.by_key.get(key)
+    if t is None:
+        t = c.intern(key, 2, len(c.code))
+        c.code.append(key)
+        c.nodes.append(e)
     return t
 
 
@@ -437,7 +461,9 @@ class Tape:
     register: an operation is keyed by its op and argument registers, a
     number by its type, value and sign, so -0.0 and 0.0 stay apart.  An
     identifier is an input when `names` lists it, else the constant pi or e,
-    else an unbound input appended to `names`.
+    else an unbound input appended to `names`.  A power whose exponent is
+    an integer numeral n >= 2 compiles to products (`_visit_power`), so
+    every path evaluates it alike; each product has the power as its node.
     """
 
     def __init__(self, exprs, names=()):

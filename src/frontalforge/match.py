@@ -148,9 +148,10 @@ def _polish(fn, targets, tree, xs, domain, iters: int, corner=None,
     normal parts each by tol (together at most sqrt(2) tol).  The group's
     corner targets read their nearest sample and its distance, its other
     targets x NaN and residual inf.  Every kept group is polished whole,
-    in one solver call; solver rows evolve independently, so each target
-    ends as in a solve of its own.  When every group is dropped, the
-    solver gets no row."""
+    in one solver call that holds each target once with its seeds as a
+    group: they stop together once one of them reaches the target's
+    rounding floor.  When every group is dropped, the solver gets no
+    row."""
     G, n, m = targets.shape
     k = min(4, tree.n)
     corner = np.zeros(n, dtype=bool) if corner is None else corner
@@ -171,9 +172,8 @@ def _polish(fn, targets, tree, xs, domain, iters: int, corner=None,
     out_x[gone], out_res[gone] = xs[idx[gone, 0]], dist[gone, 0]
     lo = np.array([d.lo for d in domain])
     hi = np.array([d.hi for d in domain])
-    x, res, _ = damped_gauss_newton(
-        fn, np.repeat(targets[keep].reshape(-1, m), k, axis=0),
-        xs[idx[keep].reshape(-1)], lo, hi, iters)
+    x, res, _ = damped_gauss_newton(fn, targets[keep].reshape(-1, m),
+                                    xs[idx[keep].reshape(-1)], lo, hi, iters)
     x, res = _best_seeds(x, res, k)
     out_x[keep] = x.reshape(-1, n, len(domain))
     out_res[keep] = res.reshape(-1, n)

@@ -327,7 +327,8 @@ class Jet:
 def damped_gauss_newton(fn, target, x0, lo, hi, iters: int, h: float = 1e-6):
     """Damped Gauss-Newton (Levenberg-Marquardt) minimization of
     |fn(x) - target| for every row of x0 at once, clamped to the box
-    [lo, hi].
+    [lo, hi].  `target` holds one row per row of x0, or one per group of
+    k consecutive rows of x0 (k starts of one target).
 
     `fn` maps a (K, d) array of points to their (K, m) values; each call
     evaluates a set of rows together with their central-difference shifts
@@ -342,24 +343,26 @@ def damped_gauss_newton(fn, target, x0, lo, hi, iters: int, h: float = 1e-6):
     - when its normal equations are singular;
     - when its step (before clamping) no longer changes x in any
       coordinate: more damping would only shorten that step;
-    - once its best residual is at most 4 eps max(1, |target row|_inf):
-      below that floor |fn(x) - target| is rounding error, which no step
-      can improve.
+    - once the best residual of a row of its group is at most
+      4 eps max(1, |target row|_inf): below that floor |fn(x) - target|
+      is rounding error, which no step of any start can improve.
 
-    Rows evolve independently: each one ends as it would in a call of
-    its own.  Returns (x, residual, iterations): per row the best point,
-    |fn(x) - target| there, and the steps taken; on no rows, three empty
-    arrays, without a call of fn.
+    Until then the rows of a group evolve independently, each as in a
+    call of its own.  Returns (x, residual, iterations): per row of x0
+    the best point, |fn(x) - target| there, and the steps taken; on no
+    rows, three empty arrays, without a call of fn.
     """
     x = np.array(x0, dtype=float)
     if not len(x):
         return x, np.zeros(0), np.zeros(0, dtype=int)
+    n, d = x.shape
     target = np.asarray(target, dtype=float)
+    k = n // len(target)
+    floor = 4 * EPS * np.maximum(1.0, np.max(np.abs(target), axis=1))
+    target = np.repeat(target, k, axis=0)
     y, J = _values_and_jacobian(fn, x, h)
     r = y - target
     best = np.linalg.norm(r, axis=1)
-    floor = 4 * EPS * np.maximum(1.0, np.max(np.abs(target), axis=1))
-    n, d = x.shape
     lam = np.full(n, 1e-8)
     steps = np.zeros(n, dtype=int)
     live = np.arange(n)
@@ -384,8 +387,10 @@ def damped_gauss_newton(fn, target, x0, lo, hi, iters: int, h: float = 1e-6):
         lam[up] = np.maximum(lam[up] * 0.3, 1e-12)
         lam[live[~better]] *= 10.0
         moved = (xl + step != xl).any(axis=1)
+        reached = (best.reshape(-1, k) <= floor[:, None]).any(axis=1)
+        g = live // k  # best > floor also stops a row whose residual is NaN
         live = live[ok & moved & (better | (lam[live] <= 1e6))
-                    & (best[live] > floor[live])]
+                    & (best[live] > floor[g]) & ~reached[g]]
     return x, best, steps
 
 

@@ -311,9 +311,7 @@ def self_intersections(germ: SurfaceGerm,
                               return_index=True)[1])
     q, qp = q[first], qp[first]
     pairs = list(zip(map(tuple, q.tolist()), map(tuple, qp.tolist())))
-    # the float path, point by point: the grid path can differ in the last
-    # bit (sw_example), and the images are reported
-    images = np.array([germ(a) for a, _ in pairs]).reshape(-1, 3)
+    images = germ.points(q).reshape(-1, 3)
     if len(images) > 1:
         # order into a polyline along the dominant image direction, with
         # the axis's sign fixed (largest-magnitude component positive) so

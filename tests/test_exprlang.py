@@ -184,6 +184,9 @@ def ref_evaluate(e, b):
                 if r == 0.0:
                     raise DomainViolation("division by zero")
                 return l / r
+            n = _integer_exponent(e)
+            if n:
+                return ref_power(l, n)
             if isinstance(l, Series):
                 return l ** r
             if isinstance(r, Series):
@@ -227,8 +230,33 @@ def ref_grid(e, arrays):
             return l - r
         if e.op == "*":
             return l * r
-        return np.divide(l, r) if e.op == "/" else np.power(l, r)
+        if e.op == "/":
+            return np.divide(l, r)
+        n = _integer_exponent(e)
+        return ref_power(l, n) if n else np.power(l, r)
     return _NP[e.fn](ref_grid(e.arg, arrays))
+
+
+def _integer_exponent(e):
+    """n when e is a power whose exponent is an integer numeral n >= 2,
+    else 0."""
+    r = e.right
+    if isinstance(r, ex.Num) and float(r.value).is_integer() and r.value >= 2:
+        return int(r.value)
+    return 0
+
+
+def ref_power(base, n: int):
+    """base^n as products, by repeated squaring in the order of
+    `Series.__pow__`, the rule of the tape for integer numeral exponents."""
+    out = None
+    while True:
+        if n & 1:
+            out = base if out is None else base * out
+        n >>= 1
+        if not n:
+            return out
+        base = base * base
 
 
 def _outcome(fn, *args):
@@ -516,3 +544,46 @@ def test_normal_form_maps_stay_small():
         assert len(m.tape) <= 1000, m
         # diff and subs keep shared nodes shared instead of copying trees
         assert _distinct_nodes(m.components) <= 10 * len(m.tape), m
+
+
+def test_integer_powers_agree_on_every_path():
+    # an integer numeral exponent compiles to products, which the float,
+    # grid and Series paths all round alike (np.power and ** did not:
+    # v^3 differed in the last bit on 56 of these points)
+    from frontalforge.germ import catalog
+    rng = np.random.default_rng(3)
+    v = rng.uniform(-0.5, 0.5, 2000)
+    for src in ("v^2", "v^3", "v^4"):
+        m = ex.MapDef("m", ("v",), [src])
+        grid = m.eval_grid({"v": v})[0]
+        floats = np.array([m((x,))[0] for x in v])
+        jet = m.eval_jet(v[:, None], 2).value[:, 0]
+        assert grid.tobytes() == floats.tobytes() == jet.tobytes(), src
+    germ = catalog("sw_example")
+    X = rng.uniform(-0.5, 0.5, (2000, 2))
+    grid = germ.points(X)
+    assert grid.tobytes() == np.array([germ(x) for x in X]).tobytes()
+    # the jet path divides a series by a number through its reciprocal,
+    # so only the components whose divisors are powers of two agree
+    jet = germ.map.eval_jet(X, 2).value
+    assert grid[:, [0, 2]].tobytes() == jet[:, [0, 2]].tobytes()
+
+
+def test_catalog_tapes_hold_no_integer_power():
+    from frontalforge.germ import CATALOG_NAMES, catalog
+    pow_fn = ex._SCALAR_OPS["^"]
+    for name in CATALOG_NAMES:
+        germ = catalog(name)
+        # cross_cap has no analytic normal
+        for m in filter(None, (germ.map, germ.normal_map, *germ._partials)):
+            powers = [node for (fn, _, _), node in zip(m.tape.scalar,
+                                                        m.tape.nodes)
+                      if fn is pow_fn]
+            assert not [p for p in powers if _integer_exponent(p)], (name, m)
+
+
+def test_integer_power_overflow_gives_inf():
+    # as u*u does, where Python's ** raised OverflowError
+    m = ex.MapDef("m", ("u",), ["u^2", "u^3"])
+    assert m((1e200,)).tolist() == [np.inf, np.inf]
+    assert ex.evaluate(ex.parse("u^2"), {"u": 1e200}) == np.inf

@@ -466,8 +466,14 @@ def test_closest_point_rows_match_one_point_solver():
     for k in range(10):
         ref_res, ref_x = one_point_closest(germ, germ.domain, targets[k],
                                            seeds[k])
-        np.testing.assert_allclose(x[k], ref_x, rtol=0, atol=1e-12)
         assert res[k] == pytest.approx(ref_res, rel=1e-12, abs=1e-15)
+        # a seed stranded on another sheet ends at a minimum with residual
+        # r > 0, where |f(x) - target| moves only by O(|dx|^2 / r): rows 3
+        # and 4 end at 0.168 and 0.049, and x there is fixed only to about
+        # sqrt(eps r), so the two sums of rounding errors land up to 1e-9
+        # apart on the same residual (as in the lift test above)
+        if ref_res < 1e-10:
+            np.testing.assert_allclose(x[k], ref_x, rtol=0, atol=1e-12)
 
 
 def test_grid_domain_error_raises_scalar_error():

@@ -200,6 +200,46 @@ def test_damped_gauss_newton_on_no_rows():
     assert calls == []
 
 
+def test_damped_gauss_newton_groups_leave_at_their_first_floor():
+    # one target row per group of k = 4 starts: a group leaves the solve
+    # after the step at which one of its rows is at the target's rounding
+    # floor; until then each row runs as in a solve with a target row of
+    # its own, so a group equals that solve cut at that step, and a group
+    # that never reaches its floor equals it whole
+    from frontalforge.numkit import EPS, damped_gauss_newton
+    rng = np.random.default_rng(5)
+    k, lo, hi = 4, np.full(2, -1.0), np.full(2, 1.0)
+    solutions = rng.uniform(-0.8, 0.8, (6, 2))
+    target = _curved(solutions)
+    target[4:] += rng.normal(0, 0.3, (2, 3))  # off the image
+    x0 = rng.uniform(-0.8, 0.8, (6 * k, 2))
+    x0[1] = solutions[0]  # the second start of group 0 is its solution
+    x, res, steps = damped_gauss_newton(_curved, target, x0, lo, hi, 30)
+    alone = damped_gauss_newton(_curved, np.repeat(target, k, axis=0), x0,
+                                lo, hi, 30)
+    floor = 4 * EPS * np.maximum(1.0, np.abs(target).max(axis=1))
+
+    # the start on the solution stops its siblings after the first step
+    assert res[1] == 0.0 and steps[:k].tolist() == [1] * k
+    assert np.all(alone[2][[0, 2, 3]] > 1)
+    for g in range(6):
+        rows = slice(g * k, (g + 1) * k)
+        hit = alone[1][rows] <= floor[g]
+        assert hit.any() == (g < 4)
+        cut = alone[2][rows][hit].min() if hit.any() else 30
+        ref = damped_gauss_newton(_curved, np.repeat(target[g:g + 1], k,
+                                                     axis=0),
+                                  x0[rows], lo, hi, int(cut))
+        assert np.array_equal(x[rows], ref[0])
+        assert np.array_equal(res[rows], ref[1])
+        assert np.array_equal(steps[rows], ref[2])
+    # groups 4 and 5 match the solves with a target row per start exactly
+    assert np.array_equal(x[4 * k:], alone[0][4 * k:])
+    assert np.array_equal(res[4 * k:], alone[1][4 * k:])
+    assert np.array_equal(steps[4 * k:], alone[2][4 * k:])
+    assert steps.sum() < alone[2].sum()
+
+
 def _curved(X):
     u, v = X[:, 0], X[:, 1]
     return np.stack([u * u - v, np.sin(3 * u) * v, np.exp(0.5 * v) + u * v],
