@@ -109,13 +109,14 @@ class NormalField:
 
     An analytic normal, when the frontal has one, is normalized as it is.
     Otherwise the raw normal, the rotated c' of a curve or f_u x f_v of a
-    surface, is normalized (`_unit`), or replaced by its limit where it
-    vanishes (`_limit`), and takes the sign of its continuation from the
-    nearest node of a grid oriented by continuation from the base point
-    (`_orient`, `_continue`).
+    surface, is normalized, or replaced by its limit where it vanishes or
+    is not finite (`_unit`, `_limit`), and takes the sign of its
+    continuation from the nearest node of a grid oriented by continuation
+    from node to node (`_orient`, `_continue`), on which the base point
+    keeps its own normal.
     """
 
-    _NODES = {1: 513, 2: 65}  # nodes per axis of the orientation grid
+    _NODES = {1: 1024, 2: 112}  # nodes per axis of the orientation grid
     _DIRECTIONS = {1: np.ones((1, 1)), 2: np.array([  # probe directions
         (1.0, 0.0), (0.0, 1.0), (0.7071067811865476, 0.7071067811865476),
         (0.7071067811865476, -0.7071067811865476)])}
@@ -133,7 +134,7 @@ class NormalField:
     def points(self, X) -> np.ndarray:
         """The unit normal on the rows of an (N, d) array, as (N, m), on
         the tape's grid path.  An analytic normal shorter than 1e-13 raises
-        `NotAFrontal`; a row with no raw normal takes its node's normal."""
+        `NotAFrontal`; so does a row where the raw normal has no limit."""
         X = np.asarray(X, dtype=float).reshape(-1, self.dim)
         g = self.frontal
         if g.normal_map is not None:
@@ -144,42 +145,45 @@ class NormalField:
                 raise NotAFrontal(f"analytic normal of '{g.name}' vanishes "
                                   f"at {tuple(X[bad[0]].tolist())}")
             return raw / n[:, None]
-        out, floor = self._unit(X)
-        redo = np.isnan(out[:, 0])
-        if redo.any():
-            out[redo] = self._limit(X[redo], floor[redo])
-        near = tuple(map(_nearest, self._axes, X.T))
-        ref = self._nus[near]
-        out = np.where(np.isnan(out[:, :1]), ref, out)
-        node = np.column_stack([a[i] for a, i in zip(self._axes, near)])
-        s = self._continue(node, X, ref, out, self._fast[near])
-        return out * s[:, None]
+        N = self._unit(X)
+        return N * self._sign(X, N)[:, None]
 
-    def _unit(self, X) -> tuple:
+    def _sign(self, X, N) -> np.ndarray:
+        """The sign s, one per row, that makes s N[i] the continuation of
+        the oriented normal of the node nearest X[i] (`_continue`, which
+        cuts the step when that node lies on a fast edge)."""
+        near = tuple(map(_nearest, self._axes, X.T))
+        node = np.column_stack([a[i] for a, i in zip(self._axes, near)])
+        return self._continue(node, X, self._nus[near], N, self._fast[near])
+
+    def _unit(self, X) -> np.ndarray:
         """The raw unit normal, up to sign, on the rows of X, from
-        `partials_grid`, and each row's floor, 1e-7 times the d-th power
-        of its longest first partial.  A row where the raw normal is
-        non-finite or at most its floor is NaN (`points` takes its limit
-        there)."""
+        `partials_grid`.  A row where the raw normal is not finite or at
+        most its floor, 1e-7 times the d-th power of the row's longest
+        first partial, takes its limit (`_limit`)."""
         parts = [p.T for p in self.frontal.partials_grid(*X.T)]
         raw = _raw_normal(parts)
         n = np.linalg.norm(raw, axis=1)
         sq = [np.einsum("ij,ij->i", p, p) for p in parts]
         floor = 1e-7 * np.maximum(sq[0], sq[-1]) ** (0.5 * self.dim)
-        return np.divide(raw, n[:, None], out=np.full_like(raw, np.nan),
-                         where=((n > floor) & (n < np.inf))[:, None]), floor
+        ok = (n > floor) & (n < np.inf)
+        out = np.divide(raw, n[:, None], out=np.empty_like(raw),
+                        where=ok[:, None])
+        if not ok.all():
+            out[~ok] = self._limit(X[~ok], floor[~ok])
+        return out
 
     def _limit(self, P, floor) -> np.ndarray:
         """The unit limits of the raw normal, up to sign, at the rows of P:
         along each probe direction e, its first Taylor coefficient along
         p + t e above the row's floor, from one order-3 jet, then one
-        order-9 jet for the rows where no direction has one (NaN where
-        none has one then).  The directions must agree up to sign, or
-        `NotAFrontal` names the first row where they do not."""
+        order-12 jet for the rows where no direction has one.  The
+        directions must agree up to sign, and every row must have a limit,
+        or `NotAFrontal` names the first row where it fails."""
         D = self._DIRECTIONS[self.dim]
-        out = np.full((len(P), self.dim + 1), np.nan)
+        out = np.empty((len(P), self.dim + 1))
         rows = np.arange(len(P))
-        for order in (3, 9):
+        for order in (3, 12):
             C = _raw_coefficients(self.frontal.jet(P[rows], order), D, order)
             n = np.linalg.norm(C, axis=-1)
             above = n > floor[rows, None]
@@ -201,17 +205,20 @@ class NormalField:
             out[rows[gap >= 0]] = ref[gap >= 0]
             rows = rows[gap < 0]
             if not rows.size:
-                break
-        return out
+                return out
+        raise NotAFrontal(
+            f"'{self.frontal.name}' has no normal at "
+            f"{tuple(P[rows[0]].tolist())} (its raw normal has no Taylor "
+            "coefficient above its floor below order 12)")
 
     def _continue(self, A, B, NA, NB, check) -> np.ndarray:
         """The sign s, one per segment from row A[i] to row B[i], that makes
         s NB[i] the continuation of the unit normal NA[i] along it.  A
         segment not in `check` whose normals are within 30 degrees up to
         sign takes the sign of their dot product.  The others are cut into
-        k = 2, 4, ..., 64 equal steps (a cut with no raw normal keeps the
-        one before it) until every step is within 30 degrees up to sign,
-        and take the product of the steps' signs, or raise `NotAFrontal`."""
+        k = 2, 4, ..., 64 equal steps until every step is within 30 degrees
+        up to sign, and take the product of the steps' signs, or raise
+        `NotAFrontal`."""
         dot = np.sum(NA * NB, axis=1)
         s = np.where(dot < 0, -1.0, 1.0)
         todo, k = np.flatnonzero(check | ~(np.abs(dot) >= _COS30)), 2
@@ -224,14 +231,9 @@ class NormalField:
                     "degrees within 1/64 of the segment)")
             t = np.arange(1, k)[:, None] / k
             P = A[todo, None] + t * (B - A)[todo, None]
-            N = self._unit(P.reshape(-1, self.dim))[0].reshape(
+            N = self._unit(P.reshape(-1, self.dim)).reshape(
                 len(todo), k - 1, -1)
             N = np.concatenate([NA[todo, None], N, NB[todo, None]], axis=1)
-            none = np.isnan(N[..., 0])
-            if none.any():
-                last = np.maximum.accumulate(
-                    np.where(none, 0, np.arange(k + 1)), axis=1)
-                N = np.take_along_axis(N, last[..., None], axis=1)
             d = np.sum(N[:, 1:] * N[:, :-1], axis=-1)
             done = (np.abs(d) >= _COS30).all(axis=1)
             s[todo[done]] = np.where(d[done] < 0, -1.0, 1.0).prod(axis=1)
@@ -239,54 +241,33 @@ class NormalField:
         return s
 
     def _orient(self) -> None:
-        """The oriented normals `_nus` on the grid of nodes `_axes`: the raw
-        unit normals (the limit at the base node where it has none; at
-        another node with none, that of the nearest node with one),
-        continued along the first axis on the lowest line and then along
-        the other axis.  An edge takes the sign of the two steps through
-        its midpoint (the nodes and the midpoints take one `_unit` call);
-        a fast edge, with a step that turns by more than 30 degrees up to
-        sign, takes it from `_continue`, and `_fast` marks its nodes.  The
-        other edges must then join agreeing normals, or `NotAFrontal`
-        names the cell the normal does not close around.  The base node,
-        the one nearest the base point, keeps its own normal."""
+        """The oriented normals `_nus` on the grid of nodes `_axes`, an even
+        count per axis, so that a symmetric domain has no node at its
+        middle: the raw unit normals, continued by `_continue` from node
+        to node along the first axis on the lowest line and then along the
+        other axis.  `_fast` marks the nodes of a fast edge, one whose end
+        normals are more than 30 degrees apart up to sign.  The other edges
+        along the first axis must then join agreeing normals, or
+        `NotAFrontal` names the cell the normal does not close around.
+        Last, the grid takes the sign that lets the base point keep its
+        own normal."""
         g, m = self.frontal, self._NODES[self.dim]
         self._axes = [d.grid(m) for d in
                       (g.domain if self.dim == 2 else (g.domain,))]
         nodes = np.stack(np.meshgrid(*self._axes, indexing="ij"), axis=-1)
         nodes = nodes.reshape(m, -1, self.dim)  # (m, 1, 1) on a curve
-        edges = ((np.s_[:-1], np.s_[1:]),
-                 (np.s_[:, :-1], np.s_[:, 1:]))[:self.dim]
-        rows = [Y.reshape(-1, self.dim) for Y in
-                [nodes] + [0.5 * (nodes[a] + nodes[b]) for a, b in edges]]
-        N, floor = self._unit(np.concatenate(rows))
-        N, *mids = np.split(N, np.cumsum([len(r) for r in rows[:-1]]))
-        base = tuple(map(_nearest, self._axes, g.base))
-        k = np.ravel_multi_index(base, (m,) * self.dim)
-        if np.isnan(N[k, 0]):
-            N[k] = self._limit(rows[0][k:k + 1], floor[k:k + 1])[0]
-        none = np.isnan(N[:, 0])
-        if none.all():
-            raise NotAFrontal(f"'{g.name}' has no normal on its domain")
-        if none.any():  # from the nearest node with one
-            from scipy.spatial import cKDTree
-            X = rows[0]
-            N[none] = N[~none][cKDTree(X[~none]).query(X[none])[1]]
-        N = N.reshape(m, -1, N.shape[1])  # (m, 1, 2) on a curve
+        N = self._unit(nodes.reshape(-1, self.dim)).reshape(
+            m, -1, self.dim + 1)
         self._fast, signs = np.zeros(N.shape[:2], dtype=bool), []
-        for (a, b), M in zip(edges, mids):
+        for a, b in ((np.s_[:-1], np.s_[1:]),
+                     (np.s_[:, :-1], np.s_[:, 1:]))[:self.dim]:
             A, B, NA, NB = (Y[c].reshape(-1, Y.shape[2]) for Y in (nodes, N)
                             for c in (a, b))
-            M = np.where(np.isnan(M), NA, M)  # a midpoint with none
-            d1, d2 = np.sum(NA * M, axis=1), np.sum(M * NB, axis=1)
-            s = np.where(d1 * d2 < 0, -1.0, 1.0)
-            fast = ~(np.minimum(np.abs(d1), np.abs(d2)) >= _COS30)
-            if fast.any():
-                s[fast] = self._continue(A[fast], B[fast], NA[fast], NB[fast],
-                                         True)
-            signs.append(s.reshape(N[a].shape[:2]))
-            self._fast[a] |= fast.reshape(N[a].shape[:2])
-            self._fast[b] |= fast.reshape(N[a].shape[:2])
+            shape = N[a].shape[:2]
+            signs.append(self._continue(A, B, NA, NB, False).reshape(shape))
+            fast = ~(np.abs(np.sum(NA * NB, axis=1)) >= _COS30)
+            self._fast[a] |= fast.reshape(shape)
+            self._fast[b] |= fast.reshape(shape)
         du, dv = signs + [np.ones((m, 0))] * (2 - self.dim)
         sign = np.cumprod(np.r_[1.0, du[:, 0]])[:, None] * np.cumprod(
             np.hstack([np.ones((m, 1)), dv]), axis=1)
@@ -298,7 +279,9 @@ class NormalField:
                 f"[{us[i]:.6g}, {us[i + 1]:.6g}] x [{vs[j - 1]:.6g}, {vs[j]:.6g}]")
         self._fast = self._fast.reshape((m,) * self.dim)
         sign = sign.reshape(self._fast.shape)
-        self._nus = (sign * sign[base])[..., None] * N.reshape(sign.shape + (-1,))
+        self._nus = sign[..., None] * N.reshape(sign.shape + (-1,))
+        base = np.reshape(g.base, (1, self.dim))
+        self._nus *= self._sign(base, self._unit(base))[0]
 
 _COS30 = 0.8660254037844387  # the widest step `_continue` reads as it is
 
@@ -380,10 +363,6 @@ class SingularSample:
 @dataclass
 class SingularComponent:
     samples: list
-
-    @property
-    def points(self) -> np.ndarray:
-        return np.array([s.point for s in self.samples])
 
 
 def _lambda_gradient(j, nu) -> np.ndarray:

@@ -164,12 +164,6 @@ class SurfaceProfile:
     def is_expression(self) -> bool:
         return self.expr is not None
 
-    def negated(self) -> "SurfaceProfile":
-        if self.expr is not None:
-            return SurfaceProfile.from_expr(ex.neg(self.expr), self.params)
-        us, vs, vals = self.grid
-        return SurfaceProfile.from_grid(us, vs, -vals)
-
     def to_json(self):
         if self.expr is not None:
             return {"kind": "expr", "source": ex.to_source(self.expr),

@@ -72,7 +72,7 @@ class _Table:
         self.index = multi_indices(nvars, order)
         self.pos = {a: k for k, a in enumerate(self.index)}
         self.fact = np.array([math.prod(map(math.factorial, a))
-                              for a in self.index])
+                              for a in self.index], dtype=float)
         pairs = sorted((self.pos[s], i, j)
                        for i, a in enumerate(self.index)
                        for j, b in enumerate(self.index)
@@ -173,7 +173,7 @@ class Series:
             if float(other) == 0.0:
                 raise DomainViolation(
                     "division by a quantity vanishing at the base point")
-            return self * (1.0 / float(other))
+            return self._new(self.c / float(other))
         return self * other._reciprocal()
 
     def __rtruediv__(self, other):

@@ -24,8 +24,8 @@ from .germ import (DegenerateSingularity, NotSingular, SurfaceGerm,
                    area_density, catalog, distinguished_frame,
                    limiting_normal_curvature)
 from . import exprlang as ex
-from .match import (ConnectingMap, _corners, _sample_grid,
-                    closest_image_point, connecting_map)
+from .match import (_corners, _sample_grid, closest_image_point,
+                    connecting_map)
 from .numkit import Interval, damped_gauss_newton
 
 __all__ = [
@@ -43,20 +43,16 @@ class SymmetryFinding:
     label: str                 # case i / ii / iii / iv
     frame_label: str           # refl_Pi0 / refl_Pi1 / refl_Pi2 / rot180_l2
     residual: float
-    psi: ConnectingMap | None = None
     checks: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
-        out = {
+        return {
             "isometry": self.isometry.to_json(),
             "label": self.label,
             "frame_label": self.frame_label,
             "residual": self.residual,
             "checks": self.checks,
         }
-        if self.psi is not None:
-            out["psi"] = self.psi.to_json()
-        return out
 
 
 # ------------------------------------------------------------- image testing
@@ -183,9 +179,6 @@ class _TransformedGerm:
         self.germ = germ
         self.T = T
         self.domain = germ.domain
-
-    def points(self, X) -> np.ndarray:
-        return self.T(self.germ.points(X))
 
     def lift_points(self, X):
         F, nu = self.germ.lift_points(X)

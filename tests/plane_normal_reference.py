@@ -2,7 +2,7 @@
 reference for the one normal field in the match tests.
 
 At a point where |c'| is at most 1e-12, the normal is the rotated first
-derivative c^(k+1), up to the ninth, longer than 1e-9.  Signs are
+derivative c^(k+1), up to the twelfth, longer than 1e-9.  Signs are
 continued along 513 nodes of the domain, a node with no normal taking
 that of the nearest node with one (the lower on a tie), and anchored at
 the right end; a point takes the sign that agrees with its nearest node.
@@ -28,8 +28,8 @@ class DiffChainNormal:
 
     def raw(self, t):
         """The rotated unit c' at t, or at a cusp the rotated first long
-        derivative; NaN where none up to the ninth is."""
-        for k in range(9):
+        derivative; NaN where none up to the twelfth is."""
+        for k in range(12):
             if k == len(self.dmaps):
                 self.dmaps.append(self.dmaps[-1].diff(self.var))
             d = np.asarray(self.dmaps[k]((float(t),)), dtype=float)

@@ -208,8 +208,8 @@ def test_match_subcommand(capsys, monkeypatch, tmp_path):
 
 def test_match_past_a_ninth_order_cusp(capsys):
     # f1 = (t^10, t^15) has no derivative below the tenth at its cusp, so
-    # the normal there is its nearest node's; every sample of psi = t^5
-    # comes out exact
+    # the normal there comes from an order-12 jet; every sample of
+    # psi = t^5 comes out exact
     code, rep, _ = run(capsys, "match", "--f1", "t^10,t^15",
                        "--f2", "t^2,t^3")
     assert code == 0
@@ -421,3 +421,91 @@ def test_missing_scene_file(capsys):
 def test_usage_error(capsys):
     code, _, err = run(capsys, "analyze")
     assert code == 1
+
+
+def test_argparse_error_is_a_usage_error(capsys):
+    code, rep, err = run(capsys, "match", "--no-such-flag")
+    assert code == 1 and rep is None
+    assert err.startswith("usage error:")
+
+
+def test_symmetry_with_locus(capsys, monkeypatch, tmp_path):
+    monkeypatch.chdir(tmp_path)
+    code, rep, _ = run(capsys, "symmetry", "--germ", "swallowtail",
+                       "--with-locus")
+    assert code == 0
+    res = rep["results"]
+    locus = res["self_intersections"]
+    assert sorted(locus) == ["images", "pairs"]
+    assert locus["pairs"] and len(locus["pairs"]) == len(locus["images"])
+    assert all(len(q) == len(q2) == 2 for q, q2 in locus["pairs"])
+    assert sorted(res["c2_report"]) == [
+        "f_psi_matches", "fixed_points_only_base", "image_fix_residual",
+        "image_fixed", "vacuous"]
+    assert not any(tmp_path.iterdir())
+
+
+def out_run(capsys, monkeypatch, tmp_path, *argv):
+    """Run argv with --out under tmp_path from another working directory,
+    and check that only the report and rep["files"] are written, all
+    under --out."""
+    cwd, out = tmp_path / "cwd", tmp_path / "out"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    code, rep, _ = run(capsys, *argv, "--out", str(out))
+    assert code == 0
+    assert not any(cwd.iterdir())
+    written = sorted(p.name for p in out.iterdir())
+    want = sorted([f"report_{argv[0]}.json"]
+                  + [p[len(str(out)) + 1:] for p in rep["files"]])
+    assert written == want
+    assert json.loads((out / f"report_{argv[0]}.json").read_text()) == rep
+    return rep, out
+
+
+def test_analyze_writes_its_singular_csv(capsys, monkeypatch, tmp_path):
+    rep, out = out_run(capsys, monkeypatch, tmp_path, "analyze", "--germ",
+                       "cuspidal_edge")
+    assert rep["files"] == [str(out / "cuspidal_edge_singular.csv")]
+    lines = (out / "cuspidal_edge_singular.csv").read_text().splitlines()
+    assert lines[0] == "u,v,x,y,z,type"
+    assert len(lines) == 1 + rep["results"]["singular_samples"]
+    assert {line.split(",")[-1] for line in lines[1:]} == {"I"}
+
+
+def test_normalform_writes_its_json(capsys, monkeypatch, tmp_path,
+                                    scene_path):
+    rep, out = out_run(capsys, monkeypatch, tmp_path, "normalform",
+                       "--scene", scene_path, "--germ", "circle_edge")
+    assert rep["files"] == [str(out / "circle_edge_normalform.json")]
+    written = json.loads((out / "circle_edge_normalform.json").read_text())
+    assert written == rep["results"]["normal_form"]
+
+
+def test_match_writes_its_csv(capsys, monkeypatch, tmp_path):
+    rep, out = out_run(capsys, monkeypatch, tmp_path, "match", "--f1",
+                       "t^6,t^9", "--f2", "t^2,t^3")
+    assert rep["files"] == [str(out / "connecting_map.csv")]
+    lines = (out / "connecting_map.csv").read_text().splitlines()
+    assert lines[0] == "x1,psi1,residual"
+    samples = rep["results"]["samples"]
+    assert len(lines) == 1 + len(samples)
+    rows = np.array([line.split(",") for line in lines[1:]], dtype=float)
+    np.testing.assert_allclose(rows[:, :2],
+                               [s["x"] + s["psi"] for s in samples],
+                               rtol=1e-11, atol=0)
+
+
+def test_scene_germ_with_an_analytic_normal(capsys, tmp_path):
+    # the catalog's cuspidal edge written as components and a normal
+    path = tmp_path / "scene.json"
+    path.write_text(json.dumps({"germs": {"edge": {
+        "components": ["v^2", "v^3", "u"], "normal": ["-3*v", "2", "0"],
+        "domain": [[-1, 1], [-1, 1]]}}}))
+    code, rep, _ = run(capsys, "analyze", "--scene", str(path), "--germ",
+                       "edge")
+    assert code == 0
+    _, want, _ = run(capsys, "analyze", "--germ", "cuspidal_edge")
+    assert rep["inputs"] == {"germ": "edge"}
+    assert rep["results"] == want["results"]
+    assert rep["results"]["normal_at_base"] == [0.0, 1.0, 0.0]

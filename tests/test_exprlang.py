@@ -416,6 +416,10 @@ def test_eval_jet_takes_any_order_and_refuses_negative_ones():
     np.testing.assert_allclose(m.eval_jet((0.3,), 6).partial(5),
                                [math.cos(0.3), math.exp(0.3), 120.0],
                                rtol=1e-14)
+    # past 20!, which no longer fits the factorials' integer type
+    np.testing.assert_allclose(m.eval_jet((0.1,), 24).partial(24),
+                               [math.sin(0.1), math.exp(0.1), 0.0],
+                               rtol=1e-14)
 
 
 @pytest.mark.parametrize("src", [
@@ -563,10 +567,7 @@ def test_integer_powers_agree_on_every_path():
     X = rng.uniform(-0.5, 0.5, (2000, 2))
     grid = germ.points(X)
     assert grid.tobytes() == np.array([germ(x) for x in X]).tobytes()
-    # the jet path divides a series by a number through its reciprocal,
-    # so only the components whose divisors are powers of two agree
-    jet = germ.map.eval_jet(X, 2).value
-    assert grid[:, [0, 2]].tobytes() == jet[:, [0, 2]].tobytes()
+    assert grid.tobytes() == germ.map.eval_jet(X, 2).value.tobytes()
 
 
 def test_catalog_tapes_hold_no_integer_power():

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -246,6 +248,19 @@ def test_singular_normal_takes_one_order_3_jet(monkeypatch):
     assert orders == [3]
 
 
+def test_bare_normal_field_loads_no_scipy():
+    # the orientation grid is numpy only; scipy loads where a k-d tree or
+    # a connected-component labelling is used
+    code = ("import sys; from frontalforge.germ import SurfaceGerm, catalog; "
+            "g = catalog('cuspidal_edge'); "
+            "SurfaceGerm(g.map, g.domain, name='bare').normal_field; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_germ_builds_one_normal_field(monkeypatch):
     built = []
     init = NormalField.__init__
@@ -330,8 +345,8 @@ def test_cross_cap_normal_has_no_limit_at_its_singular_point():
 
 
 def test_normal_turning_fast_between_nodes_keeps_its_sign():
-    # (u, v, cos 20u): f_u x f_v = (20 sin 20u, 0, 1) turns by up to 160
-    # degrees between nodes 1/32 apart
+    # (u, v, cos 20u): f_u x f_v = (20 sin 20u, 0, 1) turns by up to 149
+    # degrees between nodes 2/111 apart
     g = SurfaceGerm(MapDef("wavy", ("u", "v"), ["u", "v", "cos(20*u)"]),
                     ((-1, 1), (-1, 1)))
     X = np.vstack([np.random.default_rng(3).uniform(-1, 1, (2000, 2)),

@@ -6,7 +6,7 @@ import pytest
 from closest_reference import one_point_closest
 from plane_normal_reference import DiffChainNormal
 from frontalforge.exprlang import MapDef
-from frontalforge.germ import catalog
+from frontalforge.germ import NotAFrontal, catalog
 from frontalforge.match import (ConnectingMap, LiftInjectivityError,
                                 MatchError, PlaneMap, connecting_map,
                                 legendrian_lift, properness_probe)
@@ -309,7 +309,8 @@ def chain_agreement(pm, ref, ts):
     to the last place where the chain reads c' itself.  Where it takes a
     later derivative at a cusp, that derivative's direction is only near
     the normal, and the field gives the rotated c' exactly, with the
-    chain's sign; at a zero of c' both take a limit or a node's normal."""
+    chain's sign; at a zero of c' the field's limit and the chain's later
+    derivative agree to 1e-11."""
     _, nu = pm.lift_points(ts)
     want = np.array([ref(t) for t in ts])
     chain = np.array([ref.cusp_rule(t) for t in ts])
@@ -357,9 +358,36 @@ def test_plane_map_derives_only_c_prime(monkeypatch):
     ts = np.array([0.0, -0.5, 0.0, 0.25])
     pm.lift_points(ts)
     pm.lift_points(ts)
-    # a cusp takes its limit from jets, and the one at t = 0, which has
-    # none below the tenth order, its nearest node's normal
+    # a cusp takes its limit from jets, the one at t = 0 from an
+    # order-12 jet, as it has none below the tenth order
     assert derived == ["flat"]
+
+
+@pytest.mark.parametrize("comps", [("t^10", "t^15"), ("t^12", "t^13")])
+def test_plane_normal_at_a_flat_cusp_is_its_limit(comps):
+    # no node lies at t = 0, the middle of [-1, 1]: the point takes the
+    # limit of the rotated c', (0, 1) up to sign, from an order-12 jet
+    nu = plane("flat", comps).normal_field((0.0,))
+    assert abs(nu[0]) == 0.0 and abs(nu[1]) == 1.0
+
+
+def test_plane_normal_with_no_limit_names_the_point():
+    # c' = (14 t^13, 15 t^14): its rotation vanishes through order 12 at
+    # t = 0, which is no node, so the field builds and is exact elsewhere
+    nf = plane("flat", ("t^14", "t^15")).normal_field
+    c = np.array([-15.0 * 0.5 ** 14, 14.0 * 0.5 ** 13])
+    np.testing.assert_allclose(nf((0.5,)), c / np.linalg.norm(c), rtol=0,
+                               atol=1e-15)
+    with pytest.raises(NotAFrontal, match=r"no normal at \(0\.0,\)"):
+        nf((0.0,))
+
+
+def test_plane_node_with_no_finite_derivative_raises_at_build():
+    # (t, sqrt(t)) on [0, 1]: c' is not finite at the node t = 0, whose
+    # limit takes a jet of sqrt at zero
+    from frontalforge.exprlang import EvalDomainError
+    with pytest.raises(EvalDomainError, match="sqrt not differentiable"):
+        plane("root", ("t", "sqrt(t)"), (0.0, 1.0)).normal_field
 
 
 @pytest.mark.parametrize("psi", ["(0.7*t)", "(-0.6*t)", "(t+0.2*t^3)",
@@ -478,7 +506,7 @@ def test_closest_point_rows_match_one_point_solver():
 
 def test_grid_domain_error_raises_scalar_error():
     from frontalforge.exprlang import EvalDomainError
-    from frontalforge.germ import NotAFrontal, SurfaceGerm
+    from frontalforge.germ import SurfaceGerm
     germ = SurfaceGerm(MapDef("g", ("u", "v"), ["u", "v", "log(u)"]),
                        ((-1, 1), (-1, 1)),
                        normal_map=MapDef("n", ("u", "v"), ["u", "v", "1"]))
